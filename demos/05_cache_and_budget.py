@@ -2,10 +2,11 @@
 
 During GNN-stage training most ego-batch nodes only need a forward pass
 through the text encoder.  Those rows go into an LRU cache keyed by node and
-stamped with the step that wrote them; a staleness limit bounds how old a
-reused row may be.  staleness 0 + capacity 0 must reproduce the cache-free
-run bit for bit, because then the cache can only ever serve values computed
-at the current step's weights.
+stamped with the encoder version that wrote them, a count of encoder
+updates; a staleness limit bounds how many updates old a reused row may be.
+staleness 0 + capacity 0 must reproduce the cache-free run bit for bit,
+because then the cache can only ever serve values computed at the current
+encoder weights.
 """
 
 import time

@@ -14,7 +14,9 @@ train fixed sets of groups:
 Back-prop-on-samples: per step, at most budget.train_nodes texted rows are
 encoded on the tape; every other row comes from the cache or a no-grad chunk
 encode.  Chunks are fixed slices of each type's id space, so a row's encoded
-value never depends on which other rows happened to need encoding.
+value never depends on which other rows happened to need encoding.  Cache
+staleness counts encoder updates, not steps: under a frozen encoder a cached
+row never expires, and per-epoch evals share one encode of it.
 """
 
 from __future__ import annotations
@@ -82,10 +84,10 @@ class TrainSettings:
     budget_train_nodes: int = 64
     budget_infer_batch: int = 256
     cache_capacity: int = 4096
-    # staleness a cached row may accumulate, in optimizer steps.  Keep small
-    # whenever the encoder trains: desk-scale models drift fast enough that
-    # generously stale features derail the GNN (frozen-encoder stages are
-    # insensitive, a stale row is bit-identical there).
+    # staleness a cached row may accumulate, in encoder updates (optimizer
+    # steps that train the "lm" group).  Keep small whenever the encoder
+    # trains: desk-scale models drift fast enough that generously stale
+    # features derail the GNN.  Frozen-encoder steps do not age a row.
     cache_staleness: int = 10
     target_mode: str = "global"
     partitions: int = 4
@@ -131,11 +133,13 @@ def split_train_inference(num_rows: int, budget: int, rng):
 class EmbeddingCache:
     """LRU of (type, local) -> embedding with a staleness stamp per entry.
 
-    An entry written at step s is served only while step - s stays within
-    staleness_limit; older entries count as misses.  capacity 0 disables
-    storage entirely.  Only no-grad chunk encodes are stored, so a cached
-    value is always bit-identical to what the fixed-chunk path would
-    recompute under unchanged encoder weights.
+    Stamps are encoder versions: `version` goes up once per encoder update
+    (advance()) and on every clear(), and never resets.  Callers pass it as
+    the `step` of get/put.  An entry written at version s is served only
+    while step - s stays within staleness_limit; older entries count as
+    misses.  capacity 0 disables storage entirely.  Only no-grad chunk
+    encodes are stored, so a cached value is always bit-identical to what
+    the fixed-chunk path would recompute under unchanged encoder weights.
     """
 
     def __init__(self, capacity: int, staleness_limit: int):
@@ -150,6 +154,7 @@ class EmbeddingCache:
         self.misses = 0
         self.evictions = 0
         self.stale_drops = 0
+        self.version = 0
 
     def __len__(self):
         return len(self._store)
@@ -181,10 +186,16 @@ class EmbeddingCache:
             self._store.popitem(last=False)
             self.evictions += 1
 
+    def advance(self):
+        """Count one encoder update: every entry ages by one."""
+        self.version += 1
+
     def clear(self):
-        """Drop every entry; counters survive.  Called when encoder weights
-        change outside the normal step cadence (best-epoch restores)."""
+        """Drop every entry and advance the version; counters survive.
+        Called when encoder weights change outside the normal update cadence
+        (best-epoch restores)."""
         self._store.clear()
+        self.advance()
 
 
 @dataclass
@@ -301,7 +312,8 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
     pieces: list[Tensor] = []
     perm = np.empty(n, dtype=np.int64)
     offset = 0
-    stats = {"train_rows": 0, "infer_rows": 0, "hits": 0, "misses": 0}
+    stats = {"train_rows": 0, "infer_rows": 0, "hits": 0, "misses": 0,
+             "encoded_rows": 0}
 
     if plain_idx.size:
         # textless types read straight from their embedding tables
@@ -331,6 +343,7 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
             perm[rows] = offset + np.arange(rows.size)
             offset += rows.size
             stats["train_rows"] = int(rows.size)
+            stats["encoded_rows"] += int(rows.size)
         if infer_sel.size:
             rows = texted_idx[infer_sel]
             values = [None] * rows.size
@@ -348,6 +361,7 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
                 block = _encode_fixed_chunk(models, graph, t, chunk,
                                             budget.infer_batch)
                 lo = chunk * budget.infer_batch
+                stats["encoded_rows"] += block.shape[0]
                 for l in range(block.shape[0]):
                     cache.put((t, lo + l), block[l], step)
                 for i in waiting:
@@ -382,7 +396,7 @@ def _node_embeddings_for_refs(models, graph, refs, *, settings, cache, step,
 
 
 def _link_step(models, graph, sample, *, settings, cache, step, budget, rng,
-               lm_trainable, use_gnn, partition_map=None):
+               lm_trainable, use_gnn):
     """Contrastive link loss over one batch of positive edges."""
     batch = (ng.corrupt_joint if settings.negative_mode == "joint"
              else ng.corrupt_independent)(
@@ -405,7 +419,7 @@ def _link_step(models, graph, sample, *, settings, cache, step, budget, rng,
 
 
 def _node_step(models, graph, sample, *, settings, cache, step, budget, rng,
-               lm_trainable, use_gnn, partition_map=None):
+               lm_trainable, use_gnn):
     h, stats, _ = _node_embeddings_for_refs(
         models, graph, sample.node_refs, settings=settings, cache=cache,
         step=step, budget=budget, rng=rng, lm_trainable=lm_trainable,
@@ -416,7 +430,7 @@ def _node_step(models, graph, sample, *, settings, cache, step, budget, rng,
 
 
 def _edge_step(models, graph, sample, *, settings, cache, step, budget, rng,
-               lm_trainable, use_gnn, partition_map=None):
+               lm_trainable, use_gnn):
     head_t, tail_t = ng.endpoint_types(graph, sample.edge_rels)
     refs = np.concatenate([np.stack([head_t, sample.edge_srcs], axis=1),
                            np.stack([tail_t, sample.edge_dsts], axis=1)])
@@ -534,22 +548,34 @@ def _eval_edge(models, graph, emb, split, rng) -> dict[str, float]:
 _EVAL_FN = {"link": _eval_link, "node": _eval_node, "edge": _eval_edge}
 
 
+def eval_memo(graph: HeteroGraph) -> EmbeddingCache:
+    """A cache for evaluate() that holds every row of the graph and serves
+    only entries of the current encoder version."""
+    return EmbeddingCache(sum(graph.node_counts), 0)
+
+
 def evaluate(models: ModelBundle, graph: HeteroGraph, task: str, split: int, *,
              settings: TrainSettings, rng=0,
-             representation: str = "gnn") -> dict:
+             representation: str = "gnn", memo: EmbeddingCache | None = None,
+             version: int = 0) -> dict:
     """Task metrics on one split, from full-graph embeddings.
 
-    Always runs on a scratch cache and the canonical EVAL_CHUNK width, so the
-    numbers depend on nothing but the weights: a report computed mid-training,
-    after training, or from a reloaded checkpoint is byte-for-byte the same.
-    Training loops must not hand their step cache here, or eval writes would
-    stamp entries at the next step's index and hand it pre-update values.
+    Always encodes in the canonical EVAL_CHUNK width, so the numbers depend
+    on nothing but the weights: a report computed mid-training, after
+    training, or from a reloaded checkpoint is byte-for-byte the same.
+    Without a memo the encode runs on a scratch cache.  Training loops pass
+    an eval_memo() with the training cache's encoder version, so an eval
+    under an encoder that has not been updated since the last one reuses
+    its rows.  They must not hand their training cache here: its entries may
+    be stale by up to cache_staleness encoder updates, and eval writes would
+    reach the next training step.
     """
     if task not in TASKS:
         raise ContractError(f"unknown task '{task}'")
-    emb = full_graph_embeddings(models, graph, settings=settings,
-                                cache=EmbeddingCache(0, 0), step=0,
-                                budget=NodeBudget(1, EVAL_CHUNK),
+    if memo is None:
+        memo = EmbeddingCache(0, 0)
+    emb = full_graph_embeddings(models, graph, settings=settings, cache=memo,
+                                step=version, budget=NodeBudget(1, EVAL_CHUNK),
                                 representation=representation)
     return _EVAL_FN[task](models, graph, emb, split, _as_rng(rng))
 
@@ -563,11 +589,15 @@ class RunLog:
     records: list = field(default_factory=list)
 
     def add_step(self, stage: str, step: int, loss: float, cache_hit_rate: float,
-                 unique_nodes: int, elapsed_ms: float):
+                 unique_nodes: int, elapsed_ms: float, *, cache_hits: int = 0,
+                 cache_misses: int = 0, encoded_rows: int = 0):
+        """cache_hit_rate is cumulative since the run started; cache_hits,
+        cache_misses and encoded_rows (tape and no-grad) are this step's."""
         self.records.append({
             "kind": "step", "stage": stage, "step": step, "loss": loss,
             "cache_hit_rate": cache_hit_rate, "unique_nodes": unique_nodes,
-            "elapsed_ms": elapsed_ms})
+            "elapsed_ms": elapsed_ms, "cache_hits": cache_hits,
+            "cache_misses": cache_misses, "encoded_rows": encoded_rows})
 
     def add_metric(self, stage: str, epoch: int, split: str, metric: str,
                    value: float):
@@ -678,7 +708,8 @@ def mlm_warmup(models: ModelBundle, graph: HeteroGraph,
                     tg.backward(loss, tape)
                     opt.step()
             log.add_step("MLM", steps, loss.item(), 0.0, rows.shape[0],
-                         (time.perf_counter() - t0) * 1e3)
+                         (time.perf_counter() - t0) * 1e3,
+                         encoded_rows=rows.shape[0])
             steps += 1
     return steps
 
@@ -688,9 +719,14 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                 budget: NodeBudget, log: RunLog, rng, step_start: int = 0,
                 partition_map: PartitionMap | None = None,
                 heldout_split: int = VALID,
-                learning_rate: float | None = None) -> tuple[int, float]:
+                learning_rate: float | None = None,
+                memo: EmbeddingCache | None = None) -> tuple[int, float]:
     """Run one stage for `epochs` epochs, restoring the epoch snapshot that
-    scored best on the held-out split.  Returns (next_step, best_value)."""
+    scored best on the held-out split.  Returns (next_step, best_value).
+
+    Cache entries are stamped with cache.version, which advances after every
+    step that trains the encoder.  The per-epoch evals share `memo` (an
+    eval_memo(), fresh for this stage when None) under the same version."""
     if kind not in STAGE_KINDS:
         raise ContractError(f"unknown stage kind '{kind}'")
     rng = _as_rng(rng)  # normalize once; a per-call reseed would freeze sampling
@@ -719,6 +755,8 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
         raise ContractError(f"no train targets for task '{task}'")
     steps_per_epoch = max(1, -(-pool_size // settings.batch_size))
 
+    if memo is None:
+        memo = eval_memo(graph)
     step = step_start
     best_value = -np.inf
     best_snapshot = None
@@ -738,9 +776,8 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
             with tg.Tape() as tape:
                 loss, stats = step_fn(
                     models, graph, sample, settings=settings, cache=cache,
-                    step=step, budget=budget, rng=rng,
-                    lm_trainable=lm_trainable, use_gnn=use_gnn,
-                    partition_map=partition_map)
+                    step=cache.version, budget=budget, rng=rng,
+                    lm_trainable=lm_trainable, use_gnn=use_gnn)
                 if not np.isfinite(loss.data):
                     raise NumericsError(
                         f"loss diverged in stage {kind} at step {step}: "
@@ -748,13 +785,18 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                 opt.zero_grad()
                 tg.backward(loss, tape)
                 opt.step()
+            if lm_trainable:
+                cache.advance()
             log.add_step(kind, step, loss.item(), cache.hit_rate,
                          stats.get("unique_nodes", 0),
-                         (time.perf_counter() - t0) * 1e3)
+                         (time.perf_counter() - t0) * 1e3,
+                         cache_hits=stats["hits"], cache_misses=stats["misses"],
+                         encoded_rows=stats["encoded_rows"])
             step += 1
         metrics = evaluate(models, graph, task, heldout_split,
                            settings=settings, rng=rng,
-                           representation=representation)
+                           representation=representation, memo=memo,
+                           version=cache.version)
         for mname, value in sorted(metrics.items()):
             log.add_metric(kind, epoch, SPLIT_LABELS[heldout_split], mname,
                            float(value))
@@ -801,6 +843,7 @@ def run_stagewise(graph: HeteroGraph, settings: TrainSettings,
                    np.random.default_rng(children[2]))
 
     cache = EmbeddingCache(settings.cache_capacity, settings.cache_staleness)
+    memo = eval_memo(graph)
     budget = NodeBudget(settings.budget_train_nodes, settings.budget_infer_batch)
     rates = settings.stage_learning_rates or \
         (settings.learning_rate,) * len(settings.stages)
@@ -810,14 +853,15 @@ def run_stagewise(graph: HeteroGraph, settings: TrainSettings,
             models, graph, kind, settings=settings, epochs=epochs, cache=cache,
             budget=budget, log=log, rng=np.random.default_rng(children[3 + i]),
             step_start=step, partition_map=partition_map,
-            learning_rate=rates[i])
+            learning_rate=rates[i], memo=memo)
         if stage_callback is not None:
             stage_callback(i, kind, models)
 
     last = settings.stages[-1] if settings.stages else "EndToEnd"
     representation = "cls" if last == "PreFineTuneLM" else "gnn"
     final = evaluate(models, graph, settings.task, TEST, settings=settings,
-                     rng=0, representation=representation)
+                     rng=0, representation=representation, memo=memo,
+                     version=cache.version)
     for mname, value in sorted(final.items()):
         log.add_metric("final", 0, "test", mname, float(value))
     return models, log, final

@@ -33,7 +33,7 @@ class Tensor:
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         self.grad: np.ndarray | None = None
         self.grad_enabled = bool(grad_enabled)
-        self._src_tape: Tape | None = None
+        self._src_tape: object | None = None  # the producing tape's token
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,6 +103,10 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        # Outputs point at this token, not at the tape: nodes hold their
+        # outputs, so a back-pointer would make a cycle that only the cyclic
+        # GC frees, keeping every finished step's graph alive until then.
+        self.token = object()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -133,7 +137,7 @@ def _active_tape(inputs) -> "Tape | None":
         return None
     tape = _TAPE_STACK[-1]
     for t in inputs:
-        if t.grad_enabled or t._src_tape is tape:
+        if t.grad_enabled or t._src_tape is tape.token:
             return tape
     return None
 
@@ -142,7 +146,7 @@ def _record(name: str, inputs: tuple, out_data: np.ndarray, backward_fn) -> Tens
     out = Tensor(out_data)
     tape = _active_tape(inputs)
     if tape is not None:
-        out._src_tape = tape
+        out._src_tape = tape.token
         tape.nodes.append(TapeNode(inputs, out, backward_fn, name))
     return out
 
@@ -155,7 +159,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"backward target must be scalar, got shape {loss.data.shape}")
-    if loss._src_tape is not tape:
+    if loss._src_tape is not tape.token:
         raise ContractError("backward target was not produced on this tape")
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}

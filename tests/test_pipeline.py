@@ -393,3 +393,107 @@ def test_bundle_rejects_mismatched_graph(tmp_path, small_graph):
         vocab_size=30, tokens_per_node=4, seed=9))
     with pytest.raises(LoadError):
         pl.load_bundle(stem, other)
+
+
+# ------------------------------------------- encoder-version cache and memo
+
+
+def _texted_rows(graph):
+    return sum(c for t, c in enumerate(graph.node_counts) if graph.has_text(t))
+
+
+def test_frozen_encoder_cache_never_goes_stale(small_graph):
+    """A frozen encoder never ages a cached row: a stage longer than the
+    staleness limit drops nothing and encodes every texted row at most once,
+    in training and across all its evals."""
+    settings = quick_settings(task="node", cache_staleness=2)
+    models = pl.build_models(small_graph, settings,
+                             rng=np.random.default_rng(0))
+    cache, memo = pl.EmbeddingCache(256, 2), pl.eval_memo(small_graph)
+    log = pl.RunLog()
+    pl.train_stage(models, small_graph, "WarmStartGNN", settings=settings,
+                   epochs=3, cache=cache, budget=pl.NodeBudget(8, 16), log=log,
+                   rng=np.random.default_rng(0), memo=memo)
+    steps = [r for r in log.records if r["kind"] == "step"]
+    texted = _texted_rows(small_graph)
+    assert len(steps) > cache.staleness_limit
+    assert cache.version == 0
+    assert cache.stale_drops == 0 and cache.evictions == 0
+    assert sum(r["encoded_rows"] for r in steps) <= texted
+    assert sum(r["cache_hits"] for r in steps) == cache.hits
+    assert sum(r["cache_misses"] for r in steps) == cache.misses
+    # three evals, one encode
+    assert memo.misses == texted and memo.hits == 2 * texted
+
+
+def test_training_stage_advances_encoder_version(small_graph):
+    settings = quick_settings()
+    models = pl.build_models(small_graph, settings,
+                             rng=np.random.default_rng(0))
+    cache = pl.EmbeddingCache(256, 5)
+    step, _ = pl.train_stage(models, small_graph, "EndToEnd", settings=settings,
+                             epochs=1, cache=cache, budget=pl.NodeBudget(8, 16),
+                             log=pl.RunLog(), rng=np.random.default_rng(0))
+    # one advance per step, one more for the best-epoch restore
+    assert cache.version == step + 1
+
+
+def test_warm_start_then_end_to_end_staleness_zero_equals_cache_off(small_graph):
+    """Rows cached under the frozen encoder stay exact until the encoder's
+    first update, so staleness 0 still reproduces the cache-free run."""
+    losses, finals = {}, {}
+    for name, (cap, stale) in {"off": (0, 0), "stale0": (4096, 0)}.items():
+        settings = quick_settings(stages=("WarmStartGNN", "EndToEnd"),
+                                  epochs=(2, 1), cache_capacity=cap,
+                                  cache_staleness=stale)
+        _, log, finals[name] = pl.run_stagewise(small_graph, settings)
+        losses[name] = [r["loss"] for r in log.records if r["kind"] == "step"]
+    assert losses["off"] == losses["stale0"]
+    assert finals["off"] == finals["stale0"]
+
+
+def test_run_stagewise_final_eval_equals_scratch_eval(small_graph):
+    settings = quick_settings(stages=("WarmStartGNN", "EndToEnd"), epochs=(2, 2))
+    models, _, final = pl.run_stagewise(small_graph, settings)
+    assert final == pl.evaluate(models, small_graph, "link", TEST,
+                                settings=settings)
+
+
+def test_memo_eval_equals_scratch_eval_after_best_epoch_restore(small_graph,
+                                                                monkeypatch):
+    """Epoch 0 is made the best, so the stage restores pre-update encoder
+    weights; the memo must then serve nothing from the later eval."""
+    settings = quick_settings()
+    models = pl.build_models(small_graph, settings,
+                             rng=np.random.default_rng(0))
+    cache, memo = pl.EmbeddingCache(256, 5), pl.eval_memo(small_graph)
+    real_evaluate = pl.evaluate
+    scores = iter([1.0, 0.0])
+
+    def epoch_zero_best(*args, **kwargs):
+        real_evaluate(*args, **kwargs)  # fills the memo like the real loop
+        return {"mrr": next(scores)}
+
+    monkeypatch.setattr(pl, "evaluate", epoch_zero_best)
+    pl.train_stage(models, small_graph, "EndToEnd", settings=settings,
+                   epochs=2, cache=cache, budget=pl.NodeBudget(8, 16),
+                   log=pl.RunLog(), rng=np.random.default_rng(0), memo=memo)
+    monkeypatch.undo()
+    assert memo.hits == 0  # the encoder trained between the two evals
+
+    def embeddings(cache, step):
+        return pl.full_graph_embeddings(models, small_graph, settings=settings,
+                                        cache=cache, step=step,
+                                        budget=pl.NodeBudget(1, pl.EVAL_CHUNK))
+
+    scratch = embeddings(pl.EmbeddingCache(0, 0), 0)
+    # the memo's rows from the epoch-1 eval no longer match the weights
+    assert not np.array_equal(embeddings(memo, cache.version - 1), scratch)
+    assert embeddings(memo, cache.version).tobytes() == scratch.tobytes()
+    for representation in ("gnn", "cls"):
+        kw = dict(settings=settings, representation=representation)
+        assert pl.evaluate(models, small_graph, "link", VALID, memo=memo,
+                           version=cache.version, **kw) == \
+            pl.evaluate(models, small_graph, "link", VALID, **kw)
+    assert memo.hits > 0
+

@@ -410,3 +410,22 @@ def test_training_is_bit_deterministic():
         return w.data.tobytes()
 
     assert run() == run()
+
+
+def test_finished_tape_is_freed_without_cyclic_gc():
+    import gc
+    import weakref
+    w = tg.Tensor(np.ones((3, 2)), grad_enabled=True)
+    x = tg.Tensor(np.arange(6.0).reshape(2, 3))
+    gc.disable()
+    try:
+        with tg.Tape() as tape:
+            loss = tg.tensor_sum(tg.relu(tg.matmul(x, w)))
+        tg.backward(loss, tape)
+        ref = weakref.ref(tape)
+        del tape
+        # the output still knows it came off a tape, but does not keep it
+        assert loss._src_tape is not None
+        assert ref() is None
+    finally:
+        gc.enable()
