@@ -7,6 +7,7 @@ command is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -314,7 +315,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Make glibc malloc keep freed memory for reuse instead of returning it.
+
+    A training step allocates and frees tens of megabytes of float64
+    activations, and a step's graph is freed as soon as the step ends.  With
+    glibc's adaptive defaults, large blocks are mmapped and unmapped one by
+    one and the heap top is trimmed once a step's graph is freed, so the next
+    step faults the same pages in again: on the default graph a stage-wise
+    train takes about 650k minor page faults, and their cost, which varies
+    with load on the host, lands on the chunk re-encode steps.  Fixed
+    thresholds keep the pages mapped (about 30k faults).  Peak RSS stays the
+    same, as the largest step sets it either way.  Off Linux, or without
+    glibc's mallopt, this does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # the largest value glibc accepts
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

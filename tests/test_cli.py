@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -255,3 +257,20 @@ def test_dump_embeddings_deterministic(tmp_path, trained):
         assert cli.main(["dump-embeddings", ckpt, trained["graph_dir"],
                          "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_freed_heap_is_reused_without_page_faults():
+    # a step's worth of activations, freed together as a finished tape is
+    def round_trip():
+        blocks = [np.ones(1 << 18) for _ in range(40)]  # 40 x 2 MiB, touched
+        del blocks
+
+    cli._keep_freed_heap()
+    round_trip()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        round_trip()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # without the fixed thresholds each round re-faults all 80 MiB (~20k pages)
+    assert faults < 2000
