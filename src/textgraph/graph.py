@@ -128,6 +128,8 @@ class HeteroGraph:
         ]
         self.edge_labels: dict[int, EdgeLabelSet] = edge_labels or {}
         self._validate()
+        self.type_has_text = np.array([any(t != "" for t in rows)
+                                       for rows in self.texts], dtype=bool)
         self._build_adjacency()
         self._cache: dict = {}
 
@@ -190,13 +192,33 @@ class HeteroGraph:
         return NodeRef(t, int(g - self.type_offsets[t]))
 
     def has_text(self, type_index: int) -> bool:
-        return any(t != "" for t in self.texts[type_index])
+        return bool(self.type_has_text[type_index])
 
     def msg_neighbors(self, msg_rel_index: int, local_index: int) -> np.ndarray:
         """Neighbors sending messages to `local_index` under one message relation."""
         mr = self.message_relations[msg_rel_index]
         csr = self._by_src[mr.relation_index] if mr.reverse else self._by_dst[mr.relation_index]
         return csr.neighbors(local_index)
+
+    def message_adjacency(self) -> Csr:
+        """Every message relation in one CSR over global ids: the senders to
+        global node g under message relation mi are neighbors(g * M + mi),
+        M = len(message_relations), in the order msg_neighbors gives them."""
+        cached = self._cache.get("messages")
+        if cached is None:
+            m = len(self.message_relations)
+            keys, vals = [], []
+            for mi, mr in enumerate(self.message_relations):
+                src, dst = self.edges[mr.relation_index]
+                if mr.reverse:
+                    src, dst = dst, src
+                keys.append((dst + self.type_offsets[mr.dst_type]) * m + mi)
+                vals.append(src + self.type_offsets[mr.src_type])
+            cached = Csr.from_edges(np.concatenate(keys) if keys else _EMPTY,
+                                    np.concatenate(vals) if vals else _EMPTY,
+                                    self.total_nodes * m)
+            self._cache["messages"] = cached
+        return cached
 
     def union_adjacency(self) -> Csr:
         """Undirected adjacency over global node indices, all relations merged."""
@@ -625,15 +647,18 @@ class EgoBatch:
 
     def target_index(self, refs) -> np.ndarray:
         """Positions of refs among target_refs; unknown refs are a contract error."""
-        lookup = {(int(t), int(l)): i for i, (t, l) in enumerate(self.target_refs)}
         refs = _as_ref_array(refs)
-        out = np.empty(refs.shape[0], dtype=np.int64)
-        for i, (t, l) in enumerate(refs):
-            key = (int(t), int(l))
-            if key not in lookup:
-                raise ContractError(f"node {key} is not a target of this batch")
-            out[i] = lookup[key]
-        return out
+        # one int key per ref: type * width + local, -1 for negative refs
+        width = int(max(self.target_refs[:, 1].max(), refs[:, 1].max(initial=0))) + 1
+        keys = self.target_refs[:, 0] * width + self.target_refs[:, 1]
+        query = np.where((refs >= 0).all(axis=1), refs[:, 0] * width + refs[:, 1], -1)
+        order = np.argsort(keys)
+        at = order[np.minimum(np.searchsorted(keys, query, sorter=order), keys.size - 1)]
+        missing = np.flatnonzero(keys[at] != query)
+        if missing.size:
+            t, l = refs[missing[0]]
+            raise ContractError(f"node {(int(t), int(l))} is not a target of this batch")
+        return at
 
 
 def _as_ref_array(targets) -> np.ndarray:
@@ -665,13 +690,35 @@ def _normalize_fanouts(fanouts, num_msg_rels: int) -> list[int]:
     return fan
 
 
+def _first_occurrences(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ids, in the order they first appear."""
+    _, first = np.unique(ids, return_index=True)
+    return ids[np.sort(first)]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + n) over the (s, n) pairs."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
+
+
 def sample_neighbors(graph: HeteroGraph, targets, fanouts, num_layers: int,
                      rng=0) -> EgoBatch:
     """Sample a layered ego network around targets, uniformly without
     replacement per (node, message relation), capped at the relation's fanout.
 
     Each distinct node is expanded at most once per batch; deeper layers reuse
-    the same sampled neighborhood.  Block sources are ordered targets-first.
+    the same sampled neighborhood.  Block sources are ordered targets-first,
+    then in order of first appearance among the targets' neighbors.
+
+    RNG contract: the only draws are rng.choice(neighbors, fanout,
+    replace=False), one per (node, message relation) pair whose degree
+    exceeds the fanout.  Nodes are expanded layer by layer, each layer in
+    order of first discovery, and a node's relations in message-relation
+    order; a pair at or under its fanout takes all its neighbors in
+    msg_neighbors order and draws nothing.  A given rng state therefore
+    fixes the batch, and the state it is left in.
     """
     rng = _as_rng(rng)
     refs = _as_ref_array(targets)
@@ -680,82 +727,80 @@ def sample_neighbors(graph: HeteroGraph, targets, fanouts, num_layers: int,
     if num_layers < 1:
         raise ContractError("num_layers must be >= 1")
     mrels = graph.message_relations
-    fan = _normalize_fanouts(fanouts, len(mrels))
-    for t, l in refs:
-        if not 0 <= t < len(graph.node_types):
+    fan = np.array(_normalize_fanouts(fanouts, len(mrels)), dtype=np.int64)
+    types, locals_ = refs[:, 0], refs[:, 1]
+    bad_type = (types < 0) | (types >= len(graph.node_types))
+    sizes = np.array(graph.node_counts, dtype=np.int64)[np.where(bad_type, 0, types)]
+    bad = np.flatnonzero(bad_type | (locals_ < 0) | (locals_ >= sizes))
+    if bad.size:
+        t, l = int(types[bad[0]]), int(locals_[bad[0]])
+        if bad_type[bad[0]]:
             raise ContractError(f"target type index {t} out of range")
-        if not 0 <= l < graph.node_counts[t]:
-            raise ContractError(
-                f"target ({graph.node_types[t]}, {l}) out of range")
+        raise ContractError(f"target ({graph.node_types[t]}, {l}) out of range")
 
-    pos_of: dict[tuple[int, int], int] = {}
-    nodes: list[tuple[int, int]] = []
-
-    def intern(t: int, l: int) -> int:
-        key = (t, l)
-        p = pos_of.get(key)
-        if p is None:
-            p = len(nodes)
-            pos_of[key] = p
-            nodes.append(key)
-        return p
-
-    target_pos = list(dict.fromkeys(intern(int(t), int(l)) for t, l in refs))
-    expanded: dict[int, list[np.ndarray]] = {}
-    slots = len(target_pos)
-    frontier = list(target_pos)
+    # Work on global ids.  A node's expansion is one contiguous row of
+    # (neighbor, message relation) pairs in the flat table, row-major over
+    # its relations; expand_start marks the expanded nodes.
+    adj = graph.message_adjacency()
+    num_rels = len(mrels)
+    offsets = graph.type_offsets
+    target_ids = _first_occurrences(offsets[types] + locals_)
+    expand_start = np.full(graph.total_nodes, -1, dtype=np.int64)
+    expand_len = np.zeros(graph.total_nodes, dtype=np.int64)
+    table_nbrs: list[np.ndarray] = []
+    table_rels: list[np.ndarray] = []
+    table_size = 0
+    frontier = target_ids
     for _ in range(num_layers):
-        discovered: list[int] = []
-        for p in frontier:
-            if p in expanded:
-                continue
-            t, l = nodes[p]
-            per_rel: list[np.ndarray] = []
-            for mi, mr in enumerate(mrels):
-                if mr.dst_type != t:
-                    per_rel.append(_EMPTY)
-                    continue
-                nbrs = graph.msg_neighbors(mi, l)
-                if nbrs.size > fan[mi]:
-                    nbrs = rng.choice(nbrs, size=fan[mi], replace=False)
-                slots += int(nbrs.size)
-                if nbrs.size:
-                    arr = np.empty(nbrs.size, dtype=np.int64)
-                    for j, x in enumerate(nbrs.tolist()):
-                        q = intern(mr.src_type, x)
-                        arr[j] = q
-                        discovered.append(q)
-                    per_rel.append(arr)
-                else:
-                    per_rel.append(_EMPTY)
-            expanded[p] = per_rel
-        frontier = list(dict.fromkeys(discovered))
+        frontier = frontier[expand_start[frontier] < 0]
+        if frontier.size == 0:
+            break
+        cells = (frontier[:, None] * num_rels + np.arange(num_rels)).ravel()
+        starts = adj.offsets[cells]
+        degree = adj.offsets[cells + 1] - starts
+        cell_fan = np.tile(fan, frontier.size)
+        taken = np.minimum(degree, cell_fan)
+        nbrs = adj.targets[_ranges(starts, taken)]
+        ends = np.cumsum(taken)
+        # the RNG contract: one draw per over-fanout cell, row-major
+        for c in np.flatnonzero(degree > cell_fan).tolist():
+            s = starts[c]
+            nbrs[ends[c] - taken[c]:ends[c]] = rng.choice(
+                adj.targets[s:s + degree[c]], size=int(taken[c]), replace=False)
+        per_node = taken.reshape(-1, num_rels).sum(axis=1)
+        expand_len[frontier] = per_node
+        expand_start[frontier] = table_size + np.cumsum(per_node) - per_node
+        table_nbrs.append(nbrs)
+        table_rels.append(np.repeat(np.tile(np.arange(num_rels), frontier.size), taken))
+        table_size += nbrs.size
+        frontier = _first_occurrences(nbrs)
+    all_nbrs = np.concatenate(table_nbrs) if table_nbrs else _EMPTY
+    all_rels = np.concatenate(table_rels) if table_rels else _EMPTY
 
+    def refs_of(ids: np.ndarray) -> np.ndarray:
+        t = np.searchsorted(offsets, ids, side="right") - 1
+        return np.stack([t, ids - offsets[t]], axis=1)
+
+    local_of = np.full(graph.total_nodes, -1, dtype=np.int64)
     blocks_rev: list[Block] = []
-    tgt = list(target_pos)
+    tgt = target_ids
     for _ in range(num_layers):
-        local_of = {p: i for i, p in enumerate(tgt)}
-        src_order = list(tgt)
-        e_src: list[list[int]] = [[] for _ in mrels]
-        e_dst: list[list[int]] = [[] for _ in mrels]
-        for dst_local, p in enumerate(tgt):
-            for mi, nbr_pos in enumerate(expanded[p]):
-                for q in nbr_pos.tolist():
-                    loc = local_of.get(q)
-                    if loc is None:
-                        loc = len(src_order)
-                        local_of[q] = loc
-                        src_order.append(q)
-                    e_src[mi].append(loc)
-                    e_dst[mi].append(dst_local)
-        src_refs = np.array([nodes[p] for p in src_order], dtype=np.int64)
-        edges = [(np.array(e_src[mi], dtype=np.int64),
-                  np.array(e_dst[mi], dtype=np.int64)) for mi in range(len(mrels))]
-        blocks_rev.append(Block(src_refs.reshape(-1, 2), len(tgt), edges))
+        row = _ranges(expand_start[tgt], expand_len[tgt])
+        nbrs, rels = all_nbrs[row], all_rels[row]
+        dst = np.repeat(np.arange(tgt.size), expand_len[tgt])
+        local_of[tgt] = np.arange(tgt.size)
+        fresh = _first_occurrences(nbrs[local_of[nbrs] < 0])
+        local_of[fresh] = tgt.size + np.arange(fresh.size)
+        src = local_of[nbrs]
+        src_order = np.concatenate([tgt, fresh])
+        local_of[src_order] = -1
+        edges = [(src[rels == mi], dst[rels == mi]) for mi in range(num_rels)]
+        blocks_rev.append(Block(refs_of(src_order), tgt.size, edges))
         tgt = src_order
 
-    target_refs = np.array([nodes[p] for p in target_pos], dtype=np.int64).reshape(-1, 2)
-    return EgoBatch(num_layers, list(reversed(blocks_rev)), target_refs, slots)
+    # slots: the targets plus every sampled neighbor, before any dedup
+    return EgoBatch(num_layers, list(reversed(blocks_rev)), refs_of(target_ids),
+                    int(target_ids.size + all_nbrs.size))
 
 
 # -------------------------------------------------------------- partitioning

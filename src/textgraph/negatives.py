@@ -254,9 +254,5 @@ def full_eval_negatives(graph: HeteroGraph, rel: int, head: int, tail: int,
     cands = np.arange(n, dtype=np.int64)
     mask = cands != int(tail)
     if filtered:
-        known = graph.known_pairs(rel)
-        h = int(head)
-        keep = np.array([(h, int(c)) not in known for c in cands], dtype=bool)
-        keep[int(tail)] = False
-        mask &= keep
+        mask[graph._by_src[rel].neighbors(int(head))] = False
     return cands[mask]

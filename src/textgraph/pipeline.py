@@ -305,7 +305,7 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
     n = refs.shape[0]
     if n == 0:
         raise ContractError("assemble_features needs at least one ref")
-    texted = np.array([graph.has_text(int(t)) for t in refs[:, 0]])
+    texted = graph.type_has_text[refs[:, 0]]
     texted_idx = np.nonzero(texted)[0]
     plain_idx = np.nonzero(~texted)[0]
 
@@ -621,10 +621,10 @@ def _texted_link_pool(graph: HeteroGraph):
     """Train link edges whose relation joins two texted types; the encoder
     pre-fine-tuning stage scores these directly in CLS space."""
     rels, srcs, dsts = graph.link_edges(TRAIN)
-    keep = np.array([
-        graph.has_text(graph.type_index(graph.relations[r].src_type))
-        and graph.has_text(graph.type_index(graph.relations[r].dst_type))
-        for r in rels], dtype=bool) if rels.size else np.empty(0, dtype=bool)
+    texted = np.array([graph.has_text(graph.type_index(r.src_type))
+                       and graph.has_text(graph.type_index(r.dst_type))
+                       for r in graph.relations], dtype=bool)
+    keep = texted[rels]
     return rels[keep], srcs[keep], dsts[keep]
 
 

@@ -326,15 +326,56 @@ def _check_indices(idx: np.ndarray, bound: int, what: str) -> np.ndarray:
     return idx
 
 
+# Rank passes that would touch fewer buckets than this give way to one
+# sequential fold per remaining bucket.
+_MIN_PASS_BUCKETS = 8
+
+
+def scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[ids[i]] += rows[i] for every i, bit for bit as np.add.at does it.
+
+    Every bucket must receive its rows in row order, since float addition
+    does not reassociate (np.add.reduceat, which sums in its own order, is
+    not exact).  A stable sort by bucket ranks each row among its bucket's
+    rows; one vectorized add per rank then touches each bucket at most once.
+    When fewer than _MIN_PASS_BUCKETS buckets still have rows, each of them
+    folds its rest left to right with np.add.accumulate.  Returns out.
+    """
+    n = ids.shape[0]
+    if n == 0:
+        return out
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    first = np.ones(n, dtype=bool)
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=n)
+    rank = np.arange(n) - np.repeat(starts, sizes)
+    per_rank = np.bincount(rank)
+    passes = int(np.count_nonzero(per_rank >= _MIN_PASS_BUCKETS))
+    if passes:
+        by_rank = order[np.argsort(rank, kind="stable")]
+        lo = 0
+        for count in per_rank[:passes].tolist():
+            sel = by_rank[lo:lo + count]
+            out[ids[sel]] += rows[sel]
+            lo += count
+    rest = sizes > passes
+    for start, size in zip(starts[rest].tolist(), sizes[rest].tolist()):
+        sel = order[start + passes:start + size]
+        b = ids[sel[0]]
+        out[b] = np.add.accumulate(np.concatenate([out[b:b + 1], rows[sel]]))[-1]
+    return out
+
+
 def take_rows(a: Tensor, indices) -> Tensor:
     """Gather rows (axis 0); repeated indices scatter-add their gradients."""
     idx = _check_indices(indices, a.data.shape[0], "row index")
     out = a.data[idx]
 
     def back(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        return (buf,)
+        flat = g.reshape((idx.size,) + a.data.shape[1:])
+        return (scatter_add(np.zeros_like(a.data), idx.ravel(), flat),)
 
     return _record("take_rows", (a,), out, back)
 
@@ -344,8 +385,8 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     seg = _check_indices(segment_ids, num_segments, "segment id")
     if seg.shape[0] != a.data.shape[0]:
         raise ShapeError(f"segment ids ({seg.shape[0]}) != rows ({a.data.shape[0]})")
-    out = np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64)
-    np.add.at(out, seg, a.data)
+    out = scatter_add(np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64),
+                      seg, a.data)
     return _record("segment_sum", (a,), out, lambda g: (g[seg],))
 
 

@@ -1,0 +1,23 @@
+"""The quick demos run to completion.  Demos 04 and 05 train for minutes and
+are left to be run by hand."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+QUICK_DEMOS = ["01_autodiff_basics.py", "02_graph_and_sampling.py",
+               "03_negative_sampling_budget.py"]
+
+
+@pytest.mark.parametrize("demo", QUICK_DEMOS)
+def test_demo_exits_cleanly(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

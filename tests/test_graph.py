@@ -308,6 +308,102 @@ def test_ego_duplicate_targets_dedup_and_index():
         batch.target_index([(0, 0)])
 
 
+def _reference_sample(graph, refs, fanouts, num_layers, rng):
+    """The sampler as a per-node loop that interns one node at a time: the
+    oracle for the array-form sample_neighbors."""
+    mrels = graph.message_relations
+    fan = gr._normalize_fanouts(fanouts, len(mrels))
+    pos_of, nodes = {}, []
+
+    def intern(t, l):
+        if (t, l) not in pos_of:
+            pos_of[(t, l)] = len(nodes)
+            nodes.append((t, l))
+        return pos_of[(t, l)]
+
+    target_pos = list(dict.fromkeys(intern(int(t), int(l)) for t, l in refs))
+    expanded = {}
+    slots = len(target_pos)
+    frontier = list(target_pos)
+    for _ in range(num_layers):
+        discovered = []
+        for p in frontier:
+            if p in expanded:
+                continue
+            t, l = nodes[p]
+            per_rel = []
+            for mi, mr in enumerate(mrels):
+                nbrs = graph.msg_neighbors(mi, l) if mr.dst_type == t else gr._EMPTY
+                if nbrs.size > fan[mi]:
+                    nbrs = rng.choice(nbrs, size=fan[mi], replace=False)
+                slots += int(nbrs.size)
+                per_rel.append([intern(mr.src_type, x) for x in nbrs.tolist()])
+                discovered.extend(per_rel[-1])
+            expanded[p] = per_rel
+        frontier = list(dict.fromkeys(discovered))
+
+    blocks = []
+    tgt = list(target_pos)
+    for _ in range(num_layers):
+        local_of = {p: i for i, p in enumerate(tgt)}
+        src_order = list(tgt)
+        e_src = [[] for _ in mrels]
+        e_dst = [[] for _ in mrels]
+        for dst_local, p in enumerate(tgt):
+            for mi, nbr_pos in enumerate(expanded[p]):
+                for q in nbr_pos:
+                    if q not in local_of:
+                        local_of[q] = len(src_order)
+                        src_order.append(q)
+                    e_src[mi].append(local_of[q])
+                    e_dst[mi].append(dst_local)
+        blocks.append((np.array([nodes[p] for p in src_order]).reshape(-1, 2),
+                       len(tgt), list(zip(e_src, e_dst))))
+        tgt = src_order
+    targets = np.array([nodes[p] for p in target_pos]).reshape(-1, 2)
+    return blocks[::-1], targets, slots
+
+
+def with_isolated_node(graph):
+    """graph plus one texted, edgeless node of type 0, the last local id."""
+    counts = list(graph.node_counts)
+    counts[0] += 1
+    texts = [list(t) for t in graph.texts]
+    texts[0].append("lonely")
+    return gr.HeteroGraph(graph.node_types, counts, texts, graph.relations,
+                          graph.edges)
+
+
+@pytest.mark.parametrize("fanouts", [3, [1, 4, 2, 6], 10_000],
+                         ids=["int", "per-relation", "saturating"])
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+def test_sampler_matches_per_node_reference(synth, fanouts, num_layers):
+    g = with_isolated_node(synth)
+    isolated = g.node_counts[0] - 1
+    for seed in range(4):
+        draw = np.random.default_rng(100 + seed)
+        targets = np.stack([draw.integers(0, 2, size=12),
+                            draw.integers(0, 200, size=12)], axis=1)
+        # repeated targets, and the isolated node among them
+        targets = np.concatenate([targets, targets[:4], [[0, isolated]]])
+        rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        blocks, target_refs, slots = _reference_sample(g, targets, fanouts,
+                                                       num_layers, rng_ref)
+        batch = gr.sample_neighbors(g, targets, fanouts, num_layers, rng_new)
+        np.testing.assert_array_equal(batch.target_refs, target_refs)
+        assert batch.expansion_slots == slots
+        assert len(batch.blocks) == len(blocks)
+        for got, (src_refs, num_targets, edges) in zip(batch.blocks, blocks):
+            np.testing.assert_array_equal(got.src_refs, src_refs)
+            assert got.num_targets == num_targets
+            assert len(got.edges) == len(edges)
+            for (s_got, d_got), (s_ref, d_ref) in zip(got.edges, edges):
+                np.testing.assert_array_equal(s_got, s_ref)
+                np.testing.assert_array_equal(d_got, d_ref)
+        # the same draws were made, in the same order
+        assert rng_new.random() == rng_ref.random()
+
+
 def test_ego_rejects_bad_input():
     g = tiny_graph()
     with pytest.raises(ContractError, match="at least one target"):

@@ -134,6 +134,35 @@ def test_segment_sum_forward():
     np.testing.assert_array_equal(out.data, [[4.0], [3.0], [0.0]])
 
 
+def _scatter_cases():
+    draw = np.random.default_rng(4)
+    heavy = np.where(draw.random(600) < 0.7, 3, draw.integers(0, 20, size=600))
+    ids = {"unsorted": (draw.permutation(np.arange(200) % 50), 50),
+           "heavy": (heavy, 20),
+           "two-buckets": (draw.integers(0, 2, size=40), 2),
+           "empty": (np.empty(0, dtype=np.int64), 5)}
+    for width in (None, 1, 64, 128):
+        for name, (bucket_ids, buckets) in ids.items():
+            yield pytest.param(bucket_ids, buckets, width,
+                               id=f"{name}-{'1d' if width is None else width}")
+
+
+@pytest.mark.parametrize("ids,buckets,width", list(_scatter_cases()))
+def test_scatter_add_is_bitwise_add_at(ids, buckets, width):
+    def shape(n):
+        return (n,) if width is None else (n, width)
+
+    draw = np.random.default_rng(ids.size)
+    rows = draw.normal(size=shape(ids.size)) * 10.0 ** draw.integers(-9, 9, size=shape(ids.size))
+    rows[draw.random(rows.shape) < 0.2] = -0.0  # signed zeros must survive
+    rows[draw.random(rows.shape) < 0.1] = 0.0
+    want = np.zeros(shape(buckets))
+    np.add.at(want, ids, rows)
+    got = tg.scatter_add(np.zeros(shape(buckets)), ids, rows)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_concat_reshape_transpose_round_trip(rng):
     x = rng.normal(size=(2, 3))
     t = tg.Tensor(x)
