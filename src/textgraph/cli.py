@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import pipeline as pl
 from . import tensor as tg
 from .errors import ContractError, LoadError, NumericsError
@@ -218,8 +216,7 @@ def cmd_eval(args) -> int:
     if args.task == "edge" and models.edge_head is None:
         raise ConfigError("checkpoint has no edge classifier head")
     settings = pl.TrainSettings(task=args.task, num_layers=len(models.gnn.layers),
-                                fanouts=args.fanouts, dim=models.dim,
-                                max_len=models.max_len)
+                                dim=models.dim, max_len=models.max_len)
     metrics = pl.evaluate(models, graph, args.task, SPLIT_NAMES.index(args.split),
                           settings=settings, representation=args.representation)
     report = {"task": args.task, "split": args.split,
@@ -240,10 +237,7 @@ def cmd_dump_embeddings(args) -> int:
             step=0, budget=pl.NodeBudget(1, pl.EVAL_CHUNK))
     else:
         # large graph: configured fanout instead of the saturating neighborhood
-        all_refs = np.concatenate([
-            np.stack([np.full(graph.node_counts[t], t, dtype=np.int64),
-                      np.arange(graph.node_counts[t], dtype=np.int64)], axis=1)
-            for t in range(len(graph.node_types))])
+        all_refs = pl.node_refs(graph)
         batch = sample_neighbors(graph, all_refs, fanouts=args.fanouts,
                                  num_layers=len(models.gnn.layers), rng=0)
         with tg.no_grad():
@@ -302,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", default="test")
     p_eval.add_argument("--representation", default="gnn",
                         choices=("gnn", "cls"))
-    p_eval.add_argument("--fanouts", type=int, default=4)
     p_eval.set_defaults(fn=cmd_eval)
 
     p_dump = sub.add_parser("dump-embeddings",
@@ -329,7 +322,7 @@ def _keep_freed_heap() -> None:
     one and the heap top is trimmed once a step's graph is freed, so the next
     step faults the same pages in again: on the default graph a stage-wise
     train takes about 650k minor page faults, and their cost, which varies
-    with load on the host, lands on the chunk re-encode steps.  Fixed
+    with load on the host, lands on the steps that allocate the most.  Fixed
     thresholds keep the pages mapped (about 30k faults).  Peak RSS stays the
     same, as the largest step sets it either way.  Off Linux, or without
     glibc's mallopt, this does nothing.

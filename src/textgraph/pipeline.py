@@ -12,11 +12,13 @@ train fixed sets of groups:
   HeadOnly       trains only the task head
 
 Back-prop-on-samples: per step, at most budget.train_nodes texted rows are
-encoded on the tape; every other row comes from the cache or a no-grad chunk
-encode.  Chunks are fixed slices of each type's id space, so a row's encoded
-value never depends on which other rows happened to need encoding.  Cache
-staleness counts encoder updates, not steps: under a frozen encoder a cached
-row never expires, and per-epoch evals share one encode of it.
+encoded on the tape; every other row comes from the cache or, when it
+missed, from a no-grad encode of exactly the rows that missed, at most
+budget.infer_batch rows per encode call.  Those encodes run at the width of
+the type's whole token table, so a row's encoded value never depends on
+which other rows share its call.  Cache staleness counts encoder updates,
+not steps: under a frozen encoder a cached row never expires, and per-epoch
+evals share one encode of it.
 """
 
 from __future__ import annotations
@@ -103,7 +105,9 @@ class TrainSettings:
 
 @dataclass
 class NodeBudget:
-    """Per-step encoder workload: on-tape rows and no-grad chunk width."""
+    """Per-step encoder workload: the most rows encoded on the tape, and the
+    most rows one no-grad encode call may take (a memory bound only; encoded
+    values do not depend on it)."""
 
     train_nodes: int
     infer_batch: int
@@ -137,9 +141,9 @@ class EmbeddingCache:
     (advance()) and on every clear(), and never resets.  Callers pass it as
     the `step` of get/put.  An entry written at version s is served only
     while step - s stays within staleness_limit; older entries count as
-    misses.  capacity 0 disables storage entirely.  Only no-grad chunk
-    encodes are stored, so a cached value is always bit-identical to what
-    the fixed-chunk path would recompute under unchanged encoder weights.
+    misses.  capacity 0 disables storage entirely.  Only no-grad encodes of
+    rows that missed are stored, so a cached value is always bit-identical
+    to what a fresh encode would give under unchanged encoder weights.
     """
 
     def __init__(self, capacity: int, staleness_limit: int):
@@ -272,6 +276,16 @@ def build_models(graph: HeteroGraph, settings: TrainSettings, rng=0) -> ModelBun
 # ----------------------------------------------------------------- features
 
 
+def node_refs(graph: HeteroGraph, *, texted_only: bool = False) -> np.ndarray:
+    """(type, local) rows for every node, in global-index order; with
+    texted_only, for every node of a texted type."""
+    parts = [np.stack([np.full(graph.node_counts[t], t, dtype=np.int64),
+                       np.arange(graph.node_counts[t], dtype=np.int64)], axis=1)
+             for t in range(len(graph.node_types))
+             if graph.has_text(t) or not texted_only]
+    return np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
+
+
 def token_table(models: ModelBundle, graph: HeteroGraph, type_index: int) -> np.ndarray:
     key = ("tokens", type_index, models.max_len)
     table = graph._cache.get(key)
@@ -281,15 +295,18 @@ def token_table(models: ModelBundle, graph: HeteroGraph, type_index: int) -> np.
     return table
 
 
-def _encode_fixed_chunk(models, graph, type_index: int, chunk: int,
-                        infer_batch: int) -> np.ndarray:
-    """No-grad encode of one fixed id-space slice of a type; the slice layout
-    depends only on (type, chunk, infer_batch), never on the caller."""
-    table = token_table(models, graph, type_index)
-    lo = chunk * infer_batch
-    hi = min(lo + infer_batch, table.shape[0])
+def _encode_nograd(models, graph, type_index: int, locals_: np.ndarray,
+                   max_rows: int) -> np.ndarray:
+    """No-grad [CLS] rows for the given locals of one type, at most max_rows
+    per encode call.  Every call keeps the width of the type's whole table,
+    cropped to its widest text, so a row's value does not depend on which
+    rows share its call."""
+    table = tx.crop_padding(token_table(models, graph, type_index))
     with tg.no_grad():
-        return tx.encode_cls(models.encoder, table[lo:hi]).data
+        return np.concatenate([
+            tx.encode_cls(models.encoder, table[locals_[lo:lo + max_rows]],
+                          crop=False).data
+            for lo in range(0, locals_.size, max_rows)])
 
 
 def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
@@ -300,7 +317,8 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
 
     When the text encoder is trainable, a uniform sample of at most
     budget.train_nodes texted rows is encoded on the tape; everything else is
-    served from the cache or a fixed no-grad chunk encode.
+    served from the cache, and what missed is encoded without grad, once per
+    distinct row, and written back to the cache.
     """
     n = refs.shape[0]
     if n == 0:
@@ -346,27 +364,31 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
             stats["encoded_rows"] += int(rows.size)
         if infer_sel.size:
             rows = texted_idx[infer_sel]
-            values = [None] * rows.size
-            needed_chunks: dict[tuple[int, int], list[int]] = {}
-            for i, (t, l) in enumerate(refs[rows]):
-                hit = cache.get((int(t), int(l)), step)
-                if hit is not None:
-                    values[i] = hit
+            keys = refs[rows]
+            values = np.empty((rows.size, models.dim))
+            missed = []
+            # two lists of ints rather than a list per row: row lists would
+            # outlive gc's young generations and trigger full collections
+            for i, key in enumerate(zip(keys[:, 0].tolist(),
+                                        keys[:, 1].tolist())):
+                hit = cache.get(key, step)
+                if hit is None:
+                    missed.append(i)
                 else:
-                    needed_chunks.setdefault(
-                        (int(t), int(l) // budget.infer_batch), []).append(i)
-            stats["hits"] = sum(1 for v in values if v is not None)
-            stats["misses"] = rows.size - stats["hits"]
-            for (t, chunk), waiting in sorted(needed_chunks.items()):
-                block = _encode_fixed_chunk(models, graph, t, chunk,
-                                            budget.infer_batch)
-                lo = chunk * budget.infer_batch
-                stats["encoded_rows"] += block.shape[0]
-                for l in range(block.shape[0]):
-                    cache.put((t, lo + l), block[l], step)
-                for i in waiting:
-                    values[i] = block[int(refs[rows[i], 1]) - lo]
-            pieces.append(Tensor(np.stack(values)))
+                    values[i] = hit
+            missed = np.asarray(missed, dtype=np.int64)
+            stats["hits"] = int(rows.size - missed.size)
+            stats["misses"] = int(missed.size)
+            for t in np.unique(keys[missed, 0]).tolist():
+                waiting = missed[keys[missed, 0] == t]
+                locals_, inverse = np.unique(keys[waiting, 1], return_inverse=True)
+                block = _encode_nograd(models, graph, t, locals_,
+                                       budget.infer_batch)
+                for l, row in zip(locals_.tolist(), block):
+                    cache.put((t, l), row, step)
+                values[waiting] = block[inverse]
+                stats["encoded_rows"] += int(locals_.size)
+            pieces.append(Tensor(values))
             perm[rows] = offset + np.arange(rows.size)
             offset += rows.size
             stats["infer_rows"] = int(rows.size)
@@ -459,10 +481,7 @@ def full_graph_embeddings(models: ModelBundle, graph: HeteroGraph, *,
     """Embeddings for every node, rows in global-index order, computed with
     no grad.  GNN representation uses a saturating-fanout neighborhood so
     message passing sees every edge."""
-    all_refs = np.concatenate([
-        np.stack([np.full(graph.node_counts[t], t, dtype=np.int64),
-                  np.arange(graph.node_counts[t], dtype=np.int64)], axis=1)
-        for t in range(len(graph.node_types))])
+    all_refs = node_refs(graph)
     with tg.no_grad():
         if representation == "cls":
             feats, _ = assemble_features(
@@ -488,6 +507,8 @@ def full_graph_embeddings(models: ModelBundle, graph: HeteroGraph, *,
 
 EVAL_FULL_CORRUPTION_LIMIT = 10_000
 EVAL_SAMPLED_NEGATIVES = 500
+# the most rows one no-grad encode call takes in evals; a memory bound only,
+# encoded values do not depend on it
 EVAL_CHUNK = 256
 
 
@@ -560,9 +581,9 @@ def evaluate(models: ModelBundle, graph: HeteroGraph, task: str, split: int, *,
              version: int = 0) -> dict:
     """Task metrics on one split, from full-graph embeddings.
 
-    Always encodes in the canonical EVAL_CHUNK width, so the numbers depend
-    on nothing but the weights: a report computed mid-training, after
-    training, or from a reloaded checkpoint is byte-for-byte the same.
+    Encoded rows depend on nothing but the weights, so a report computed
+    mid-training, after training, or from a reloaded checkpoint is
+    byte-for-byte the same.
     Without a memo the encode runs on a scratch cache.  Training loops pass
     an eval_memo() with the training cache's encoder version, so an eval
     under an encoder that has not been updated since the last one reuses
@@ -671,18 +692,11 @@ def validate_plan(graph: HeteroGraph, settings: TrainSettings,
         raise ContractError(f"unknown negative mode '{settings.negative_mode}'")
 
 
-def _all_texted_refs(graph: HeteroGraph) -> np.ndarray:
-    parts = [np.stack([np.full(graph.node_counts[t], t, dtype=np.int64),
-                       np.arange(graph.node_counts[t], dtype=np.int64)], axis=1)
-             for t in range(len(graph.node_types)) if graph.has_text(t)]
-    return np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
-
-
 def mlm_warmup(models: ModelBundle, graph: HeteroGraph,
                settings: TrainSettings, log: RunLog, rng) -> int:
     """Masked-token pretraining epochs over every texted node, before any
     stage runs.  Returns the number of optimizer steps taken."""
-    refs = _all_texted_refs(graph)
+    refs = node_refs(graph, texted_only=True)
     if refs.shape[0] == 0:
         raise ContractError("masked-token pretraining needs texted nodes")
     rng = _as_rng(rng)

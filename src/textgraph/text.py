@@ -127,15 +127,24 @@ class TextEncoderModel:
         self.params = p
 
 
-def _crop_padding(ids: np.ndarray) -> np.ndarray:
+def crop_padding(ids: np.ndarray) -> np.ndarray:
     """Drop all-pad trailing columns (column 0 is always [CLS])."""
     non_pad = ids != PAD_ID
     width = int(non_pad.any(axis=0).nonzero()[0][-1]) + 1
     return ids[:, :width]
 
 
-def _forward_hidden(model: TextEncoderModel, ids: np.ndarray) -> Tensor:
-    """All-position hidden states, flattened to (B*T, dim)."""
+def _forward_hidden(model: TextEncoderModel, ids: np.ndarray,
+                    cls_only: bool = False) -> Tensor:
+    """All-position hidden states, flattened to (B*T, dim).
+
+    With cls_only the last block computes only the [CLS] rows and the result
+    is (B, dim): its keys and values still span every position, but queries,
+    attention, the output projection, both layer norms and the MLP run on
+    the B rows that are read.  This equals the [CLS] rows of the all-position
+    pass in real arithmetic; float summation order differs at the 1e-15
+    level.
+    """
     if ids.ndim != 2:
         raise ContractError(f"token batch must be 2-D, got shape {ids.shape}")
     b, t = ids.shape
@@ -154,15 +163,20 @@ def _forward_hidden(model: TextEncoderModel, ids: np.ndarray) -> Tensor:
     mask = Tensor(np.where(ids == PAD_ID, -1e30, 0.0)[:, None, None, :])
     scale = 1.0 / np.sqrt(dh)
     for i in range(model.num_blocks):
-        def heads(name):
-            lin = tg.add(tg.matmul(hid, p[f"blk{i}_w{name}"]), p[f"blk{i}_b{name}"])
-            return tg.transpose(tg.reshape(lin, (b, t, h, dh)), (0, 2, 1, 3))
+        def heads(x, name, rows):
+            lin = tg.add(tg.matmul(x, p[f"blk{i}_w{name}"]), p[f"blk{i}_b{name}"])
+            return tg.transpose(tg.reshape(lin, (b, rows, h, dh)), (0, 2, 1, 3))
 
-        q, k, v = heads("q"), heads("k"), heads("v")
+        k, v = heads(hid, "k", t), heads(hid, "v", t)
+        rows = t
+        if cls_only and i == model.num_blocks - 1:
+            hid = tg.take_rows(hid, np.arange(b) * t)
+            rows = 1
+        q = heads(hid, "q", rows)
         scores = tg.mul(tg.matmul(q, tg.transpose(k, (0, 1, 3, 2))), Tensor(scale))
         att = tg.softmax(tg.add(scores, mask), axis=-1)
         ctx = tg.transpose(tg.matmul(att, v), (0, 2, 1, 3))
-        ctx = tg.reshape(ctx, (b * t, f))
+        ctx = tg.reshape(ctx, (b * rows, f))
         out = tg.add(tg.matmul(ctx, p[f"blk{i}_wo"]), p[f"blk{i}_bo"])
         hid = tg.layer_norm(tg.add(hid, out),
                             p[f"blk{i}_ln1_gain"], p[f"blk{i}_ln1_bias"])
@@ -173,13 +187,26 @@ def _forward_hidden(model: TextEncoderModel, ids: np.ndarray) -> Tensor:
     return hid
 
 
-def encode_cls(model: TextEncoderModel, token_batch: np.ndarray) -> Tensor:
-    """(B, dim) [CLS] embeddings.  Rows are independent: padding columns are
-    masked to exactly zero attention, so extra padding never changes a row."""
-    ids = _crop_padding(np.asarray(token_batch, dtype=np.int64))
-    b, t = ids.shape
-    hid = _forward_hidden(model, ids)
-    return tg.take_rows(hid, np.arange(b) * t)
+def encode_cls(model: TextEncoderModel, token_batch: np.ndarray, *,
+               crop: bool = True) -> Tensor:
+    """(B, dim) [CLS] embeddings.
+
+    Padding columns get exactly zero attention, so extra padding changes a
+    row only in its last bits, through the summation order over keys.  By
+    default the batch is cropped to its widest row; crop=False encodes at
+    the given width, so a caller that always passes the same width (a type's
+    whole token table, cropped once) gets each row's value independent of
+    which other rows share the call, bit for bit.
+    """
+    ids = np.asarray(token_batch, dtype=np.int64)
+    if crop:
+        ids = crop_padding(ids)
+    if ids.shape[0] != 1:
+        return _forward_hidden(model, ids, cls_only=True)
+    # BLAS sends a one-row product to gemv, whose last bits differ from the
+    # gemm that any larger batch uses; a duplicated pair stays on gemm
+    pair = _forward_hidden(model, np.repeat(ids, 2, axis=0), cls_only=True)
+    return tg.take_rows(pair, [0])
 
 
 def mlm_pretrain_step(model: TextEncoderModel, token_batch: np.ndarray,
@@ -192,7 +219,7 @@ def mlm_pretrain_step(model: TextEncoderModel, token_batch: np.ndarray,
     if not 0.0 <= mask_prob <= 1.0:
         raise ContractError(f"mask_prob must lie in [0, 1], got {mask_prob}")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    ids = _crop_padding(np.asarray(token_batch, dtype=np.int64))
+    ids = crop_padding(np.asarray(token_batch, dtype=np.int64))
     b, t = ids.shape
     maskable = ids >= NUM_SPECIALS
     chosen = maskable & (rng.random(ids.shape) < mask_prob)

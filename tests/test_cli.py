@@ -274,3 +274,13 @@ def test_freed_heap_is_reused_without_page_faults():
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     # without the fixed thresholds each round re-faults all 80 MiB (~20k pages)
     assert faults < 2000
+
+
+def test_eval_has_no_fanouts_flag(trained, capsys):
+    """eval always uses the saturating neighborhood, so it takes no fanout."""
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", ckpt, trained["graph_dir"], "--task", "link",
+                  "--fanouts", "3"])
+    assert exc.value.code == 2
+    assert "--fanouts" in capsys.readouterr().err

@@ -7,7 +7,8 @@ import textgraph.pipeline as pl
 import textgraph.tensor as tg
 import textgraph.text as tx
 from textgraph.errors import ContractError, LoadError
-from textgraph.graph import TEST, TRAIN, VALID, SyntheticSpec, generate_synthetic
+from textgraph.graph import (TEST, TRAIN, VALID, HeteroGraph, SyntheticSpec,
+                             generate_synthetic)
 
 
 @pytest.fixture(scope="module")
@@ -497,3 +498,75 @@ def test_memo_eval_equals_scratch_eval_after_best_epoch_restore(small_graph,
             pl.evaluate(models, small_graph, "link", VALID, **kw)
     assert memo.hits > 0
 
+
+def test_nograd_encodes_only_misses_within_call_cap(small_graph, monkeypatch):
+    """A no-grad assemble encodes each missed row once and nothing else, in
+    calls of at most budget.infer_batch rows; an overlapping second call
+    encodes only the rows the first one did not."""
+    settings = quick_settings()
+    models = pl.build_models(small_graph, settings, rng=1)
+    budget = pl.NodeBudget(8, 16)
+    calls = []
+    real_encode = tx.encode_cls
+
+    def spy(model, tokens, **kw):
+        calls.append(tokens.shape[0])
+        return real_encode(model, tokens, **kw)
+
+    monkeypatch.setattr(tx, "encode_cls", spy)
+    cache = pl.EmbeddingCache(256, 5)
+    refs = np.concatenate([_all_refs_of_type(small_graph, 0)[[30, 3, 17, 9]],
+                           _all_refs_of_type(small_graph, 1)[:37]])
+    _, first = pl.assemble_features(models, small_graph, refs, cache=cache,
+                                    step=0, budget=budget, rng=0,
+                                    lm_trainable=False)
+    assert first["misses"] == refs.shape[0]
+    assert first["encoded_rows"] == first["misses"] == sum(calls)
+
+    done = len(calls)
+    more = np.concatenate([refs[20:], _all_refs_of_type(small_graph, 1)[37:]])
+    feats, second = pl.assemble_features(models, small_graph, more, cache=cache,
+                                         step=0, budget=budget, rng=0,
+                                         lm_trainable=False)
+    new_rows = small_graph.node_counts[1] - 37
+    assert second["hits"] == refs.shape[0] - 20
+    assert second["encoded_rows"] == second["misses"] == new_rows \
+        == sum(calls[done:])
+    assert max(calls) <= budget.infer_batch
+    # the rows still equal one whole-table encode
+    table = pl.token_table(models, small_graph, 1)
+    with tg.no_grad():
+        whole = real_encode(models.encoder, table).data
+    assert feats.data[-new_rows:].tobytes() == whole[37:].tobytes()
+
+
+def test_nograd_rows_independent_of_call_with_ragged_texts(small_graph):
+    """Texts of many lengths, and types of different widths: a no-grad row is
+    bit-identical whichever rows it is assembled with, and tape batches may
+    mix types."""
+    rng = np.random.default_rng(0)
+    texts = [[" ".join(text.split()[:rng.integers(0, 6 if t == 0 else 3)])
+              for text in rows] for t, rows in enumerate(small_graph.texts)]
+    g = small_graph
+    ragged = HeteroGraph(g.node_types, g.node_counts, texts, g.relations,
+                         g.edges, g.node_class_ids, g.node_splits,
+                         g.edge_labels)
+    models = pl.build_models(ragged, quick_settings(), rng=2)
+    refs = np.concatenate([_all_refs_of_type(ragged, 0),
+                           _all_refs_of_type(ragged, 1)])
+    widths = {tx.crop_padding(pl.token_table(models, ragged, t)).shape[1]
+              for t in (0, 1)}
+    assert len(widths) == 2
+
+    def assemble(rows, lm_trainable=False):
+        feats, _ = pl.assemble_features(
+            models, ragged, rows, cache=pl.EmbeddingCache(0, 0), step=0,
+            budget=pl.NodeBudget(8, 16), rng=np.random.default_rng(0),
+            lm_trainable=lm_trainable)
+        return feats.data
+
+    whole = assemble(refs)
+    for size in (1, 2, 5, 17, 33):
+        pick = rng.choice(refs.shape[0], size=size, replace=False)
+        assert assemble(refs[pick]).tobytes() == whole[pick].tobytes(), size
+    assert assemble(refs, lm_trainable=True).shape == whole.shape

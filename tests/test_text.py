@@ -138,3 +138,71 @@ def test_mlm_training_reduces_loss():
         opt.zero_grad()
         losses.append(loss.item())
     assert np.mean(losses[-5:]) < np.mean(losses[:5]) * 0.7
+
+
+def _varied_table(rows, seed):
+    """Token table of one type whose texts have 0..30 tokens, cropped once to
+    its widest row, as the pipeline keeps it."""
+    rng = np.random.default_rng(seed)
+    v = tx.Vocab([f"t{i}" for i in range(50)])
+    texts = [" ".join(f"t{j}" for j in rng.integers(50, size=rng.integers(0, 31)))
+             for _ in range(rows)]
+    return v, tx.crop_padding(tx.tokenize_batch(v, texts, 32))
+
+
+@pytest.mark.parametrize("weight_seed", [1, 2])
+def test_subset_encode_bit_identical_to_whole_table(weight_seed):
+    """A row's value never depends on which rows share its encode call: any
+    subset of a table, at the table's width, gives the whole-table rows bit
+    for bit, one-row calls included."""
+    v, table = _varied_table(300, seed=0)
+    m = tx.TextEncoderModel(v.size, dim=64, num_heads=4, num_blocks=2,
+                            max_len=32, rng=weight_seed)
+    rng = np.random.default_rng(weight_seed)
+    sizes = list(range(1, 41)) + [63, 64, 65, 127, 128, 129, 255, 256, 257, 300]
+    with tg.no_grad():
+        whole = tx.encode_cls(m, table, crop=False).data
+        for size in sizes:
+            ids = rng.choice(table.shape[0], size=size, replace=False)  # unsorted
+            part = tx.encode_cls(m, table[ids], crop=False).data
+            assert part.tobytes() == whole[ids].tobytes(), size
+
+
+def test_encode_cls_matches_all_position_cls_rows():
+    """The last block's [CLS]-only pass equals the [CLS] rows of the full
+    all-position pass up to summation order."""
+    v, table = _varied_table(40, seed=1)
+    m = tx.TextEncoderModel(v.size, dim=64, num_heads=4, num_blocks=2,
+                            max_len=32, rng=3)
+    with tg.no_grad():
+        cls = tx.encode_cls(m, table).data
+        ids = tx.crop_padding(table)
+        full = tx._forward_hidden(m, ids).data[np.arange(40) * ids.shape[1]]
+    np.testing.assert_allclose(cls, full, rtol=1e-12, atol=1e-14)
+
+
+def test_encode_cls_gradients_match_all_position_path():
+    v, table = _varied_table(6, seed=2)
+    m = tx.TextEncoderModel(v.size, dim=16, num_heads=2, num_blocks=2,
+                            max_len=32, rng=4)
+    ids = tx.crop_padding(table)
+    proj = np.random.default_rng(0).normal(size=(6, 16))
+
+    def grads(cls_rows):
+        for p in m.params.values():
+            p.zero_grad()
+        with tg.Tape() as tape:
+            loss = tg.tensor_sum(tg.mul(cls_rows(), tg.Tensor(proj)))
+            tg.backward(loss, tape)
+        return {k: p.grad.copy() for k, p in m.params.items() if p.grad is not None}
+
+    fast = grads(lambda: tx.encode_cls(m, ids))
+    full = grads(lambda: tg.take_rows(tx._forward_hidden(m, ids),
+                                      np.arange(6) * ids.shape[1]))
+    assert set(fast) == set(full)
+    for k in full:
+        # a key bias shifts every score of a query alike: its true gradient
+        # is 0, and both sides hold only roundoff
+        atol = 1e-12 if k.endswith("_bk") else 0.0
+        np.testing.assert_allclose(fast[k], full[k], rtol=1e-9, atol=atol,
+                                   err_msg=k)
