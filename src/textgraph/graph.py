@@ -85,9 +85,6 @@ class Csr:
     def neighbors(self, i: int) -> np.ndarray:
         return self.targets[self.offsets[i]:self.offsets[i + 1]]
 
-    def degree(self, i: int) -> int:
-        return int(self.offsets[i + 1] - self.offsets[i])
-
 
 @dataclass
 class EdgeLabelSet:
@@ -180,9 +177,6 @@ class HeteroGraph:
     @property
     def total_edges(self) -> int:
         return sum(s.size for s, _ in self.edges)
-
-    def num_nodes(self, type_index: int) -> int:
-        return self.node_counts[type_index]
 
     def global_index(self, type_index: int, local_index: int) -> int:
         return int(self.type_offsets[type_index]) + int(local_index)

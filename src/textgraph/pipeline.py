@@ -196,10 +196,17 @@ class EmbeddingCache:
 
     def clear(self):
         """Drop every entry and advance the version; counters survive.
-        Called when encoder weights change outside the normal update cadence
-        (best-epoch restores)."""
+        Called at the end of a stage that trained the encoder, whose best
+        epoch's weights may differ from the ones cached rows came from."""
         self._store.clear()
         self.advance()
+
+    def restamp(self, old: int, new: int):
+        """Stamp the entries written at version old as written at new, for
+        rows known to be exact under the weights of both versions."""
+        for key, (value, stamp) in list(self._store.items()):
+            if stamp == old:
+                self._store[key] = (value, new)
 
 
 @dataclass
@@ -739,8 +746,11 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
     scored best on the held-out split.  Returns (next_step, best_value).
 
     Cache entries are stamped with cache.version, which advances after every
-    step that trains the encoder.  The per-epoch evals share `memo` (an
-    eval_memo(), fresh for this stage when None) under the same version."""
+    step that trains the encoder, and once more when such a stage ends and
+    its training cache is dropped.  The per-epoch evals share `memo` (an
+    eval_memo(), fresh for this stage when None) under the same version.
+    When the last epoch scored best its weights are kept as they are, and
+    the memo's rows from that epoch's eval stay valid for the next stage."""
     if kind not in STAGE_KINDS:
         raise ContractError(f"unknown stage kind '{kind}'")
     rng = _as_rng(rng)  # normalize once; a per-call reseed would freeze sampling
@@ -774,6 +784,7 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
     step = step_start
     best_value = -np.inf
     best_snapshot = None
+    best_epoch = -1
     for epoch in range(epochs):
         for _ in range(steps_per_epoch):
             if pre_pool is not None:
@@ -817,11 +828,17 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
         if metrics[metric_name] > best_value:
             best_value = metrics[metric_name]
             best_snapshot = models.snapshot()
+            best_epoch = epoch
     if best_snapshot is not None:
-        models.restore(best_snapshot)
+        last_is_best = best_epoch == epochs - 1
+        if not last_is_best:
+            models.restore(best_snapshot)
         if lm_trainable:
-            # cached rows may reflect non-best encoder weights
+            # rows cached in training predate the kept encoder weights
             cache.clear()
+            if last_is_best:
+                # the weights are the last eval's, so its memo rows stay exact
+                memo.restamp(cache.version - 1, cache.version)
     return step, best_value
 
 

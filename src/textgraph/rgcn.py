@@ -8,6 +8,15 @@ with one weight per message relation (both directions of every base
 relation).  agg is plain sum, or mean over the sampled neighbors.  Layers
 consume the blocks of an EgoBatch in order; block sources are targets-first,
 so a layer's first num_targets input rows are its own targets.
+
+A layer aggregates first and then transforms once.  Sum and mean are linear,
+so agg(W_r h) = W_r agg(h): one gather_segment_sum pools the messages into a
+(target, relation) bucket each, and one GEMM multiplies the rows
+[h_n | agg_1 ... agg_R] by the stacked weights [W_self; W_1 ... W_R].  That
+GEMM runs over target rows rather than message rows, and it equals the
+per-message formula up to the order of its floating-point sums.  Only the
+relations with a message in the block enter the stack, so a relation without
+messages gets no gradient and Adam leaves its weight alone.
 """
 
 from __future__ import annotations
@@ -52,17 +61,21 @@ def rgcn_layer_forward(layer: RgcnLayer, block: Block, h_in: Tensor,
         raise ContractError(
             f"block carries {len(block.edges)} message relations, layer has "
             f"{len(layer.w_rel)}")
-    out = tg.matmul(tg.take_rows(h_in, np.arange(t)), layer.w_self)
-    for w, (src_pos, dst_pos) in zip(layer.w_rel, block.edges):
-        if src_pos.size == 0:
-            continue
-        messages = tg.matmul(tg.take_rows(h_in, src_pos), w)
-        agg = tg.segment_sum(messages, dst_pos, t)
+    x = [tg.take_rows(h_in, np.arange(t))]
+    w = [layer.w_self]
+    live = [k for k, (src_pos, _) in enumerate(block.edges) if src_pos.size]
+    if live:
+        r = len(live)
+        # bucket (target, j) holds live relation j's messages, in edge order
+        src = np.concatenate([block.edges[k][0] for k in live])
+        bucket = np.concatenate([block.edges[k][1] * r + j for j, k in enumerate(live)])
+        agg = tg.gather_segment_sum(h_in, src, bucket, t * r)
         if layer.aggregation == "mean":
-            counts = np.bincount(dst_pos, minlength=t).astype(np.float64)
-            inv = 1.0 / np.maximum(counts, 1.0)
-            agg = tg.mul(agg, Tensor(inv[:, None]))
-        out = tg.add(out, agg)
+            counts = np.bincount(bucket, minlength=t * r).astype(np.float64)
+            agg = tg.mul(agg, Tensor(1.0 / np.maximum(counts, 1.0)[:, None]))
+        x.append(tg.reshape(agg, (t, r * layer.in_dim)))
+        w.extend(layer.w_rel[k] for k in live)
+    out = tg.matmul(tg.concat(x, axis=1), tg.concat(w, axis=0))
     return tg.relu(out) if activate else out
 
 

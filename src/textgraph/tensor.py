@@ -390,6 +390,25 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     return _record("segment_sum", (a,), out, lambda g: (g[seg],))
 
 
+def gather_segment_sum(a: Tensor, indices, segment_ids, num_segments: int) -> Tensor:
+    """segment_sum(take_rows(a, indices), segment_ids, num_segments) as one op.
+
+    Forward and backward are bit-identical to the two-op form, but the tape
+    records one node and keeps no gathered rows for backward."""
+    idx = _check_indices(indices, a.data.shape[0], "row index")
+    seg = _check_indices(segment_ids, num_segments, "segment id")
+    if idx.ndim != 1 or seg.shape != idx.shape:
+        raise ShapeError(f"need 1-D indices and segment ids of one length, got "
+                         f"{idx.shape} and {seg.shape}")
+    out = scatter_add(np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64),
+                      seg, a.data[idx])
+
+    def back(g):
+        return (scatter_add(np.zeros_like(a.data), idx, g[seg]),)
+
+    return _record("gather_segment_sum", (a,), out, back)
+
+
 # -------------------------------------------------------------- fused ops
 
 

@@ -496,3 +496,15 @@ def test_sample_targets_validation(synth):
         gr.sample_targets(synth, "node", 4, mode="partition_local")
     with pytest.raises(ContractError):
         gr.sample_targets(synth, "bogus", 4)
+
+
+def test_loader_keeps_dash_as_text_and_empty_type_textless(tmp_path):
+    _write(tmp_path / "nodes.tsv",
+           "node_type\tlocal_id\ttext\nA\t0\t-\nA\t1\t-\nB\t0\t\nB\t1\t\n")
+    _write(tmp_path / "edges.tsv",
+           "src_type\tsrc_id\trelation\tdst_type\tdst_id\nA\t0\tr\tB\t1\n")
+    g = gr.load_graph(tmp_path)
+    assert g.texts == [["-", "-"], ["", ""]]
+    assert g.has_text(0) and not g.has_text(1)
+    gr.save_graph(g, tmp_path / "again")
+    assert gr.load_graph(tmp_path / "again").texts == g.texts

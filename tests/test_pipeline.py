@@ -1,5 +1,8 @@
 """Stage plans, budget split, embedding cache, feature assembly, training."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -497,6 +500,57 @@ def test_memo_eval_equals_scratch_eval_after_best_epoch_restore(small_graph,
                            version=cache.version, **kw) == \
             pl.evaluate(models, small_graph, "link", VALID, **kw)
     assert memo.hits > 0
+
+
+def test_frozen_stage_after_last_epoch_best_reuses_eval_memo(small_graph,
+                                                            monkeypatch):
+    """A 1-epoch encoder-training stage keeps its last (and best) weights, so
+    the next frozen stage's first eval encodes nothing and still equals a
+    scratch eval byte for byte."""
+    settings = quick_settings()
+    models = pl.build_models(small_graph, settings,
+                             rng=np.random.default_rng(0))
+    cache, memo = pl.EmbeddingCache(256, 5), pl.eval_memo(small_graph)
+    kw = dict(settings=settings, cache=cache, budget=pl.NodeBudget(8, 16),
+              log=pl.RunLog(), memo=memo)
+    pl.train_stage(models, small_graph, "EndToEnd", epochs=1,
+                   rng=np.random.default_rng(0), **kw)
+    assert len(cache) == 0
+
+    encoded = []
+    real_encode = tx.encode_cls
+
+    def spy(model, tokens, **kwargs):
+        encoded.append(tokens.shape[0])
+        return real_encode(model, tokens, **kwargs)
+
+    evals = []
+    real_evaluate = pl.evaluate
+
+    def recording(*args, **kwargs):
+        scratch_rng = copy.deepcopy(kwargs["rng"])
+        before = len(encoded)
+        result = real_evaluate(*args, **kwargs)
+        rows = sum(encoded[before:])
+        emb = pl.full_graph_embeddings(
+            models, small_graph, settings=settings, cache=memo,
+            step=kwargs["version"], budget=pl.NodeBudget(1, pl.EVAL_CHUNK))
+        scratch_emb = pl.full_graph_embeddings(
+            models, small_graph, settings=settings, cache=pl.EmbeddingCache(0, 0),
+            step=0, budget=pl.NodeBudget(1, pl.EVAL_CHUNK))
+        scratch = real_evaluate(*args, **{**kwargs, "rng": scratch_rng,
+                                          "memo": None, "version": 0})
+        evals.append((rows, result, scratch, emb.tobytes() == scratch_emb.tobytes()))
+        return result
+
+    monkeypatch.setattr(tx, "encode_cls", spy)
+    monkeypatch.setattr(pl, "evaluate", recording)
+    pl.train_stage(models, small_graph, "WarmStartGNN", epochs=1,
+                   rng=np.random.default_rng(1), **kw)
+    rows, result, scratch, same_embeddings = evals[0]
+    assert rows == 0
+    assert json.dumps(result) == json.dumps(scratch)
+    assert same_embeddings
 
 
 def test_nograd_encodes_only_misses_within_call_cap(small_graph, monkeypatch):

@@ -163,6 +163,47 @@ def test_scatter_add_is_bitwise_add_at(ids, buckets, width):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _gather_cases():
+    draw = np.random.default_rng(5)
+    many = np.where(draw.random(300) < 0.6, 7, draw.integers(0, 40, size=300))
+    yield pytest.param(many, draw.integers(0, 6, size=300), 6, id="repeated")
+    yield pytest.param(draw.permutation(np.arange(120) % 40),
+                       draw.permutation(np.arange(120) % 30), 30, id="unsorted")
+    yield pytest.param(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 4,
+                       id="empty")
+
+
+@pytest.mark.parametrize("idx,seg,buckets", list(_gather_cases()))
+def test_gather_segment_sum_is_bitwise_take_rows_then_segment_sum(idx, seg, buckets):
+    draw = np.random.default_rng(idx.size)
+    a = tg.Tensor(draw.normal(size=(40, 16)) * 10.0 ** draw.integers(-6, 6, size=(40, 16)),
+                  grad_enabled=True)
+    weight = tg.Tensor(draw.normal(size=(buckets, 16)))
+    results = []
+    for build in (lambda: tg.gather_segment_sum(a, idx, seg, buckets),
+                  lambda: tg.segment_sum(tg.take_rows(a, idx), seg, buckets)):
+        a.grad = None
+        with tg.Tape() as tape:
+            out = build()
+            loss = tg.tensor_sum(tg.mul(out, weight))
+        tg.backward(loss, tape)
+        results.append((out.data, a.grad, len(tape)))
+    (fused, fused_grad, fused_nodes), (pair, pair_grad, pair_nodes) = results
+    assert np.array_equal(fused, pair)
+    assert np.array_equal(fused_grad, pair_grad)
+    assert fused_nodes == pair_nodes - 1
+
+
+def test_gather_segment_sum_checks_indices():
+    a = tg.Tensor(np.zeros((3, 2)))
+    with pytest.raises(IndexError):
+        tg.gather_segment_sum(a, [3], [0], 2)
+    with pytest.raises(IndexError):
+        tg.gather_segment_sum(a, [0], [2], 2)
+    with pytest.raises(ShapeError):
+        tg.gather_segment_sum(a, [0, 1], [0], 2)
+
+
 def test_concat_reshape_transpose_round_trip(rng):
     x = rng.normal(size=(2, 3))
     t = tg.Tensor(x)
@@ -344,6 +385,21 @@ def test_grad_take_rows_segment_sum():
         def build():
             rows = tg.take_rows(w, idx)
             pooled = tg.segment_sum(rows, seg, 3)
+            return _project(pooled, np.random.default_rng(seed + 100))
+
+        assert_grads_match(build, {"w": w})
+
+
+def test_grad_gather_segment_sum():
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n, f = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        w = _param(rng, n, f)
+        idx = rng.integers(0, n, size=int(rng.integers(1, 9)))
+        seg = rng.integers(0, 3, size=len(idx))
+
+        def build():
+            pooled = tg.gather_segment_sum(w, idx, seg, 3)
             return _project(pooled, np.random.default_rng(seed + 100))
 
         assert_grads_match(build, {"w": w})
