@@ -13,11 +13,9 @@ import os
 import sys
 
 from . import pipeline as pl
-from . import tensor as tg
 from .errors import ContractError, LoadError, NumericsError
 from .graph import (SPLIT_NAMES, HeteroGraph, SyntheticSpec, generate_synthetic,
-                    load_graph, sample_neighbors, save_graph)
-from .rgcn import gnn_forward
+                    load_graph, save_graph)
 
 _ENUM_KEYS = {
     "task": {"link", "node", "edge"},
@@ -229,25 +227,10 @@ def cmd_dump_embeddings(args) -> int:
     graph = load_graph(args.graph_dir)
     models = pl.load_bundle(args.checkpoint, graph)
     settings = pl.TrainSettings(num_layers=len(models.gnn.layers),
-                                fanouts=args.fanouts, dim=models.dim,
-                                max_len=models.max_len)
-    if graph.total_nodes <= pl.EVAL_FULL_CORRUPTION_LIMIT:
-        emb = pl.full_graph_embeddings(
-            models, graph, settings=settings, cache=pl.EmbeddingCache(0, 0),
-            step=0, budget=pl.NodeBudget(1, pl.EVAL_CHUNK))
-    else:
-        # large graph: configured fanout instead of the saturating neighborhood
-        all_refs = pl.node_refs(graph)
-        batch = sample_neighbors(graph, all_refs, fanouts=args.fanouts,
-                                 num_layers=len(models.gnn.layers), rng=0)
-        with tg.no_grad():
-            feats, _ = pl.assemble_features(
-                models, graph, batch.source_refs,
-                cache=pl.EmbeddingCache(0, 0), step=0,
-                budget=pl.NodeBudget(1, pl.EVAL_CHUNK), rng=0,
-                lm_trainable=False)
-            emb = gnn_forward(models.gnn, batch, feats).data[
-                batch.target_index(all_refs)]
+                                dim=models.dim, max_len=models.max_len)
+    emb = pl.full_graph_embeddings(
+        models, graph, settings=settings, cache=pl.EmbeddingCache(0, 0),
+        step=0, budget=pl.NodeBudget(1, pl.EVAL_CHUNK), fanouts=args.fanouts)
     with open(args.out, "w", encoding="utf-8") as f:
         row = 0
         for t in range(len(graph.node_types)):
@@ -303,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("checkpoint")
     p_dump.add_argument("graph_dir")
     p_dump.add_argument("--out", required=True)
-    p_dump.add_argument("--fanouts", type=int, default=4)
+    p_dump.add_argument("--fanouts", type=int, default=None,
+                        help="sampled neighbors per relation (default: all)")
     p_dump.set_defaults(fn=cmd_dump_embeddings)
     return parser
 

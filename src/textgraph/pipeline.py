@@ -484,10 +484,12 @@ _STEP_FN = {"link": _link_step, "node": _node_step, "edge": _edge_step}
 def full_graph_embeddings(models: ModelBundle, graph: HeteroGraph, *,
                           settings: TrainSettings, cache: EmbeddingCache,
                           step: int, budget: NodeBudget,
-                          representation: str = "gnn") -> np.ndarray:
+                          representation: str = "gnn",
+                          fanouts: int | None = None) -> np.ndarray:
     """Embeddings for every node, rows in global-index order, computed with
-    no grad.  GNN representation uses a saturating-fanout neighborhood so
-    message passing sees every edge."""
+    no grad.  GNN representation samples every node's neighborhood at rng 0
+    with the given fanouts; None means a saturating fanout, cached on the
+    graph, so message passing sees every edge."""
     all_refs = node_refs(graph)
     with tg.no_grad():
         if representation == "cls":
@@ -497,13 +499,17 @@ def full_graph_embeddings(models: ModelBundle, graph: HeteroGraph, *,
             return feats.data
         if representation != "gnn":
             raise ContractError(f"unknown representation '{representation}'")
-        key = ("full_ego", settings.num_layers)
-        batch = graph._cache.get(key)
-        if batch is None:
-            saturate = max(graph.node_counts) if graph.node_counts else 1
-            batch = sample_neighbors(graph, all_refs, fanouts=saturate,
+        if fanouts is None:
+            key = ("full_ego", settings.num_layers)
+            batch = graph._cache.get(key)
+            if batch is None:
+                saturate = max(graph.node_counts) if graph.node_counts else 1
+                batch = sample_neighbors(graph, all_refs, fanouts=saturate,
+                                         num_layers=settings.num_layers, rng=0)
+                graph._cache[key] = batch
+        else:
+            batch = sample_neighbors(graph, all_refs, fanouts=fanouts,
                                      num_layers=settings.num_layers, rng=0)
-            graph._cache[key] = batch
         feats, _ = assemble_features(
             models, graph, batch.source_refs, cache=cache, step=step,
             budget=budget, rng=0, lm_trainable=False)

@@ -61,7 +61,7 @@ def rgcn_layer_forward(layer: RgcnLayer, block: Block, h_in: Tensor,
         raise ContractError(
             f"block carries {len(block.edges)} message relations, layer has "
             f"{len(layer.w_rel)}")
-    x = [tg.take_rows(h_in, np.arange(t))]
+    x = [tg.take_prefix(h_in, t)]
     w = [layer.w_self]
     live = [k for k, (src_pos, _) in enumerate(block.edges) if src_pos.size]
     if live:

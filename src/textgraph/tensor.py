@@ -5,6 +5,12 @@ Everything is define-by-run: ops execute eagerly on numpy arrays and, when a
 inputs.  `backward(loss, tape)` replays the tape in reverse and accumulates
 gradients into the `.grad` buffer of every tensor built with
 ``grad_enabled=True``.
+
+An op computes an operand's gradient only when backward can read it: the
+operand is a grad-enabled leaf, or an op output recorded on a tape.  The
+binary ops (add, sub, mul, matmul) decide this per operand when they run and
+hand backward None for a constant operand, such as frozen input features, a
+mask or a scale, so no gradient is computed only to be dropped.
 """
 
 from __future__ import annotations
@@ -183,6 +189,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
         t.grad = g.copy() if t.grad is None else t.grad + g
 
 
+def _wants_grad(t: Tensor) -> bool:
+    """Whether backward may read t's gradient: t is a grad-enabled leaf or an
+    op output recorded on a tape.  Any other tensor is a constant."""
+    return t.grad_enabled or t._src_tape is not None
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient over the axes numpy broadcast when producing it."""
     extra = g.ndim - len(shape)
@@ -199,26 +211,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    wa, wb = _wants_grad(a), _wants_grad(b)
     return _record(
         "add", (a, b), out,
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        lambda g: (_unbroadcast(g, a.data.shape) if wa else None,
+                   _unbroadcast(g, b.data.shape) if wb else None),
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    wa, wb = _wants_grad(a), _wants_grad(b)
     return _record(
         "sub", (a, b), out,
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
+        lambda g: (_unbroadcast(g, a.data.shape) if wa else None,
+                   _unbroadcast(-g, b.data.shape) if wb else None),
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     ad, bd = a.data, b.data
+    wa, wb = _wants_grad(a), _wants_grad(b)
     return _record(
         "mul", (a, b), out,
-        lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)),
+        lambda g: (_unbroadcast(g * bd, ad.shape) if wa else None,
+                   _unbroadcast(g * ad, bd.shape) if wb else None),
     )
 
 
@@ -238,9 +256,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != bd.shape[-2] or ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
     out = np.matmul(ad, bd)
+    wa, wb = _wants_grad(a), _wants_grad(b)
 
     def back(g):
-        return np.matmul(g, bd.swapaxes(-1, -2)), np.matmul(ad.swapaxes(-1, -2), g)
+        return (np.matmul(g, bd.swapaxes(-1, -2)) if wa else None,
+                np.matmul(ad.swapaxes(-1, -2), g) if wb else None)
 
     return _record("matmul", (a, b), out, back)
 
@@ -331,15 +351,25 @@ def _check_indices(idx: np.ndarray, bound: int, what: str) -> np.ndarray:
 _MIN_PASS_BUCKETS = 8
 
 
-def scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray,
+                row_index: np.ndarray | None = None) -> np.ndarray:
     """out[ids[i]] += rows[i] for every i, bit for bit as np.add.at does it.
 
-    Every bucket must receive its rows in row order, since float addition
-    does not reassociate (np.add.reduceat, which sums in its own order, is
-    not exact).  A stable sort by bucket ranks each row among its bucket's
-    rows; one vectorized add per rank then touches each bucket at most once.
-    When fewer than _MIN_PASS_BUCKETS buckets still have rows, each of them
-    folds its rest left to right with np.add.accumulate.  Returns out.
+    With row_index, row i is rows[row_index[i]] instead; each pass gathers
+    only the rows it adds, so the caller never builds rows[row_index].
+
+    Every bucket must receive its rows in row order, starting from its old
+    value, since float addition does not reassociate (np.add.reduceat, which
+    sums in its own order, is not exact).  A stable sort by bucket ranks each
+    row among its bucket's rows, and the buckets are then ordered by size,
+    largest first.  Their old values are gathered once into a dense
+    accumulator acc.  The buckets that still have a row of rank k are then a
+    prefix acc[:m_k], so pass k is one contiguous in-place add of each
+    bucket's k-th row: every bucket still sees old + r0 + r1 + ... in
+    occurrence order, the additions np.add.at makes.  When fewer than
+    _MIN_PASS_BUCKETS buckets still have rows, each of them folds its rest
+    left to right with np.add.accumulate.  acc is written back once.
+    Returns out.
     """
     n = ids.shape[0]
     if n == 0:
@@ -350,21 +380,22 @@ def scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarra
     np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     sizes = np.diff(starts, append=n)
-    rank = np.arange(n) - np.repeat(starts, sizes)
-    per_rank = np.bincount(rank)
-    passes = int(np.count_nonzero(per_rank >= _MIN_PASS_BUCKETS))
-    if passes:
-        by_rank = order[np.argsort(rank, kind="stable")]
-        lo = 0
-        for count in per_rank[:passes].tolist():
-            sel = by_rank[lo:lo + count]
-            out[ids[sel]] += rows[sel]
-            lo += count
-    rest = sizes > passes
-    for start, size in zip(starts[rest].tolist(), sizes[rest].tolist()):
-        sel = order[start + passes:start + size]
-        b = ids[sel[0]]
-        out[b] = np.add.accumulate(np.concatenate([out[b:b + 1], rows[sel]]))[-1]
+    by_size = np.argsort(-sizes, kind="stable")
+    starts = starts[by_size]
+    sizes = sizes[by_size]
+    buckets = sorted_ids[starts]
+    src = order if row_index is None else row_index[order]
+    # live[k]: buckets with more than k rows, i.e. the prefix pass k adds to
+    live = np.cumsum(np.bincount(sizes)[::-1])[::-1][1:]
+    passes = int(np.count_nonzero(live >= _MIN_PASS_BUCKETS))
+    acc = out[buckets]
+    for k, m in enumerate(live[:passes].tolist()):
+        acc[:m] += rows[src[starts[:m] + k]]
+    folds = int(live[passes]) if passes < live.size else 0
+    for j, (start, size) in enumerate(zip(starts[:folds].tolist(), sizes[:folds].tolist())):
+        sel = src[start + passes:start + size]
+        acc[j] = np.add.accumulate(np.concatenate([acc[j:j + 1], rows[sel]]))[-1]
+    out[buckets] = acc
     return out
 
 
@@ -378,6 +409,21 @@ def take_rows(a: Tensor, indices) -> Tensor:
         return (scatter_add(np.zeros_like(a.data), idx.ravel(), flat),)
 
     return _record("take_rows", (a,), out, back)
+
+
+def take_prefix(a: Tensor, n: int) -> Tensor:
+    """Rows [:n] of a: take_rows(a, np.arange(n)), with a backward that
+    copies g into the leading rows of a zero array instead of scattering."""
+    if not 0 <= n <= a.data.shape[0]:
+        raise IndexError(f"row prefix {n} out of range [0, {a.data.shape[0]}]")
+    out = a.data[:n].copy()
+
+    def back(g):
+        grad = np.zeros_like(a.data)
+        grad[:n] = g
+        return (grad,)
+
+    return _record("take_prefix", (a,), out, back)
 
 
 def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -394,17 +440,19 @@ def gather_segment_sum(a: Tensor, indices, segment_ids, num_segments: int) -> Te
     """segment_sum(take_rows(a, indices), segment_ids, num_segments) as one op.
 
     Forward and backward are bit-identical to the two-op form, but the tape
-    records one node and keeps no gathered rows for backward."""
+    records one node, and neither pass builds the gathered rows as a whole:
+    the scatter reads a.data[indices] (forward) and g[segment_ids]
+    (backward) through its row_index."""
     idx = _check_indices(indices, a.data.shape[0], "row index")
     seg = _check_indices(segment_ids, num_segments, "segment id")
     if idx.ndim != 1 or seg.shape != idx.shape:
         raise ShapeError(f"need 1-D indices and segment ids of one length, got "
                          f"{idx.shape} and {seg.shape}")
     out = scatter_add(np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64),
-                      seg, a.data[idx])
+                      seg, a.data, row_index=idx)
 
     def back(g):
-        return (scatter_add(np.zeros_like(a.data), idx, g[seg]),)
+        return (scatter_add(np.zeros_like(a.data), idx, g, row_index=seg),)
 
     return _record("gather_segment_sum", (a,), out, back)
 

@@ -11,7 +11,10 @@ import pytest
 
 import textgraph.cli as cli
 import textgraph.pipeline as pl
-from textgraph.graph import SyntheticSpec, generate_synthetic, load_graph, save_graph
+from textgraph import tensor as tg
+from textgraph.graph import (SyntheticSpec, generate_synthetic, load_graph,
+                             sample_neighbors, save_graph)
+from textgraph.rgcn import gnn_forward
 
 
 def _dir_hashes(path):
@@ -257,6 +260,32 @@ def test_dump_embeddings_deterministic(tmp_path, trained):
         assert cli.main(["dump-embeddings", ckpt, trained["graph_dir"],
                          "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_dump_embeddings_honors_fanouts_on_small_graphs(tmp_path, trained):
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    narrow, full = tmp_path / "narrow.tsv", tmp_path / "full.tsv"
+    assert cli.main(["dump-embeddings", ckpt, trained["graph_dir"],
+                     "--out", str(narrow), "--fanouts", "1"]) == 0
+    assert cli.main(["dump-embeddings", ckpt, trained["graph_dir"],
+                     "--out", str(full)]) == 0
+    graph = load_graph(trained["graph_dir"])
+    assert graph.total_nodes <= pl.EVAL_FULL_CORRUPTION_LIMIT
+    models = pl.load_bundle(ckpt, graph)
+    all_refs = pl.node_refs(graph)
+    batch = sample_neighbors(graph, all_refs, fanouts=1,
+                             num_layers=len(models.gnn.layers), rng=0)
+    with tg.no_grad():
+        feats, _ = pl.assemble_features(
+            models, graph, batch.source_refs, cache=pl.EmbeddingCache(0, 0),
+            step=0, budget=pl.NodeBudget(1, pl.EVAL_CHUNK), rng=0,
+            lm_trainable=False)
+        expected = gnn_forward(models.gnn, batch, feats).data[
+            batch.target_index(all_refs)]
+    dumped = np.array([[float(v) for v in line.split("\t")[2:]]
+                       for line in open(narrow)])
+    assert np.array_equal(dumped, expected)
+    assert narrow.read_bytes() != full.read_bytes()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")

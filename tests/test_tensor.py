@@ -163,6 +163,46 @@ def test_scatter_add_is_bitwise_add_at(ids, buckets, width):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _indexed_scatter_cases():
+    draw = np.random.default_rng(6)
+    light = draw.integers(1, 300, size=500)
+    yield pytest.param(draw.integers(0, 30, size=400), 30, True, False, 8,
+                       id="row-index")
+    yield pytest.param(draw.integers(0, 30, size=400), 30, False, True, 8,
+                       id="nonzero-start")
+    yield pytest.param(draw.permutation(np.repeat(np.arange(40), 5)), 40, True, True, 8,
+                       id="tied-sizes")
+    yield pytest.param(np.where(draw.random(500) < 0.4, 0, light), 300, True, True, 8,
+                       id="heavy-beside-light")
+    yield pytest.param(draw.integers(0, 12, size=200), 12, True, True, None, id="1d")
+    yield pytest.param(np.empty(0, dtype=np.int64), 5, True, True, 8, id="empty")
+
+
+@pytest.mark.parametrize("ids,buckets,indexed,nonzero,width",
+                         list(_indexed_scatter_cases()))
+def test_scatter_add_row_index_and_start_are_bitwise_add_at(ids, buckets, indexed,
+                                                            nonzero, width):
+    def shape(n):
+        return (n,) if width is None else (n, width)
+
+    draw = np.random.default_rng(ids.size + buckets)
+    pool = 2 * ids.size + 1
+    rows = draw.normal(size=shape(pool)) * 10.0 ** draw.integers(-9, 9, size=shape(pool))
+    rows[draw.random(rows.shape) < 0.2] = -0.0
+    row_index = draw.integers(0, pool, size=ids.size) if indexed else None
+    start = draw.normal(size=shape(buckets)) if nonzero else np.zeros(shape(buckets))
+    start[draw.random(start.shape) < 0.2] = -0.0
+    want = start.copy()
+    if indexed:
+        np.add.at(want, ids, rows[row_index])
+        got = tg.scatter_add(start.copy(), ids, rows, row_index=row_index)
+    else:
+        np.add.at(want, ids, rows[:ids.size])
+        got = tg.scatter_add(start.copy(), ids, rows[:ids.size])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _gather_cases():
     draw = np.random.default_rng(5)
     many = np.where(draw.random(300) < 0.6, 7, draw.integers(0, 40, size=300))
@@ -202,6 +242,28 @@ def test_gather_segment_sum_checks_indices():
         tg.gather_segment_sum(a, [0], [2], 2)
     with pytest.raises(ShapeError):
         tg.gather_segment_sum(a, [0, 1], [0], 2)
+
+
+def test_take_prefix_is_bitwise_take_rows_of_arange():
+    draw = np.random.default_rng(9)
+    a = tg.Tensor(draw.normal(size=(12, 5)) * 10.0 ** draw.integers(-6, 6, size=(12, 5)),
+                  grad_enabled=True)
+    for n in (0, 7, 12):
+        weight = tg.Tensor(draw.normal(size=(n, 5)))
+        results = []
+        for build in (lambda: tg.take_prefix(a, n), lambda: tg.take_rows(a, np.arange(n))):
+            a.grad = None
+            with tg.Tape() as tape:
+                out = build()
+                loss = tg.tensor_sum(tg.mul(out, weight))
+            tg.backward(loss, tape)
+            results.append((out.data, a.grad, len(tape)))
+        (prefix, prefix_grad, prefix_nodes), (rows, rows_grad, rows_nodes) = results
+        assert np.array_equal(prefix, rows)
+        assert np.array_equal(prefix_grad, rows_grad)
+        assert prefix_nodes == rows_nodes
+    with pytest.raises(IndexError):
+        tg.take_prefix(a, 13)
 
 
 def test_concat_reshape_transpose_round_trip(rng):
@@ -260,6 +322,45 @@ def test_constants_are_not_recorded():
     with tg.Tape() as tape:
         tg.add(a, b)
         assert len(tape) == 0
+
+
+def test_binary_ops_skip_gradients_of_constant_operands():
+    draw = np.random.default_rng(10)
+    const = tg.Tensor(draw.normal(size=(3, 3)))
+    leaf = tg.Tensor(draw.normal(size=(3, 3)), grad_enabled=True)
+    g = draw.normal(size=(3, 3))
+    for op in (tg.add, tg.sub, tg.mul, tg.matmul):
+        with tg.Tape() as tape:
+            for live in (leaf, tg.neg(leaf)):  # a leaf, then a taped output
+                for operands in ((live, const), (const, live)):
+                    op(*operands)
+                    grads = tape.nodes[-1].backward_fn(g)
+                    for operand, grad in zip(operands, grads):
+                        if operand is const:
+                            assert grad is None
+                        else:
+                            assert grad.shape == (3, 3)
+
+
+def test_constant_operands_leave_leaf_grads_bitwise_unchanged():
+    draw = np.random.default_rng(11)
+    w = tg.Tensor(draw.normal(size=(4, 3)), grad_enabled=True)
+    b = tg.Tensor(draw.normal(size=(3,)), grad_enabled=True)
+    x = draw.normal(size=(5, 4))
+    mask = draw.normal(size=(5, 3))
+    grads = []
+    for grad_enabled in (False, True):
+        w.grad = b.grad = None
+        xt, mt = tg.Tensor(x, grad_enabled), tg.Tensor(mask, grad_enabled)
+        with tg.Tape() as tape:
+            h = tg.add(tg.matmul(xt, w), b)
+            h = tg.sub(tg.mul(h, mt), mt)
+            loss = tg.tensor_sum(tg.mul(tg.mul(h, h), tg.Tensor(0.5)))
+        tg.backward(loss, tape)
+        grads.append((w.grad, b.grad))
+        assert (xt.grad is not None) == grad_enabled
+    assert np.array_equal(grads[0][0], grads[1][0])
+    assert np.array_equal(grads[0][1], grads[1][1])
 
 
 # ------------------------------------------------- finite-difference suite
