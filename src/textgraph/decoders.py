@@ -6,16 +6,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tg
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
+from .graph import _as_rng
 from .negatives import TripletBatch
 from .tensor import Tensor
+from .text import _glorot
 
 
 class DistMultParams:
     """One diagonal bilinear vector per relation."""
 
     def __init__(self, num_relations: int, dim: int, rng=0):
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = _as_rng(rng)
         self.num_relations = num_relations
         self.dim = dim
         self.rel_vectors = Tensor(rng.normal(size=(num_relations, dim)) * 0.5,
@@ -23,18 +25,6 @@ class DistMultParams:
 
     def params(self) -> dict[str, Tensor]:
         return {"rel_vectors": self.rel_vectors}
-
-
-def distmult_score(h_head: Tensor, relation: int, h_tail: Tensor,
-                   params: DistMultParams) -> Tensor:
-    """Scalar score <h_head, r, h_tail> for one pair of embedding vectors."""
-    if h_head.shape != (params.dim,) or h_tail.shape != (params.dim,):
-        raise ShapeError(
-            f"expected ({params.dim},) embeddings, got {h_head.shape} and {h_tail.shape}")
-    scores = distmult_scores(tg.reshape(h_head, (1, params.dim)),
-                             np.array([relation]),
-                             tg.reshape(h_tail, (1, params.dim)), params)
-    return tg.tensor_sum(scores)
 
 
 def distmult_scores(h_heads: Tensor, relations, h_tails: Tensor,
@@ -60,10 +50,9 @@ def link_loss(batch: TripletBatch, scores: Tensor) -> Tensor:
 
 class NodeClassifierHead:
     def __init__(self, dim: int, num_classes: int, rng=0):
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = _as_rng(rng)
         self.num_classes = num_classes
-        self.proj = Tensor(rng.normal(size=(dim, num_classes))
-                           * np.sqrt(2.0 / (dim + num_classes)), grad_enabled=True)
+        self.proj = Tensor(_glorot(rng, dim, num_classes), grad_enabled=True)
         self.bias = Tensor(np.zeros(num_classes), grad_enabled=True)
 
     def params(self) -> dict[str, Tensor]:
@@ -82,11 +71,10 @@ class EdgeClassifierHead:
     """Logits = W_ec [h_head ; h_tail] + b, head block first."""
 
     def __init__(self, dim: int, num_classes: int, rng=0):
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = _as_rng(rng)
         self.dim = dim
         self.num_classes = num_classes
-        self.w_ec = Tensor(rng.normal(size=(2 * dim, num_classes))
-                           * np.sqrt(2.0 / (2 * dim + num_classes)), grad_enabled=True)
+        self.w_ec = Tensor(_glorot(rng, 2 * dim, num_classes), grad_enabled=True)
         self.bias = Tensor(np.zeros(num_classes), grad_enabled=True)
 
     def params(self) -> dict[str, Tensor]:

@@ -32,14 +32,6 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-@dataclass(frozen=True, order=True)
-class NodeRef:
-    """A node addressed as (type index, local index)."""
-
-    type_index: int
-    local_index: int
-
-
 @dataclass(frozen=True)
 class Relation:
     src_type: str
@@ -180,10 +172,6 @@ class HeteroGraph:
 
     def global_index(self, type_index: int, local_index: int) -> int:
         return int(self.type_offsets[type_index]) + int(local_index)
-
-    def ref_of_global(self, g: int) -> NodeRef:
-        t = int(np.searchsorted(self.type_offsets, g, side="right")) - 1
-        return NodeRef(t, int(g - self.type_offsets[t]))
 
     def has_text(self, type_index: int) -> bool:
         return bool(self.type_has_text[type_index])
@@ -659,12 +647,7 @@ def _as_ref_array(targets) -> np.ndarray:
     if isinstance(targets, np.ndarray):
         arr = targets.astype(np.int64)
     else:
-        rows = []
-        for item in targets:
-            if isinstance(item, NodeRef):
-                rows.append((item.type_index, item.local_index))
-            else:
-                rows.append((int(item[0]), int(item[1])))
+        rows = [(int(item[0]), int(item[1])) for item in targets]
         arr = np.array(rows, dtype=np.int64) if rows else np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ContractError(f"node refs must be (B, 2), got {arr.shape}")

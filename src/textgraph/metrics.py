@@ -1,4 +1,4 @@
-"""Evaluation metrics: accuracy, F1, ranking MRR, and recall@K.
+"""Evaluation metrics: accuracy, F1 and ranking MRR.
 
 Ranking is pessimistic about ties: a positive tied with m negatives ranks
 behind all of them.
@@ -86,24 +86,3 @@ def mrr(queries) -> float:
         raise ContractError("mrr of zero queries is undefined")
     return float(np.mean([1.0 / q.rank for q in queries]))
 
-
-def macro_recall_at_k(retrieved: dict, relevant: dict, k: int):
-    """Mean over queries of |top-k retrieved ∩ relevant| / |relevant|.
-
-    retrieved maps query -> ranked id list, relevant maps query -> id set.
-    Queries with no relevant ids are excluded; returns (value, excluded_count).
-    """
-    if k < 1:
-        raise ContractError("k must be >= 1")
-    vals = []
-    excluded = 0
-    for query, rel in relevant.items():
-        rel = set(rel)
-        if not rel:
-            excluded += 1
-            continue
-        top = list(retrieved.get(query, []))[:k]
-        vals.append(len(rel.intersection(top)) / len(rel))
-    if not vals:
-        raise ContractError("every query had an empty relevant set")
-    return float(np.mean(vals)), excluded

@@ -36,9 +36,9 @@ from . import tensor as tg
 from . import text as tx
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError, LoadError, NumericsError
-from .graph import (TEST, TRAIN, VALID, HeteroGraph, PartitionMap, TargetSample,
-                    _as_rng, _train_pool, assign_partitions, sample_neighbors,
-                    sample_targets)
+from .graph import (SPLIT_NAMES, TEST, TRAIN, VALID, HeteroGraph, PartitionMap,
+                    TargetSample, _as_rng, _train_pool, assign_partitions,
+                    sample_neighbors, sample_targets)
 from .metrics import RankedQuery, accuracy, f1_scores, mrr
 from .tensor import Tensor
 
@@ -251,33 +251,45 @@ class ModelBundle:
             p.data = snap[name].copy()
 
 
-def build_models(graph: HeteroGraph, settings: TrainSettings, rng=0) -> ModelBundle:
+# the TrainSettings fields that fix the models' shapes; a checkpoint's
+# manifest records exactly these
+ARCH_KEYS = ("dim", "max_len", "hidden_dim", "num_layers", "num_heads",
+             "num_blocks", "aggregation")
+
+
+def _new_models(graph: HeteroGraph, vocab: tx.Vocab, arch: TrainSettings,
+                node_classes: int, edge_classes: int, rng) -> ModelBundle:
+    """Freshly initialized models; a head with 0 classes is left out."""
     rng = _as_rng(rng)
+    encoder = tx.TextEncoderModel(vocab.size, dim=arch.dim,
+                                  num_heads=arch.num_heads,
+                                  num_blocks=arch.num_blocks,
+                                  max_len=arch.max_len, rng=rng)
+    textless = {t: graph.node_counts[t] for t in range(len(graph.node_types))
+                if not graph.has_text(t)}
+    gnn = rgcn.RgcnStack(arch.num_layers, arch.dim, arch.hidden_dim,
+                         len(graph.message_relations), arch.aggregation,
+                         type_embedding_counts=textless, rng=rng)
+    distmult = dec.DistMultParams(len(graph.relations), arch.dim, rng=rng)
+    node_head = (dec.NodeClassifierHead(arch.dim, node_classes, rng=rng)
+                 if node_classes else None)
+    edge_head = (dec.EdgeClassifierHead(arch.dim, edge_classes, rng=rng)
+                 if edge_classes else None)
+    return ModelBundle(vocab, encoder, gnn, distmult, node_head, edge_head,
+                       arch.max_len, arch.dim)
+
+
+def build_models(graph: HeteroGraph, settings: TrainSettings, rng=0) -> ModelBundle:
     vocab = tx.Vocab.from_texts(
         t for ti in range(len(graph.node_types)) if graph.has_text(ti)
         for t in graph.texts[ti])
-    encoder = tx.TextEncoderModel(vocab.size, dim=settings.dim,
-                                  num_heads=settings.num_heads,
-                                  num_blocks=settings.num_blocks,
-                                  max_len=settings.max_len, rng=rng)
-    textless = {t: graph.node_counts[t] for t in range(len(graph.node_types))
-                if not graph.has_text(t)}
-    gnn = rgcn.RgcnStack(settings.num_layers, settings.dim, settings.hidden_dim,
-                         len(graph.message_relations), settings.aggregation,
-                         type_embedding_counts=textless, rng=rng)
-    distmult = dec.DistMultParams(len(graph.relations), settings.dim, rng=rng)
-    node_head = None
     node_classes = max((int(c.max()) + 1 for c in graph.node_class_ids if c.size
                         and c.max() >= 0), default=0)
-    if node_classes > 0:
-        node_head = dec.NodeClassifierHead(settings.dim, node_classes, rng=rng)
-    edge_head = None
+    edge_classes = 0
     if graph.edge_labels:
         ri = graph.designated_relation
         edge_classes = int(graph.edge_labels[ri].class_ids.max()) + 1
-        edge_head = dec.EdgeClassifierHead(settings.dim, edge_classes, rng=rng)
-    return ModelBundle(vocab, encoder, gnn, distmult, node_head, edge_head,
-                       settings.max_len, settings.dim)
+    return _new_models(graph, vocab, settings, node_classes, edge_classes, rng)
 
 
 # ----------------------------------------------------------------- features
@@ -408,12 +420,12 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
 
 def _node_embeddings_for_refs(models, graph, refs, *, settings, cache, step,
                               budget, rng, lm_trainable, use_gnn=True):
-    """GNN-space (or CLS-space) embeddings for the given node refs, in order."""
+    """GNN-space (or CLS-space) embeddings for the given node refs, in order.
+    Returns (embeddings, stats)."""
     if not use_gnn:
-        feats, stats = assemble_features(
+        return assemble_features(
             models, graph, refs, cache=cache, step=step, budget=budget,
             rng=rng, lm_trainable=lm_trainable)
-        return feats, stats, None
     batch = sample_neighbors(graph, refs, fanouts=settings.fanouts,
                              num_layers=settings.num_layers, rng=rng)
     feats, stats = assemble_features(
@@ -421,57 +433,48 @@ def _node_embeddings_for_refs(models, graph, refs, *, settings, cache, step,
         budget=budget, rng=rng, lm_trainable=lm_trainable)
     h = rgcn.gnn_forward(models.gnn, batch, feats)
     pos = batch.target_index(refs)
-    return tg.take_rows(h, pos), stats, batch
+    return tg.take_rows(h, pos), stats
 
 
-def _link_step(models, graph, sample, *, settings, cache, step, budget, rng,
-               lm_trainable, use_gnn):
+def _pair_embeddings(models, graph, rels, heads, tails, **kwargs):
+    """Row-aligned (head, tail) embeddings for the edges (rels, heads, tails),
+    each distinct endpoint embedded once.  Returns (h_heads, h_tails, stats)."""
+    head_t, tail_t = ng.endpoint_types(graph, rels)
+    refs = np.concatenate([np.stack([head_t, heads], axis=1),
+                           np.stack([tail_t, tails], axis=1)])
+    uniq, inverse = np.unique(refs, axis=0, return_inverse=True)
+    h, stats = _node_embeddings_for_refs(models, graph, uniq, **kwargs)
+    stats["unique_nodes"] = int(uniq.shape[0])
+    m = rels.shape[0]
+    return tg.take_rows(h, inverse[:m]), tg.take_rows(h, inverse[m:]), stats
+
+
+def _link_step(models, graph, sample, *, settings, rng, **kwargs):
     """Contrastive link loss over one batch of positive edges."""
     batch = (ng.corrupt_joint if settings.negative_mode == "joint"
              else ng.corrupt_independent)(
         graph, sample.edge_rels, sample.edge_srcs, sample.edge_dsts,
         settings.negatives_k, rng)
-    head_t, tail_t = ng.endpoint_types(graph, batch.rels)
-    refs = np.concatenate([np.stack([head_t, batch.heads], axis=1),
-                           np.stack([tail_t, batch.tails], axis=1)])
-    uniq, inverse = np.unique(refs, axis=0, return_inverse=True)
-    h, stats, _ = _node_embeddings_for_refs(
-        models, graph, uniq, settings=settings, cache=cache, step=step,
-        budget=budget, rng=rng, lm_trainable=lm_trainable, use_gnn=use_gnn)
-    m = len(batch)
-    h_heads = tg.take_rows(h, inverse[:m])
-    h_tails = tg.take_rows(h, inverse[m:])
+    h_heads, h_tails, stats = _pair_embeddings(
+        models, graph, batch.rels, batch.heads, batch.tails,
+        settings=settings, rng=rng, **kwargs)
     scores = dec.distmult_scores(h_heads, batch.rels, h_tails, models.distmult)
-    loss = dec.link_loss(batch, scores)
-    stats["unique_nodes"] = int(uniq.shape[0])
-    return loss, stats
+    return dec.link_loss(batch, scores), stats
 
 
-def _node_step(models, graph, sample, *, settings, cache, step, budget, rng,
-               lm_trainable, use_gnn):
-    h, stats, _ = _node_embeddings_for_refs(
-        models, graph, sample.node_refs, settings=settings, cache=cache,
-        step=step, budget=budget, rng=rng, lm_trainable=lm_trainable,
-        use_gnn=use_gnn)
+def _node_step(models, graph, sample, **kwargs):
+    h, stats = _node_embeddings_for_refs(models, graph, sample.node_refs,
+                                         **kwargs)
     loss = dec.node_loss(models.node_head, h, sample.node_classes)
     stats["unique_nodes"] = int(np.unique(sample.node_refs, axis=0).shape[0])
     return loss, stats
 
 
-def _edge_step(models, graph, sample, *, settings, cache, step, budget, rng,
-               lm_trainable, use_gnn):
-    head_t, tail_t = ng.endpoint_types(graph, sample.edge_rels)
-    refs = np.concatenate([np.stack([head_t, sample.edge_srcs], axis=1),
-                           np.stack([tail_t, sample.edge_dsts], axis=1)])
-    uniq, inverse = np.unique(refs, axis=0, return_inverse=True)
-    h, stats, _ = _node_embeddings_for_refs(
-        models, graph, uniq, settings=settings, cache=cache, step=step,
-        budget=budget, rng=rng, lm_trainable=lm_trainable, use_gnn=use_gnn)
-    m = sample.edge_rels.shape[0]
-    h_heads = tg.take_rows(h, inverse[:m])
-    h_tails = tg.take_rows(h, inverse[m:])
+def _edge_step(models, graph, sample, **kwargs):
+    h_heads, h_tails, stats = _pair_embeddings(
+        models, graph, sample.edge_rels, sample.edge_srcs, sample.edge_dsts,
+        **kwargs)
     loss = dec.edge_loss(models.edge_head, h_heads, h_tails, sample.edge_classes)
-    stats["unique_nodes"] = int(uniq.shape[0])
     return loss, stats
 
 
@@ -530,35 +533,38 @@ def _eval_link(models, graph, emb, split, rng) -> dict[str, float]:
     if rels.size == 0:
         raise ContractError("no edges in evaluation split")
     rel_vecs = models.distmult.rel_vectors.data
+    head_t, tail_t = ng.endpoint_types(graph, rels)
+    hrs = emb[graph.type_offsets[head_t] + srcs] * rel_vecs[rels]
+    h_tails = emb[graph.type_offsets[tail_t] + dsts]
     queries = []
-    for r, s, d in zip(rels, srcs, dsts):
-        head_type = graph.type_index(graph.relations[r].src_type)
-        tail_type = graph.type_index(graph.relations[r].dst_type)
-        h_head = emb[graph.global_index(head_type, s)]
-        hr = h_head * rel_vecs[r]
-        pos = float(hr @ emb[graph.global_index(tail_type, d)])
-        if graph.node_counts[tail_type] <= EVAL_FULL_CORRUPTION_LIMIT:
+    for r, s, d, t, hr, h_tail in zip(rels, srcs, dsts, tail_t, hrs, h_tails):
+        pos = float(hr @ h_tail)
+        if graph.node_counts[t] <= EVAL_FULL_CORRUPTION_LIMIT:
             neg_ids = ng.full_eval_negatives(graph, int(r), int(s), int(d),
                                              filtered=True)
         else:
             neg_ids, _ = ng.sample_eval_negatives(
                 graph, int(r), int(s), int(d), EVAL_SAMPLED_NEGATIVES, rng)
-        base = graph.type_offsets[tail_type]
+        base = graph.type_offsets[t]
         neg = emb[base + neg_ids] @ hr if neg_ids.size else np.empty(0)
         queries.append(RankedQuery(pos, neg))
     return {"mrr": mrr(queries)}
+
+
+def _classification_metrics(logits: Tensor, classes, num_classes: int):
+    pred = logits.data.argmax(axis=1)
+    report = f1_scores(pred, classes, num_classes)
+    return {"accuracy": accuracy(pred, classes), "macro_f1": report.macro}
 
 
 def _eval_node(models, graph, emb, split, rng) -> dict[str, float]:
     refs, classes = graph.node_label_rows(split)
     if refs.shape[0] == 0:
         raise ContractError("no node labels in evaluation split")
-    rows = np.array([graph.global_index(int(t), int(l)) for t, l in refs])
+    rows = graph.type_offsets[refs[:, 0]] + refs[:, 1]
     with tg.no_grad():
-        logits = dec.node_logits(models.node_head, Tensor(emb[rows])).data
-    pred = logits.argmax(axis=1)
-    report = f1_scores(pred, classes, models.node_head.num_classes)
-    return {"accuracy": accuracy(pred, classes), "macro_f1": report.macro}
+        logits = dec.node_logits(models.node_head, Tensor(emb[rows]))
+    return _classification_metrics(logits, classes, models.node_head.num_classes)
 
 
 def _eval_edge(models, graph, emb, split, rng) -> dict[str, float]:
@@ -567,16 +573,11 @@ def _eval_edge(models, graph, emb, split, rng) -> dict[str, float]:
         raise ContractError("no edge labels in evaluation split")
     rels = np.full(srcs.size, graph.designated_relation, dtype=np.int64)
     head_t, tail_t = ng.endpoint_types(graph, rels)
-    hrow = np.array([graph.global_index(int(t), int(l))
-                     for t, l in zip(head_t, srcs)])
-    trow = np.array([graph.global_index(int(t), int(l))
-                     for t, l in zip(tail_t, dsts)])
     with tg.no_grad():
-        logits = dec.edge_logits(models.edge_head, Tensor(emb[hrow]),
-                                 Tensor(emb[trow])).data
-    pred = logits.argmax(axis=1)
-    report = f1_scores(pred, classes, models.edge_head.num_classes)
-    return {"accuracy": accuracy(pred, classes), "macro_f1": report.macro}
+        logits = dec.edge_logits(models.edge_head,
+                                 Tensor(emb[graph.type_offsets[head_t] + srcs]),
+                                 Tensor(emb[graph.type_offsets[tail_t] + dsts]))
+    return _classification_metrics(logits, classes, models.edge_head.num_classes)
 
 
 _EVAL_FN = {"link": _eval_link, "node": _eval_node, "edge": _eval_edge}
@@ -745,7 +746,6 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                 settings: TrainSettings, epochs: int, cache: EmbeddingCache,
                 budget: NodeBudget, log: RunLog, rng, step_start: int = 0,
                 partition_map: PartitionMap | None = None,
-                heldout_split: int = VALID,
                 learning_rate: float | None = None,
                 memo: EmbeddingCache | None = None) -> tuple[int, float]:
     """Run one stage for `epochs` epochs, restoring the epoch snapshot that
@@ -819,18 +819,17 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
             if lm_trainable:
                 cache.advance()
             log.add_step(kind, step, loss.item(), cache.hit_rate,
-                         stats.get("unique_nodes", 0),
+                         stats["unique_nodes"],
                          (time.perf_counter() - t0) * 1e3,
                          cache_hits=stats["hits"], cache_misses=stats["misses"],
                          encoded_rows=stats["encoded_rows"])
             step += 1
-        metrics = evaluate(models, graph, task, heldout_split,
+        metrics = evaluate(models, graph, task, VALID,
                            settings=settings, rng=rng,
                            representation=representation, memo=memo,
                            version=cache.version)
         for mname, value in sorted(metrics.items()):
-            log.add_metric(kind, epoch, SPLIT_LABELS[heldout_split], mname,
-                           float(value))
+            log.add_metric(kind, epoch, SPLIT_NAMES[VALID], mname, float(value))
         if metrics[metric_name] > best_value:
             best_value = metrics[metric_name]
             best_snapshot = models.snapshot()
@@ -846,9 +845,6 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                 # the weights are the last eval's, so its memo rows stay exact
                 memo.restamp(cache.version - 1, cache.version)
     return step, best_value
-
-
-SPLIT_LABELS = ("train", "valid", "test")
 
 
 def run_stagewise(graph: HeteroGraph, settings: TrainSettings,
@@ -915,11 +911,8 @@ def _bundle_stem(path: str) -> str:
 def save_bundle(path: str, models: ModelBundle, graph: HeteroGraph,
                 settings: TrainSettings) -> str:
     """Weights + vocab + enough structure to validate a later load."""
-    meta = {
-        "dim": models.dim, "max_len": models.max_len,
-        "hidden_dim": settings.hidden_dim, "num_layers": settings.num_layers,
-        "num_heads": settings.num_heads, "num_blocks": settings.num_blocks,
-        "aggregation": settings.aggregation,
+    meta = {key: getattr(settings, key) for key in ARCH_KEYS}
+    meta.update({
         "vocab_size": models.vocab.size,
         "node_types": list(graph.node_types),
         "node_counts": [int(c) for c in graph.node_counts],
@@ -928,7 +921,7 @@ def save_bundle(path: str, models: ModelBundle, graph: HeteroGraph,
                          if models.node_head else 0),
         "edge_classes": (models.edge_head.num_classes
                          if models.edge_head else 0),
-    }
+    })
     manifest = save_checkpoint(path, models.snapshot(), meta)
     models.vocab.save(_bundle_stem(path) + ".vocab.txt")
     return str(manifest)
@@ -936,6 +929,11 @@ def save_bundle(path: str, models: ModelBundle, graph: HeteroGraph,
 
 def load_bundle(path: str, graph: HeteroGraph) -> ModelBundle:
     arrays, meta = load_checkpoint(path)
+    for key in ARCH_KEYS + ("vocab_size", "node_types", "node_counts",
+                            "relations", "node_classes", "edge_classes"):
+        if key not in meta:
+            raise LoadError(f"{_bundle_stem(path)}.json: checkpoint metadata "
+                            f"lacks '{key}'")
     if list(graph.node_types) != meta["node_types"]:
         raise LoadError(f"{path}: checkpoint node types {meta['node_types']} "
                         f"do not match graph {list(graph.node_types)}")
@@ -950,26 +948,9 @@ def load_bundle(path: str, graph: HeteroGraph) -> ModelBundle:
     if vocab.size != meta["vocab_size"]:
         raise LoadError(f"{path}: vocab file size {vocab.size} does not match "
                         f"manifest {meta['vocab_size']}")
-    settings = TrainSettings(
-        dim=meta["dim"], max_len=meta["max_len"], hidden_dim=meta["hidden_dim"],
-        num_layers=meta["num_layers"], num_heads=meta["num_heads"],
-        num_blocks=meta["num_blocks"], aggregation=meta["aggregation"])
-    encoder = tx.TextEncoderModel(vocab.size, dim=settings.dim,
-                                  num_heads=settings.num_heads,
-                                  num_blocks=settings.num_blocks,
-                                  max_len=settings.max_len, rng=0)
-    textless = {t: graph.node_counts[t] for t in range(len(graph.node_types))
-                if not graph.has_text(t)}
-    gnn = rgcn.RgcnStack(settings.num_layers, settings.dim, settings.hidden_dim,
-                         len(graph.message_relations), settings.aggregation,
-                         type_embedding_counts=textless, rng=0)
-    distmult = dec.DistMultParams(len(graph.relations), settings.dim, rng=0)
-    node_head = (dec.NodeClassifierHead(settings.dim, meta["node_classes"], rng=0)
-                 if meta["node_classes"] else None)
-    edge_head = (dec.EdgeClassifierHead(settings.dim, meta["edge_classes"], rng=0)
-                 if meta["edge_classes"] else None)
-    models = ModelBundle(vocab, encoder, gnn, distmult, node_head, edge_head,
-                         settings.max_len, settings.dim)
+    arch = TrainSettings(**{key: meta[key] for key in ARCH_KEYS})
+    models = _new_models(graph, vocab, arch, meta["node_classes"],
+                         meta["edge_classes"], rng=0)
     params = models.all_params()
     if set(params) != set(arrays):
         missing = sorted(set(params) - set(arrays))[:3]

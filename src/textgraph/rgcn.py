@@ -25,14 +25,11 @@ import numpy as np
 
 from . import tensor as tg
 from .errors import ContractError, ShapeError
-from .graph import EgoBatch, Block
+from .graph import EgoBatch, Block, _as_rng
 from .tensor import Tensor
+from .text import _glorot
 
 AGGREGATIONS = ("sum", "mean")
-
-
-def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
-    return rng.normal(size=(fan_in, fan_out)) * np.sqrt(2.0 / (fan_in + fan_out))
 
 
 class RgcnLayer:
@@ -40,7 +37,7 @@ class RgcnLayer:
                  aggregation: str = "mean", rng=0):
         if aggregation not in AGGREGATIONS:
             raise ContractError(f"aggregation must be one of {AGGREGATIONS}")
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = _as_rng(rng)
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.aggregation = aggregation
@@ -89,7 +86,7 @@ class RgcnStack:
                  activate_last: bool = False, rng=0):
         if num_layers < 1:
             raise ContractError("num_layers must be >= 1")
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = _as_rng(rng)
         dims = [dim] + [hidden_dim] * (num_layers - 1) + [dim]
         self.dim = dim
         self.activate_last = activate_last

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as tg
 from .errors import ContractError, LoadError
+from .graph import _as_rng
 from .tensor import Tensor
 
 SPECIAL_TOKENS = ("[CLS]", "[SEP]", "[PAD]", "[MASK]", "[UNK]")
@@ -101,7 +102,7 @@ class TextEncoderModel:
                  num_blocks: int = 2, max_len: int = 32, rng=0):
         if dim % num_heads != 0:
             raise ContractError(f"dim {dim} not divisible by num_heads {num_heads}")
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = _as_rng(rng)
         self.vocab_size = vocab_size
         self.dim = dim
         self.num_heads = num_heads
@@ -218,7 +219,7 @@ def mlm_pretrain_step(model: TextEncoderModel, token_batch: np.ndarray,
     """
     if not 0.0 <= mask_prob <= 1.0:
         raise ContractError(f"mask_prob must lie in [0, 1], got {mask_prob}")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = _as_rng(rng)
     ids = crop_padding(np.asarray(token_batch, dtype=np.int64))
     b, t = ids.shape
     maskable = ids >= NUM_SPECIALS

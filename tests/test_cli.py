@@ -5,6 +5,7 @@ import json
 import os
 import platform
 import resource
+import shutil
 
 import numpy as np
 import pytest
@@ -228,6 +229,22 @@ def test_eval_rejects_mismatched_graph(tmp_path, trained):
                      "--vocab-size", "25", "--tokens-per-node", "3"]) == 0
     ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
     assert cli.main(["eval", ckpt, str(other), "--task", "link"]) == 2
+
+
+def test_eval_rejects_manifest_missing_meta_key(tmp_path, trained, capsys):
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    stem = str(tmp_path / "ckpt")
+    for ext in (".bin", ".vocab.txt"):
+        shutil.copyfile(ckpt + ext, stem + ext)
+    with open(ckpt + ".json", encoding="utf-8") as f:
+        manifest = json.load(f)
+    del manifest["meta"]["aggregation"]
+    with open(stem + ".json", "w", encoding="utf-8") as f:
+        json.dump(manifest, f)
+    rc = cli.main(["eval", stem, trained["graph_dir"], "--task", "link"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ckpt.json" in err and "'aggregation'" in err
 
 
 # ---------------------------------------------------------- dump-embeddings

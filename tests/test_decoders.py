@@ -20,15 +20,6 @@ def test_distmult_matches_direct_sum(rng):
         assert abs(scores[i] - want) < 1e-12
 
 
-def test_distmult_scalar_agrees_with_batched(rng):
-    params = dec.DistMultParams(2, 4, rng=1)
-    h = rng.normal(size=4)
-    t = rng.normal(size=4)
-    one = dec.distmult_score(tg.Tensor(h), 1, tg.Tensor(t), params).item()
-    many = dec.distmult_scores(tg.Tensor(h[None]), [1], tg.Tensor(t[None]), params).data[0]
-    assert abs(one - many) < 1e-12
-
-
 def test_distmult_bad_relation_and_shape(rng):
     params = dec.DistMultParams(2, 4, rng=0)
     h = tg.Tensor(rng.normal(size=(1, 4)))
@@ -36,8 +27,6 @@ def test_distmult_bad_relation_and_shape(rng):
         dec.distmult_scores(h, [5], h, params)
     with pytest.raises(ShapeError):
         dec.distmult_scores(tg.Tensor(np.zeros((1, 3))), [0], h, params)
-    with pytest.raises(ShapeError):
-        dec.distmult_score(tg.Tensor(np.zeros(3)), 0, tg.Tensor(np.zeros(4)), params)
 
 
 def _toy_batch():

@@ -50,10 +50,8 @@ def test_csr_matches_brute_force(rng):
 def test_global_index_round_trip():
     g = tiny_graph()
     assert g.total_nodes == 5
-    for t in range(2):
-        for l in range(g.node_counts[t]):
-            ref = g.ref_of_global(g.global_index(t, l))
-            assert (ref.type_index, ref.local_index) == (t, l)
+    assert [g.global_index(t, l) for t in range(2)
+            for l in range(g.node_counts[t])] == list(range(g.total_nodes))
 
 
 def test_out_of_range_edge_rejected():

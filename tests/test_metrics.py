@@ -70,15 +70,3 @@ def test_f1_validation():
         mt.f1_scores([0, 5], [0, 1], num_classes=3)
     with pytest.raises(ContractError):
         mt.f1_scores([], [], num_classes=3)
-
-
-def test_macro_recall_at_k():
-    retrieved = {"q1": [1, 2, 3, 4], "q2": [9, 8], "q3": [5]}
-    relevant = {"q1": {2, 7}, "q2": set(), "q3": {5}}
-    value, excluded = mt.macro_recall_at_k(retrieved, relevant, k=2)
-    assert excluded == 1
-    assert abs(value - (0.5 + 1.0) / 2.0) < 1e-12
-    with pytest.raises(ContractError):
-        mt.macro_recall_at_k(retrieved, {"q": set()}, k=2)
-    with pytest.raises(ContractError):
-        mt.macro_recall_at_k(retrieved, relevant, k=0)
