@@ -17,7 +17,8 @@ from .errors import LoadError
 FORMAT_TAG = "textgraph-checkpoint-v1"
 
 
-def _stem(path) -> Path:
+def checkpoint_stem(path) -> Path:
+    """The path a checkpoint's files share, without a `.bin` or `.json` suffix."""
     p = Path(path)
     if p.suffix in (".bin", ".json"):
         p = p.with_suffix("")
@@ -26,7 +27,7 @@ def _stem(path) -> Path:
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> Path:
     """Write arrays (name -> ndarray) and meta; returns the manifest path."""
-    stem = _stem(path)
+    stem = checkpoint_stem(path)
     stem.parent.mkdir(parents=True, exist_ok=True)
     entries = []
     offset = 0
@@ -46,7 +47,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back (arrays, meta).  Raises LoadError on missing or inconsistent files."""
-    stem = _stem(path)
+    stem = checkpoint_stem(path)
     manifest_path = stem.with_suffix(".json")
     bin_path = stem.with_suffix(".bin")
     if not manifest_path.exists():

@@ -193,9 +193,8 @@ def cmd_train(args) -> int:
     models, log, final = pl.run_stagewise(graph, settings,
                                           stage_callback=save_stage)
     log.dump_jsonl(os.path.join(out_dir, "metrics.jsonl"))
-    last = settings.stages[-1]
     report = {"task": settings.task, "split": "test",
-              "representation": "cls" if last == "PreFineTuneLM" else "gnn",
+              "representation": pl.stage_representation(settings.stages[-1]),
               "metrics": final}
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
         f.write(_report_json(report))

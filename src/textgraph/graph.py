@@ -4,7 +4,10 @@ A graph has typed node sets (dense 0-based local ids per type), optional text
 per node, directed typed relations, optional node labels and optional edge
 labels on one designated relation, each row carrying a train/valid/test split
 tag.  Message passing sees every base relation in both directions, so a graph
-with R relations exposes 2R message relations.
+with R relations exposes 2R message relations: 2r carries relation r's edges
+src -> dst and 2r + 1 carries them dst -> src.  One CSR over global node ids
+(message_adjacency) holds every message relation; the sampler, neighbor
+queries, eval-negative filtering and partitioning all read it.
 
 On-disk format is a directory of TSV files: nodes.tsv, edges.tsv, and the
 optional node_labels.tsv / edge_labels.tsv.  All files carry a header row.
@@ -94,7 +97,11 @@ class EdgeLabelSet:
 
 
 class HeteroGraph:
-    """In-memory graph: node sets, text, relations with CSR both ways, labels."""
+    """In-memory graph: node sets, text, relations, labels, and one lazily
+    built CSR over global ids covering every message relation.
+
+    relation_types[r] is relation r's (src type, dst type) index pair.
+    """
 
     def __init__(self, node_types, node_counts, texts, relations, edges,
                  node_class_ids=None, node_splits=None, edge_labels=None):
@@ -109,6 +116,9 @@ class HeteroGraph:
         self._type_index = {t: i for i, t in enumerate(self.node_types)}
         if len(self._type_index) != len(self.node_types):
             raise ContractError("duplicate node type names")
+        self.relation_types = np.array(
+            [(self.type_index(r.src_type), self.type_index(r.dst_type))
+             for r in self.relations], dtype=np.int64).reshape(-1, 2)
         self.node_class_ids = node_class_ids or [
             np.full(c, -1, dtype=np.int64) for c in self.node_counts
         ]
@@ -119,7 +129,14 @@ class HeteroGraph:
         self._validate()
         self.type_has_text = np.array([any(t != "" for t in rows)
                                        for rows in self.texts], dtype=bool)
-        self._build_adjacency()
+        self.message_relations: list[MessageRelation] = []
+        for ri, (rel, (si, di)) in enumerate(zip(self.relations,
+                                                  self.relation_types.tolist())):
+            self.message_relations.append(MessageRelation(ri, False, rel.name, si, di))
+            self.message_relations.append(
+                MessageRelation(ri, True, rel.name + "-rev", di, si))
+        self.type_offsets = np.zeros(len(self.node_types) + 1, dtype=np.int64)
+        np.cumsum(self.node_counts, out=self.type_offsets[1:])
         self._cache: dict = {}
 
     # ------------------------------------------------------------ structure
@@ -130,8 +147,8 @@ class HeteroGraph:
                 raise ContractError(f"negative node count for type '{t}'")
             if len(self.texts[i]) != c:
                 raise ContractError(f"type '{t}': {len(self.texts[i])} texts for {c} nodes")
-        for r, (src, dst) in zip(self.relations, self.edges):
-            si, di = self.type_index(r.src_type), self.type_index(r.dst_type)
+        for r, (src, dst), (si, di) in zip(self.relations, self.edges,
+                                           self.relation_types.tolist()):
             for arr, bound, side in ((src, self.node_counts[si], "src"),
                                      (dst, self.node_counts[di], "dst")):
                 if arr.size and (arr.min() < 0 or arr.max() >= bound):
@@ -140,21 +157,6 @@ class HeteroGraph:
         for ri, labels in self.edge_labels.items():
             if not 0 <= ri < len(self.relations):
                 raise ContractError(f"edge labels for unknown relation index {ri}")
-
-    def _build_adjacency(self):
-        self._by_src: list[Csr] = []
-        self._by_dst: list[Csr] = []
-        self.message_relations: list[MessageRelation] = []
-        for ri, (rel, (src, dst)) in enumerate(zip(self.relations, self.edges)):
-            si, di = self.type_index(rel.src_type), self.type_index(rel.dst_type)
-            self._by_src.append(Csr.from_edges(src, dst, self.node_counts[si]))
-            self._by_dst.append(Csr.from_edges(dst, src, self.node_counts[di]))
-            self.message_relations.append(
-                MessageRelation(ri, False, rel.name, si, di))
-            self.message_relations.append(
-                MessageRelation(ri, True, rel.name + "-rev", di, si))
-        self.type_offsets = np.zeros(len(self.node_types) + 1, dtype=np.int64)
-        np.cumsum(self.node_counts, out=self.type_offsets[1:])
 
     def type_index(self, name: str) -> int:
         try:
@@ -170,22 +172,25 @@ class HeteroGraph:
     def total_edges(self) -> int:
         return sum(s.size for s, _ in self.edges)
 
-    def global_index(self, type_index: int, local_index: int) -> int:
-        return int(self.type_offsets[type_index]) + int(local_index)
-
     def has_text(self, type_index: int) -> bool:
         return bool(self.type_has_text[type_index])
 
     def msg_neighbors(self, msg_rel_index: int, local_index: int) -> np.ndarray:
-        """Neighbors sending messages to `local_index` under one message relation."""
+        """Local ids sending messages to `local_index` under one message
+        relation, in edge order."""
         mr = self.message_relations[msg_rel_index]
-        csr = self._by_src[mr.relation_index] if mr.reverse else self._by_dst[mr.relation_index]
-        return csr.neighbors(local_index)
+        g = int(self.type_offsets[mr.dst_type]) + int(local_index)
+        cell = g * len(self.message_relations) + msg_rel_index
+        return self.message_adjacency().neighbors(cell) - self.type_offsets[mr.src_type]
+
+    def tails(self, relation_index: int, head: int) -> np.ndarray:
+        """Tail ids of relation `relation_index`'s edges from `head`, in edge order."""
+        return self.msg_neighbors(2 * relation_index + 1, head)
 
     def message_adjacency(self) -> Csr:
         """Every message relation in one CSR over global ids: the senders to
         global node g under message relation mi are neighbors(g * M + mi),
-        M = len(message_relations), in the order msg_neighbors gives them."""
+        M = len(message_relations), in edge order."""
         cached = self._cache.get("messages")
         if cached is None:
             m = len(self.message_relations)
@@ -200,25 +205,6 @@ class HeteroGraph:
                                     np.concatenate(vals) if vals else _EMPTY,
                                     self.total_nodes * m)
             self._cache["messages"] = cached
-        return cached
-
-    def union_adjacency(self) -> Csr:
-        """Undirected adjacency over global node indices, all relations merged."""
-        cached = self._cache.get("union")
-        if cached is None:
-            heads, tails = [], []
-            for rel, (src, dst) in zip(self.relations, self.edges):
-                si, di = self.type_index(rel.src_type), self.type_index(rel.dst_type)
-                gs = src + self.type_offsets[si]
-                gd = dst + self.type_offsets[di]
-                heads.append(gs)
-                tails.append(gd)
-                heads.append(gd)
-                tails.append(gs)
-            keys = np.concatenate(heads) if heads else _EMPTY
-            vals = np.concatenate(tails) if tails else _EMPTY
-            cached = Csr.from_edges(keys, vals, self.total_nodes)
-            self._cache["union"] = cached
         return cached
 
     # --------------------------------------------------------------- labels
@@ -273,16 +259,6 @@ class HeteroGraph:
         if not rels:
             return _EMPTY, _EMPTY, _EMPTY
         return np.concatenate(rels), np.concatenate(srcs), np.concatenate(dsts)
-
-    def known_pairs(self, relation_index: int) -> set[tuple[int, int]]:
-        """All (src, dst) pairs present for a relation, any split; for filtering."""
-        key = ("known", relation_index)
-        cached = self._cache.get(key)
-        if cached is None:
-            s, d = self.edges[relation_index]
-            cached = set(zip(s.tolist(), d.tolist()))
-            self._cache[key] = cached
-        return cached
 
 
 # ----------------------------------------------------------------- file IO
@@ -792,6 +768,19 @@ class PartitionMap:
     group_of_leaf: np.ndarray
 
 
+def _union_neighbors(graph: HeteroGraph) -> Csr:
+    """Every node's neighbors over all relations, either direction, on global
+    ids: per relation r its out-edges' tails (message relation 2r + 1), then
+    its in-edges' heads (2r), each in edge order.  It permutes the message
+    CSR's cells within each node's contiguous row."""
+    adj = graph.message_adjacency()
+    m = len(graph.message_relations)
+    cells = (np.arange(graph.total_nodes)[:, None] * m + (np.arange(m) ^ 1)).ravel()
+    starts = adj.offsets[cells]
+    targets = adj.targets[_ranges(starts, adj.offsets[cells + 1] - starts)]
+    return Csr(adj.offsets[np.arange(graph.total_nodes + 1) * m], targets)
+
+
 def _bfs_distances(adj: Csr, start: int, n: int) -> np.ndarray:
     dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     dist[start] = 0
@@ -817,7 +806,7 @@ def assign_partitions(graph: HeteroGraph, num_leaves: int, rng=0) -> PartitionMa
     if not 2 <= num_leaves <= n:
         raise ContractError(f"num_leaves must be in [2, {n}], got {num_leaves}")
     rng = _as_rng(rng)
-    adj = graph.union_adjacency()
+    adj = _union_neighbors(graph)
 
     seeds = [int(rng.integers(n))]
     dist = _bfs_distances(adj, seeds[0], n)
@@ -903,9 +892,7 @@ def _pool_leaf_ids(graph: HeteroGraph, pool, pmap: PartitionMap) -> np.ndarray:
         gidx = graph.type_offsets[refs[:, 0]] + refs[:, 1]
     else:
         rels, srcs = pool[1], pool[2]
-        src_types = np.array(
-            [graph.type_index(r.src_type) for r in graph.relations], dtype=np.int64)
-        gidx = graph.type_offsets[src_types[rels]] + srcs
+        gidx = graph.type_offsets[graph.relation_types[rels, 0]] + srcs
     return pmap.leaf_of[gidx]
 
 

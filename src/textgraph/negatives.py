@@ -37,14 +37,10 @@ class TripletBatch:
 
 def endpoint_types(graph: HeteroGraph, rels: np.ndarray):
     """(head_type, tail_type) index arrays for a relation-index array."""
-    head_t = np.array([graph.type_index(r.src_type) for r in graph.relations],
-                      dtype=np.int64)
-    tail_t = np.array([graph.type_index(r.dst_type) for r in graph.relations],
-                      dtype=np.int64)
     rels = np.asarray(rels, dtype=np.int64)
     if rels.size and (rels.min() < 0 or rels.max() >= len(graph.relations)):
         raise IndexError(f"relation index out of range [0, {len(graph.relations)})")
-    return head_t[rels], tail_t[rels]
+    return graph.relation_types[rels, 0], graph.relation_types[rels, 1]
 
 
 def count_distinct_endpoints(graph: HeteroGraph, rels, heads, tails) -> int:
@@ -223,7 +219,7 @@ def sample_eval_negatives(graph: HeteroGraph, rel: int, head: int, tail: int,
     rng = _as_rng(rng)
     _, tail_types = endpoint_types(graph, np.array([rel]))
     n = graph.node_counts[tail_types[0]]
-    known = graph.known_pairs(rel) if filtered else None
+    known = set(graph.tails(rel, head).tolist()) if filtered else None
     out = []
     dropped = 0
     for _ in range(count):
@@ -233,7 +229,7 @@ def sample_eval_negatives(graph: HeteroGraph, rel: int, head: int, tail: int,
             continue
         if known is not None:
             tries = 0
-            while (int(head), int(cand)) in known:
+            while cand in known:
                 tries += 1
                 if tries > max_retries:
                     cand = None
@@ -254,5 +250,5 @@ def full_eval_negatives(graph: HeteroGraph, rel: int, head: int, tail: int,
     cands = np.arange(n, dtype=np.int64)
     mask = cands != int(tail)
     if filtered:
-        mask[graph._by_src[rel].neighbors(int(head))] = False
+        mask[graph.tails(rel, head)] = False
     return cands[mask]

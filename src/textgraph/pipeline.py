@@ -34,7 +34,7 @@ from . import negatives as ng
 from . import rgcn
 from . import tensor as tg
 from . import text as tx
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_stem, load_checkpoint, save_checkpoint
 from .errors import ContractError, LoadError, NumericsError
 from .graph import (SPLIT_NAMES, TEST, TRAIN, VALID, HeteroGraph, PartitionMap,
                     TargetSample, _as_rng, _train_pool, assign_partitions,
@@ -59,6 +59,12 @@ def stage_trainable_groups(kind: str, task: str) -> set[str]:
     if kind == "HeadOnly":
         return {head}
     raise ContractError(f"unknown stage kind '{kind}'")
+
+
+def stage_representation(kind: str) -> str:
+    """The embeddings a stage trains and evaluates on: PreFineTuneLM reads
+    the encoder's [CLS] rows, every other stage reads the GNN's output."""
+    return "cls" if kind == "PreFineTuneLM" else "gnn"
 
 
 def primary_metric(task: str) -> str:
@@ -656,10 +662,7 @@ def _texted_link_pool(graph: HeteroGraph):
     """Train link edges whose relation joins two texted types; the encoder
     pre-fine-tuning stage scores these directly in CLS space."""
     rels, srcs, dsts = graph.link_edges(TRAIN)
-    texted = np.array([graph.has_text(graph.type_index(r.src_type))
-                       and graph.has_text(graph.type_index(r.dst_type))
-                       for r in graph.relations], dtype=bool)
-    keep = texted[rels]
+    keep = graph.type_has_text[graph.relation_types].all(axis=1)[rels]
     return rels[keep], srcs[keep], dsts[keep]
 
 
@@ -677,6 +680,8 @@ def validate_plan(graph: HeteroGraph, settings: TrainSettings,
                   models: ModelBundle):
     if settings.task not in TASKS:
         raise ContractError(f"unknown task '{settings.task}'")
+    if not settings.stages:
+        raise ContractError("the plan needs at least one stage")
     for kind in settings.stages:
         if kind not in STAGE_KINDS:
             raise ContractError(f"unknown stage kind '{kind}'")
@@ -769,9 +774,9 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
     opt = tg.Adam(params, learning_rate=settings.learning_rate
                   if learning_rate is None else learning_rate)
 
-    use_gnn = kind != "PreFineTuneLM"
+    representation = stage_representation(kind)
+    use_gnn = representation == "gnn"
     lm_trainable = "lm" in trainable
-    representation = "gnn" if use_gnn else "cls"
     step_fn = _STEP_FN[task]
     metric_name = primary_metric(task)
 
@@ -890,22 +895,15 @@ def run_stagewise(graph: HeteroGraph, settings: TrainSettings,
         if stage_callback is not None:
             stage_callback(i, kind, models)
 
-    last = settings.stages[-1] if settings.stages else "EndToEnd"
-    representation = "cls" if last == "PreFineTuneLM" else "gnn"
     final = evaluate(models, graph, settings.task, TEST, settings=settings,
-                     rng=0, representation=representation, memo=memo,
-                     version=cache.version)
+                     rng=0, representation=stage_representation(settings.stages[-1]),
+                     memo=memo, version=cache.version)
     for mname, value in sorted(final.items()):
         log.add_metric("final", 0, "test", mname, float(value))
     return models, log, final
 
 
 # ------------------------------------------------------------- bundle saving
-
-
-def _bundle_stem(path: str) -> str:
-    return path[:-4] if path.endswith(".bin") else (
-        path[:-5] if path.endswith(".json") else path)
 
 
 def save_bundle(path: str, models: ModelBundle, graph: HeteroGraph,
@@ -923,7 +921,7 @@ def save_bundle(path: str, models: ModelBundle, graph: HeteroGraph,
                          if models.edge_head else 0),
     })
     manifest = save_checkpoint(path, models.snapshot(), meta)
-    models.vocab.save(_bundle_stem(path) + ".vocab.txt")
+    models.vocab.save(f"{checkpoint_stem(path)}.vocab.txt")
     return str(manifest)
 
 
@@ -932,7 +930,7 @@ def load_bundle(path: str, graph: HeteroGraph) -> ModelBundle:
     for key in ARCH_KEYS + ("vocab_size", "node_types", "node_counts",
                             "relations", "node_classes", "edge_classes"):
         if key not in meta:
-            raise LoadError(f"{_bundle_stem(path)}.json: checkpoint metadata "
+            raise LoadError(f"{checkpoint_stem(path)}.json: checkpoint metadata "
                             f"lacks '{key}'")
     if list(graph.node_types) != meta["node_types"]:
         raise LoadError(f"{path}: checkpoint node types {meta['node_types']} "
@@ -944,7 +942,7 @@ def load_bundle(path: str, graph: HeteroGraph) -> ModelBundle:
     rels = [[r.name, r.src_type, r.dst_type] for r in graph.relations]
     if rels != [list(r) for r in meta["relations"]]:
         raise LoadError(f"{path}: checkpoint relations do not match graph")
-    vocab = tx.Vocab.load(_bundle_stem(path) + ".vocab.txt")
+    vocab = tx.Vocab.load(f"{checkpoint_stem(path)}.vocab.txt")
     if vocab.size != meta["vocab_size"]:
         raise LoadError(f"{path}: vocab file size {vocab.size} does not match "
                         f"manifest {meta['vocab_size']}")

@@ -37,6 +37,41 @@ def test_message_relations_are_both_directions():
     np.testing.assert_array_equal(g.msg_neighbors(3, 0), [1])
 
 
+def _check_adjacency_against_edges(g):
+    """Every neighbor query of g against a scan of g.edges, in edge order."""
+    m = len(g.message_relations)
+    off = g.type_offsets
+    adj = g.message_adjacency()
+    union = gr._union_neighbors(g)
+    assert adj.offsets[-1] == 2 * g.total_edges
+    for u in range(g.total_nodes):
+        t = int(np.searchsorted(off, u, side="right")) - 1
+        l = u - int(off[t])
+        union_want = []
+        for ri, (rel, (src, dst)) in enumerate(zip(g.relations, g.edges)):
+            si, di = g.type_index(rel.src_type), g.type_index(rel.dst_type)
+            out_tails = dst[src == l].tolist() if si == t else []
+            in_heads = src[dst == l].tolist() if di == t else []
+            # message relation 2r sends head -> tail, 2r + 1 tail -> head
+            assert adj.neighbors(u * m + 2 * ri).tolist() == \
+                [h + int(off[si]) for h in in_heads]
+            assert adj.neighbors(u * m + 2 * ri + 1).tolist() == \
+                [d + int(off[di]) for d in out_tails]
+            if di == t:
+                assert g.msg_neighbors(2 * ri, l).tolist() == in_heads
+            if si == t:
+                assert g.msg_neighbors(2 * ri + 1, l).tolist() == out_tails
+                assert g.tails(ri, l).tolist() == out_tails
+            union_want += [d + int(off[di]) for d in out_tails]
+            union_want += [h + int(off[si]) for h in in_heads]
+        assert union.neighbors(u).tolist() == union_want
+
+
+def test_neighbor_queries_match_edge_scan(synth):
+    _check_adjacency_against_edges(tiny_graph())
+    _check_adjacency_against_edges(synth)
+
+
 def test_csr_matches_brute_force(rng):
     n_src, n_dst, m = 17, 13, 120
     src = rng.integers(0, n_src, size=m)
@@ -50,8 +85,7 @@ def test_csr_matches_brute_force(rng):
 def test_global_index_round_trip():
     g = tiny_graph()
     assert g.total_nodes == 5
-    assert [g.global_index(t, l) for t in range(2)
-            for l in range(g.node_counts[t])] == list(range(g.total_nodes))
+    np.testing.assert_array_equal(g.type_offsets, [0, 3, 5])
 
 
 def test_out_of_range_edge_rejected():
@@ -481,10 +515,9 @@ def test_sample_targets_edge_and_link(synth):
     assert (out.edge_rels == 0).all()
     link = gr.sample_targets(synth, "link", 8, rng=0)
     assert link.edge_classes is None
-    train_pairs = synth.known_pairs(0)
     for ri, s, d in zip(link.edge_rels, link.edge_srcs, link.edge_dsts):
         if ri == 0:
-            assert (int(s), int(d)) in train_pairs
+            assert int(d) in synth.tails(0, int(s)).tolist()
 
 
 def test_sample_targets_validation(synth):

@@ -273,6 +273,9 @@ def test_validate_plan_errors(small_graph):
     with pytest.raises(ContractError):
         pl.validate_plan(small_graph, quick_settings(stages=("Nope",)), models)
     with pytest.raises(ContractError):
+        pl.validate_plan(small_graph, quick_settings(stages=(), epochs=()),
+                         models)
+    with pytest.raises(ContractError):
         pl.validate_plan(small_graph,
                          quick_settings(stages=("EndToEnd",), epochs=(1, 1)),
                          models)
