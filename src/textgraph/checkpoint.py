@@ -2,7 +2,9 @@
 
 A checkpoint `foo` is two files: `foo.bin` (raw little-endian float64 values,
 arrays back to back in manifest order) and `foo.json` (array names, shapes,
-offsets, and a free-form `meta` dict).  Arrays load back C-ordered.
+offsets, and a free-form `meta` dict).  The suffixes are appended to the whole
+stem, so `ck/model.v1` and `ck/model.v2` are two checkpoints.  Arrays load
+back C-ordered.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
     stem.parent.mkdir(parents=True, exist_ok=True)
     entries = []
     offset = 0
-    with open(stem.with_suffix(".bin"), "wb") as fh:
+    with open(f"{stem}.bin", "wb") as fh:
         for name in sorted(arrays):
             arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
             fh.write(arr.astype("<f8", copy=False).tobytes())
             entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
             offset += arr.size
     manifest = {"format": FORMAT_TAG, "meta": meta or {}, "arrays": entries}
-    manifest_path = stem.with_suffix(".json")
+    manifest_path = Path(f"{stem}.json")
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -48,8 +50,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back (arrays, meta).  Raises LoadError on missing or inconsistent files."""
     stem = checkpoint_stem(path)
-    manifest_path = stem.with_suffix(".json")
-    bin_path = stem.with_suffix(".bin")
+    manifest_path = Path(f"{stem}.json")
+    bin_path = Path(f"{stem}.bin")
     if not manifest_path.exists():
         raise LoadError(f"{manifest_path}: not found")
     if not bin_path.exists():

@@ -212,10 +212,8 @@ def cmd_eval(args) -> int:
         raise ConfigError("checkpoint has no node classifier head")
     if args.task == "edge" and models.edge_head is None:
         raise ConfigError("checkpoint has no edge classifier head")
-    settings = pl.TrainSettings(task=args.task, num_layers=len(models.gnn.layers),
-                                dim=models.dim, max_len=models.max_len)
     metrics = pl.evaluate(models, graph, args.task, SPLIT_NAMES.index(args.split),
-                          settings=settings, representation=args.representation)
+                          representation=args.representation)
     report = {"task": args.task, "split": args.split,
               "representation": args.representation, "metrics": metrics}
     print(_report_json(report), end="")
@@ -225,11 +223,7 @@ def cmd_eval(args) -> int:
 def cmd_dump_embeddings(args) -> int:
     graph = load_graph(args.graph_dir)
     models = pl.load_bundle(args.checkpoint, graph)
-    settings = pl.TrainSettings(num_layers=len(models.gnn.layers),
-                                dim=models.dim, max_len=models.max_len)
-    emb = pl.full_graph_embeddings(
-        models, graph, settings=settings, cache=pl.EmbeddingCache(0, 0),
-        step=0, budget=pl.NodeBudget(1, pl.EVAL_CHUNK), fanouts=args.fanouts)
+    emb = pl.full_graph_embeddings(models, graph, fanouts=args.fanouts)
     with open(args.out, "w", encoding="utf-8") as f:
         row = 0
         for t in range(len(graph.node_types)):

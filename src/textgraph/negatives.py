@@ -59,6 +59,19 @@ def _uniform_other(rng, n: int, exclude: int) -> int | None:
     return u + 1 if u >= exclude else u
 
 
+def _corrupt_one_side(rng, graph, types, ids):
+    """Corrupt one side (0 head, 1 tail, by fair coin) of a positive with
+    (head, tail) types and ids: another node of that side's type, or of the
+    other side's when the type is a singleton.  Returns (side, replacement
+    id), or None when both types are singletons."""
+    first = 0 if rng.random() < 0.5 else 1
+    for side in (first, 1 - first):
+        repl = _uniform_other(rng, graph.node_counts[types[side]], ids[side])
+        if repl is not None:
+            return side, repl
+    return None
+
+
 def _check_positives(graph, rels, heads, tails, k):
     rels = np.asarray(rels, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
@@ -99,31 +112,15 @@ def corrupt_independent(graph: HeteroGraph, rels, heads, tails, k: int,
     neg_rels = np.repeat(rels, k)
     fallback = False
     for i in range(n):
-        nh = graph.node_counts[head_types[i]]
-        nt = graph.node_counts[tail_types[i]]
-        for j in range(k):
-            row = i * k + j
-            corrupt_head = bool(rng.random() < 0.5)
-            if corrupt_head:
-                repl = _uniform_other(rng, nh, int(heads[i]))
-                if repl is None:
-                    repl = _uniform_other(rng, nt, int(tails[i]))
-                    if repl is None:
-                        fallback = True
-                        continue
-                    neg_tails[row] = repl
-                else:
-                    neg_heads[row] = repl
-            else:
-                repl = _uniform_other(rng, nt, int(tails[i]))
-                if repl is None:
-                    repl = _uniform_other(rng, nh, int(heads[i]))
-                    if repl is None:
-                        fallback = True
-                        continue
-                    neg_heads[row] = repl
-                else:
-                    neg_tails[row] = repl
+        types = (head_types[i], tail_types[i])
+        ids = (int(heads[i]), int(tails[i]))
+        for row in range(i * k, (i + 1) * k):
+            drawn = _corrupt_one_side(rng, graph, types, ids)
+            if drawn is None:
+                fallback = True
+                continue
+            side, repl = drawn
+            (neg_heads, neg_tails)[side][row] = repl
     return _assemble(graph, rels, heads, tails, k, neg_rels, neg_heads,
                      neg_tails, fallback)
 
@@ -146,18 +143,13 @@ def corrupt_joint(graph: HeteroGraph, rels, heads, tails, k: int,
     pool_ids = np.empty(n, dtype=np.int64)
     pool_ok = np.zeros(n, dtype=bool)
     for s in range(n):
-        corrupt_head = bool(rng.random() < 0.5)
-        t = head_types[s] if corrupt_head else tail_types[s]
-        orig = int(heads[s]) if corrupt_head else int(tails[s])
-        repl = _uniform_other(rng, graph.node_counts[t], orig)
-        if repl is None:  # singleton type; try the other side of this slot
-            t = tail_types[s] if corrupt_head else head_types[s]
-            orig = int(tails[s]) if corrupt_head else int(heads[s])
-            repl = _uniform_other(rng, graph.node_counts[t], orig)
-            if repl is None:
-                continue
-        pool_types[s] = t
-        pool_ids[s] = repl
+        types = (head_types[s], tail_types[s])
+        drawn = _corrupt_one_side(rng, graph, types,
+                                  (int(heads[s]), int(tails[s])))
+        if drawn is None:
+            continue
+        side, pool_ids[s] = drawn
+        pool_types[s] = types[side]
         pool_ok[s] = True
 
     neg_rels = np.repeat(rels, k)

@@ -19,6 +19,10 @@ the type's whole token table, so a row's encoded value never depends on
 which other rows share its call.  Cache staleness counts encoder updates,
 not steps: under a frozen encoder a cached row never expires, and per-epoch
 evals share one encode of it.
+
+Training steps and evals embed nodes through embed_nodes, which reads the
+GNN's depth from the models; full_graph_embeddings alone holds the eval
+encode policy (no grad, rng 0, saturating fanout, EVAL_CHUNK rows per call).
 """
 
 from __future__ import annotations
@@ -424,22 +428,24 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
 # -------------------------------------------------------------- step builders
 
 
-def _node_embeddings_for_refs(models, graph, refs, *, settings, cache, step,
-                              budget, rng, lm_trainable, use_gnn=True):
-    """GNN-space (or CLS-space) embeddings for the given node refs, in order.
-    Returns (embeddings, stats)."""
-    if not use_gnn:
+def embed_nodes(models, graph, refs, *, representation, fanouts, cache, step,
+                budget, rng, lm_trainable):
+    """Embeddings for the given node refs, in order: their [CLS] rows ("cls"),
+    or the GNN run over their sampled ego graph ("gnn"), as deep as the
+    models' GNN.  Returns (embeddings, stats)."""
+    if representation == "cls":
         return assemble_features(
             models, graph, refs, cache=cache, step=step, budget=budget,
             rng=rng, lm_trainable=lm_trainable)
-    batch = sample_neighbors(graph, refs, fanouts=settings.fanouts,
-                             num_layers=settings.num_layers, rng=rng)
+    if representation != "gnn":
+        raise ContractError(f"unknown representation '{representation}'")
+    batch = sample_neighbors(graph, refs, fanouts=fanouts,
+                             num_layers=len(models.gnn.layers), rng=rng)
     feats, stats = assemble_features(
         models, graph, batch.source_refs, cache=cache, step=step,
         budget=budget, rng=rng, lm_trainable=lm_trainable)
     h = rgcn.gnn_forward(models.gnn, batch, feats)
-    pos = batch.target_index(refs)
-    return tg.take_rows(h, pos), stats
+    return tg.take_rows(h, batch.target_index(refs)), stats
 
 
 def _pair_embeddings(models, graph, rels, heads, tails, **kwargs):
@@ -449,7 +455,7 @@ def _pair_embeddings(models, graph, rels, heads, tails, **kwargs):
     refs = np.concatenate([np.stack([head_t, heads], axis=1),
                            np.stack([tail_t, tails], axis=1)])
     uniq, inverse = np.unique(refs, axis=0, return_inverse=True)
-    h, stats = _node_embeddings_for_refs(models, graph, uniq, **kwargs)
+    h, stats = embed_nodes(models, graph, uniq, **kwargs)
     stats["unique_nodes"] = int(uniq.shape[0])
     m = rels.shape[0]
     return tg.take_rows(h, inverse[:m]), tg.take_rows(h, inverse[m:]), stats
@@ -462,15 +468,14 @@ def _link_step(models, graph, sample, *, settings, rng, **kwargs):
         graph, sample.edge_rels, sample.edge_srcs, sample.edge_dsts,
         settings.negatives_k, rng)
     h_heads, h_tails, stats = _pair_embeddings(
-        models, graph, batch.rels, batch.heads, batch.tails,
-        settings=settings, rng=rng, **kwargs)
+        models, graph, batch.rels, batch.heads, batch.tails, rng=rng,
+        **kwargs)
     scores = dec.distmult_scores(h_heads, batch.rels, h_tails, models.distmult)
     return dec.link_loss(batch, scores), stats
 
 
 def _node_step(models, graph, sample, **kwargs):
-    h, stats = _node_embeddings_for_refs(models, graph, sample.node_refs,
-                                         **kwargs)
+    h, stats = embed_nodes(models, graph, sample.node_refs, **kwargs)
     loss = dec.node_loss(models.node_head, h, sample.node_classes)
     stats["unique_nodes"] = int(np.unique(sample.node_refs, axis=0).shape[0])
     return loss, stats
@@ -491,40 +496,26 @@ _STEP_FN = {"link": _link_step, "node": _node_step, "edge": _edge_step}
 
 
 def full_graph_embeddings(models: ModelBundle, graph: HeteroGraph, *,
-                          settings: TrainSettings, cache: EmbeddingCache,
-                          step: int, budget: NodeBudget,
                           representation: str = "gnn",
-                          fanouts: int | None = None) -> np.ndarray:
+                          fanouts: int | None = None,
+                          memo: EmbeddingCache | None = None,
+                          version: int = 0) -> np.ndarray:
     """Embeddings for every node, rows in global-index order, computed with
-    no grad.  GNN representation samples every node's neighborhood at rng 0
-    with the given fanouts; None means a saturating fanout, cached on the
-    graph, so message passing sees every edge."""
-    all_refs = node_refs(graph)
+    no grad; the one encode policy of evals and dump-embeddings.  The GNN
+    representation samples every node's neighborhood at rng 0 with the given
+    fanouts; None means a saturating fanout, so message passing sees every
+    edge.  Rows are encoded at most EVAL_CHUNK per call, through memo at
+    encoder version `version` (a scratch cache when None)."""
+    if fanouts is None:
+        fanouts = max(graph.node_counts)
+    if memo is None:
+        memo = EmbeddingCache(0, 0)
     with tg.no_grad():
-        if representation == "cls":
-            feats, _ = assemble_features(
-                models, graph, all_refs, cache=cache, step=step, budget=budget,
-                rng=0, lm_trainable=False)
-            return feats.data
-        if representation != "gnn":
-            raise ContractError(f"unknown representation '{representation}'")
-        if fanouts is None:
-            key = ("full_ego", settings.num_layers)
-            batch = graph._cache.get(key)
-            if batch is None:
-                saturate = max(graph.node_counts) if graph.node_counts else 1
-                batch = sample_neighbors(graph, all_refs, fanouts=saturate,
-                                         num_layers=settings.num_layers, rng=0)
-                graph._cache[key] = batch
-        else:
-            batch = sample_neighbors(graph, all_refs, fanouts=fanouts,
-                                     num_layers=settings.num_layers, rng=0)
-        feats, _ = assemble_features(
-            models, graph, batch.source_refs, cache=cache, step=step,
-            budget=budget, rng=0, lm_trainable=False)
-        h = rgcn.gnn_forward(models.gnn, batch, feats)
-        pos = batch.target_index(all_refs)
-        return h.data[pos]
+        emb, _ = embed_nodes(
+            models, graph, node_refs(graph), representation=representation,
+            fanouts=fanouts, cache=memo, step=version,
+            budget=NodeBudget(1, EVAL_CHUNK), rng=0, lm_trainable=False)
+    return emb.data
 
 
 EVAL_FULL_CORRUPTION_LIMIT = 10_000
@@ -596,28 +587,23 @@ def eval_memo(graph: HeteroGraph) -> EmbeddingCache:
 
 
 def evaluate(models: ModelBundle, graph: HeteroGraph, task: str, split: int, *,
-             settings: TrainSettings, rng=0,
-             representation: str = "gnn", memo: EmbeddingCache | None = None,
-             version: int = 0) -> dict:
-    """Task metrics on one split, from full-graph embeddings.
+             rng=0, representation: str = "gnn",
+             memo: EmbeddingCache | None = None, version: int = 0) -> dict:
+    """Task metrics on one split, from full_graph_embeddings().
 
     Encoded rows depend on nothing but the weights, so a report computed
     mid-training, after training, or from a reloaded checkpoint is
-    byte-for-byte the same.
-    Without a memo the encode runs on a scratch cache.  Training loops pass
-    an eval_memo() with the training cache's encoder version, so an eval
-    under an encoder that has not been updated since the last one reuses
-    its rows.  They must not hand their training cache here: its entries may
-    be stale by up to cache_staleness encoder updates, and eval writes would
-    reach the next training step.
+    byte-for-byte the same.  Training loops pass an eval_memo() with the
+    training cache's encoder version, so an eval under an encoder that has
+    not been updated since the last one reuses its rows.  They must not hand
+    their training cache here: its entries may be stale by up to
+    cache_staleness encoder updates, and eval writes would reach the next
+    training step.
     """
     if task not in TASKS:
         raise ContractError(f"unknown task '{task}'")
-    if memo is None:
-        memo = EmbeddingCache(0, 0)
-    emb = full_graph_embeddings(models, graph, settings=settings, cache=memo,
-                                step=version, budget=NodeBudget(1, EVAL_CHUNK),
-                                representation=representation)
+    emb = full_graph_embeddings(models, graph, representation=representation,
+                                memo=memo, version=version)
     return _EVAL_FN[task](models, graph, emb, split, _as_rng(rng))
 
 # -------------------------------------------------------------- training loop
@@ -775,9 +761,13 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                   if learning_rate is None else learning_rate)
 
     representation = stage_representation(kind)
-    use_gnn = representation == "gnn"
     lm_trainable = "lm" in trainable
     step_fn = _STEP_FN[task]
+    step_kw = dict(representation=representation, fanouts=settings.fanouts,
+                   cache=cache, budget=budget, rng=rng,
+                   lm_trainable=lm_trainable)
+    if task == "link":  # the one step that reads settings: its negatives
+        step_kw["settings"] = settings
     metric_name = primary_metric(task)
 
     if kind == "PreFineTuneLM":
@@ -810,10 +800,8 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                                         partition_map=partition_map, rng=rng)
             t0 = time.perf_counter()
             with tg.Tape() as tape:
-                loss, stats = step_fn(
-                    models, graph, sample, settings=settings, cache=cache,
-                    step=cache.version, budget=budget, rng=rng,
-                    lm_trainable=lm_trainable, use_gnn=use_gnn)
+                loss, stats = step_fn(models, graph, sample,
+                                      step=cache.version, **step_kw)
                 if not np.isfinite(loss.data):
                     raise NumericsError(
                         f"loss diverged in stage {kind} at step {step}: "
@@ -829,8 +817,7 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                          cache_hits=stats["hits"], cache_misses=stats["misses"],
                          encoded_rows=stats["encoded_rows"])
             step += 1
-        metrics = evaluate(models, graph, task, VALID,
-                           settings=settings, rng=rng,
+        metrics = evaluate(models, graph, task, VALID, rng=rng,
                            representation=representation, memo=memo,
                            version=cache.version)
         for mname, value in sorted(metrics.items()):
@@ -895,8 +882,8 @@ def run_stagewise(graph: HeteroGraph, settings: TrainSettings,
         if stage_callback is not None:
             stage_callback(i, kind, models)
 
-    final = evaluate(models, graph, settings.task, TEST, settings=settings,
-                     rng=0, representation=stage_representation(settings.stages[-1]),
+    final = evaluate(models, graph, settings.task, TEST, rng=0,
+                     representation=stage_representation(settings.stages[-1]),
                      memo=memo, version=cache.version)
     for mname, value in sorted(final.items()):
         log.add_metric("final", 0, "test", mname, float(value))

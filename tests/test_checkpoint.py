@@ -50,3 +50,14 @@ def test_bad_manifest(tmp_path):
     (tmp_path / "m.json").write_text(json.dumps(manifest))
     with pytest.raises(LoadError, match="unknown format"):
         ck.load_checkpoint(tmp_path / "m")
+
+
+def test_dotted_stems_in_one_directory_stay_apart(tmp_path):
+    ck.save_checkpoint(tmp_path / "model.v1", {"a": np.ones(2)}, {"v": 1})
+    ck.save_checkpoint(tmp_path / "model.v2", {"a": np.zeros(3)}, {"v": 2})
+    for name, expected, v in (("model.v1", np.ones(2), 1),
+                              ("model.v2.json", np.zeros(3), 2)):
+        arrays, meta = ck.load_checkpoint(tmp_path / name)
+        np.testing.assert_array_equal(arrays["a"], expected)
+        assert meta == {"v": v}
+    assert not (tmp_path / "model.bin").exists()

@@ -247,6 +247,36 @@ def test_eval_rejects_manifest_missing_meta_key(tmp_path, trained, capsys):
     assert "ckpt.json" in err and "'aggregation'" in err
 
 
+def test_non_default_architecture_evaluates_from_the_models(tmp_path, capsys):
+    """eval and dump-embeddings read the GNN's depth and width from the
+    checkpoint alone."""
+    gdir = tmp_path / "graph"
+    assert cli.main(["synth", "--out", str(gdir), "--seed", "4",
+                     "--nodes-per-type", "20", "--clusters", "2",
+                     "--intra-p", "0.3", "--inter-p", "0.05",
+                     "--vocab-size", "20", "--tokens-per-node", "3"]) == 0
+    cfg = _write_config(tmp_path / "run.txt", str(gdir), num_layers="3",
+                        hidden_dim="256")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    ckpt = str(out / "stage0_WarmStartGNN")
+    graph = load_graph(str(gdir))
+    models = pl.load_bundle(ckpt, graph)
+    assert [layer.w_self.data.shape[1] for layer in models.gnn.layers] == \
+        [256, 256, models.dim]
+
+    assert cli.main(["eval", ckpt, str(gdir), "--task", "link"]) == 0
+    assert capsys.readouterr().out == (out / "report.json").read_text()
+
+    dump = tmp_path / "emb.tsv"
+    assert cli.main(["dump-embeddings", ckpt, str(gdir),
+                     "--out", str(dump)]) == 0
+    dumped = np.array([[float(v) for v in line.split("\t")[2:]]
+                       for line in open(dump)])
+    assert np.array_equal(dumped, pl.full_graph_embeddings(models, graph))
+
+
 # ---------------------------------------------------------- dump-embeddings
 
 
@@ -258,10 +288,7 @@ def test_dump_embeddings_shape_and_recomputation(tmp_path, trained):
     assert rc == 0
     graph = load_graph(trained["graph_dir"])
     models = pl.load_bundle(ckpt, graph)
-    settings = pl.TrainSettings(num_layers=len(models.gnn.layers))
-    expected = pl.full_graph_embeddings(
-        models, graph, settings=settings, cache=pl.EmbeddingCache(0, 0),
-        step=0, budget=pl.NodeBudget(1, pl.EVAL_CHUNK))
+    expected = pl.full_graph_embeddings(models, graph)
     rows = [line.rstrip("\n").split("\t") for line in open(out)]
     assert len(rows) == graph.total_nodes
     assert all(len(r) == 2 + models.dim for r in rows)

@@ -339,10 +339,7 @@ def test_mlm_warmup_changes_encoder_only(small_graph):
 def test_full_graph_embeddings_cls_matches_encoder(small_graph):
     settings = quick_settings()
     models = pl.build_models(small_graph, settings, rng=3)
-    emb = pl.full_graph_embeddings(models, small_graph, settings=settings,
-                                   cache=pl.EmbeddingCache(0, 0), step=0,
-                                   budget=pl.NodeBudget(1, 16),
-                                   representation="cls")
+    emb = pl.full_graph_embeddings(models, small_graph, representation="cls")
     assert emb.shape == (small_graph.total_nodes, settings.dim)
     table = pl.token_table(models, small_graph, 1)
     with tg.no_grad():
@@ -355,17 +352,17 @@ def test_evaluate_all_tasks_bounded(small_graph):
     settings = quick_settings()
     models = pl.build_models(small_graph, settings, rng=4)
     for task, key in (("link", "mrr"), ("node", "accuracy"), ("edge", "macro_f1")):
-        out = pl.evaluate(models, small_graph, task, VALID, settings=settings)
+        out = pl.evaluate(models, small_graph, task, VALID)
         assert 0.0 <= out[key] <= 1.0
     with pytest.raises(ContractError):
-        pl.evaluate(models, small_graph, "nope", VALID, settings=settings)
+        pl.evaluate(models, small_graph, "nope", VALID)
 
 
 def test_evaluate_gnn_deterministic(small_graph):
     settings = quick_settings()
     models = pl.build_models(small_graph, settings, rng=4)
-    a = pl.evaluate(models, small_graph, "link", TEST, settings=settings)
-    b = pl.evaluate(models, small_graph, "link", TEST, settings=settings)
+    a = pl.evaluate(models, small_graph, "link", TEST)
+    b = pl.evaluate(models, small_graph, "link", TEST)
     assert a == b
 
 
@@ -381,12 +378,8 @@ def test_bundle_round_trip(tmp_path, small_graph):
     loaded = pl.load_bundle(stem, small_graph)
     for name, p in models.all_params().items():
         assert np.array_equal(loaded.all_params()[name].data, p.data), name
-    before = pl.full_graph_embeddings(models, small_graph, settings=settings,
-                                      cache=pl.EmbeddingCache(0, 0), step=0,
-                                      budget=pl.NodeBudget(1, 16))
-    after = pl.full_graph_embeddings(loaded, small_graph, settings=settings,
-                                     cache=pl.EmbeddingCache(0, 0), step=0,
-                                     budget=pl.NodeBudget(1, 16))
+    before = pl.full_graph_embeddings(models, small_graph)
+    after = pl.full_graph_embeddings(loaded, small_graph)
     assert np.array_equal(before, after)
 
 
@@ -462,8 +455,7 @@ def test_warm_start_then_end_to_end_staleness_zero_equals_cache_off(small_graph)
 def test_run_stagewise_final_eval_equals_scratch_eval(small_graph):
     settings = quick_settings(stages=("WarmStartGNN", "EndToEnd"), epochs=(2, 2))
     models, _, final = pl.run_stagewise(small_graph, settings)
-    assert final == pl.evaluate(models, small_graph, "link", TEST,
-                                settings=settings)
+    assert final == pl.evaluate(models, small_graph, "link", TEST)
 
 
 def test_memo_eval_equals_scratch_eval_after_best_epoch_restore(small_graph,
@@ -489,16 +481,15 @@ def test_memo_eval_equals_scratch_eval_after_best_epoch_restore(small_graph,
     assert memo.hits == 0  # the encoder trained between the two evals
 
     def embeddings(cache, step):
-        return pl.full_graph_embeddings(models, small_graph, settings=settings,
-                                        cache=cache, step=step,
-                                        budget=pl.NodeBudget(1, pl.EVAL_CHUNK))
+        return pl.full_graph_embeddings(models, small_graph, memo=cache,
+                                        version=step)
 
     scratch = embeddings(pl.EmbeddingCache(0, 0), 0)
     # the memo's rows from the epoch-1 eval no longer match the weights
     assert not np.array_equal(embeddings(memo, cache.version - 1), scratch)
     assert embeddings(memo, cache.version).tobytes() == scratch.tobytes()
     for representation in ("gnn", "cls"):
-        kw = dict(settings=settings, representation=representation)
+        kw = dict(representation=representation)
         assert pl.evaluate(models, small_graph, "link", VALID, memo=memo,
                            version=cache.version, **kw) == \
             pl.evaluate(models, small_graph, "link", VALID, **kw)
@@ -535,12 +526,9 @@ def test_frozen_stage_after_last_epoch_best_reuses_eval_memo(small_graph,
         before = len(encoded)
         result = real_evaluate(*args, **kwargs)
         rows = sum(encoded[before:])
-        emb = pl.full_graph_embeddings(
-            models, small_graph, settings=settings, cache=memo,
-            step=kwargs["version"], budget=pl.NodeBudget(1, pl.EVAL_CHUNK))
-        scratch_emb = pl.full_graph_embeddings(
-            models, small_graph, settings=settings, cache=pl.EmbeddingCache(0, 0),
-            step=0, budget=pl.NodeBudget(1, pl.EVAL_CHUNK))
+        emb = pl.full_graph_embeddings(models, small_graph, memo=memo,
+                                       version=kwargs["version"])
+        scratch_emb = pl.full_graph_embeddings(models, small_graph)
         scratch = real_evaluate(*args, **{**kwargs, "rng": scratch_rng,
                                           "memo": None, "version": 0})
         evals.append((rows, result, scratch, emb.tobytes() == scratch_emb.tobytes()))
