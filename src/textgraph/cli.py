@@ -14,13 +14,14 @@ import sys
 
 from . import pipeline as pl
 from .errors import ContractError, LoadError, NumericsError
-from .graph import (SPLIT_NAMES, HeteroGraph, SyntheticSpec, generate_synthetic,
-                    load_graph, save_graph)
+from .graph import (SPLIT_NAMES, TARGET_MODES, HeteroGraph, SyntheticSpec,
+                    generate_synthetic, load_graph, save_graph)
+from .negatives import NEGATIVE_MODES
 
 _ENUM_KEYS = {
-    "task": {"link", "node", "edge"},
-    "negative_mode": {"independent", "joint"},
-    "target_mode": {"global", "partition_local"},
+    "task": pl.TASKS,
+    "negative_mode": NEGATIVE_MODES,
+    "target_mode": TARGET_MODES,
 }
 _CHOICE_KEYS = {
     "num_layers": (1, 2, 3),

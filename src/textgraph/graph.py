@@ -10,12 +10,14 @@ src -> dst and 2r + 1 carries them dst -> src.  One CSR over global node ids
 queries, eval-negative filtering and partitioning all read it.
 
 On-disk format is a directory of TSV files: nodes.tsv, edges.tsv, and the
-optional node_labels.tsv / edge_labels.tsv.  All files carry a header row.
+optional node_labels.tsv / edge_labels.tsv.  Every file starts with its
+header row (TSV_COLUMNS), which the loader checks.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +26,7 @@ import numpy as np
 from .errors import ContractError, LoadError
 
 SPLIT_NAMES = ("train", "valid", "test")
+TARGET_MODES = ("global", "partition_local")
 TRAIN, VALID, TEST = 0, 1, 2
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -264,21 +267,42 @@ class HeteroGraph:
 # ----------------------------------------------------------------- file IO
 
 
-def _read_tsv(path: Path, num_fields: int):
-    """Yield (line_number, fields) rows; header skipped; strict field count."""
+# every file's header line; save_graph writes it and load_graph checks it
+TSV_COLUMNS = {
+    "nodes.tsv": ("node_type", "local_id", "text"),
+    "edges.tsv": ("src_type", "src_id", "relation", "dst_type", "dst_id"),
+    "node_labels.tsv": ("node_type", "local_id", "class_id", "split"),
+    "edge_labels.tsv": ("src_type", "src_id", "relation", "dst_type", "dst_id",
+                        "class_id", "split"),
+}
+
+
+def _read_tsv(path: Path):
+    """Yield (line_number, fields) rows after a checked header line; the
+    field count is the header's."""
+    columns = TSV_COLUMNS[path.name]
+    header = "\t".join(columns)
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1:
-                continue
+        if fh.readline().rstrip("\n") != header:
+            raise LoadError(f"{path}:1: expected the header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != num_fields:
+            if len(fields) != len(columns):
                 raise LoadError(
-                    f"{path}:{lineno}: expected {num_fields} tab-separated fields, "
-                    f"got {len(fields)}")
+                    f"{path}:{lineno}: expected {len(columns)} tab-separated "
+                    f"fields, got {len(fields)}")
             yield lineno, fields
+
+
+@contextmanager
+def _create_tsv(path: Path):
+    """A file open for writing, its header line already written."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(TSV_COLUMNS[path.name]) + "\n")
+        yield fh
 
 
 def _parse_int(path: Path, lineno: int, value: str, what: str) -> int:
@@ -307,7 +331,7 @@ def load_graph(directory) -> HeteroGraph:
 
     type_order: list[str] = []
     per_type: dict[str, dict[int, str]] = {}
-    for lineno, (tname, lid, text) in _read_tsv(nodes_path, 3):
+    for lineno, (tname, lid, text) in _read_tsv(nodes_path):
         local = _parse_int(nodes_path, lineno, lid, "local_id")
         bucket = per_type.setdefault(tname, {})
         if tname not in type_order:
@@ -330,7 +354,7 @@ def load_graph(directory) -> HeteroGraph:
     rel_index: dict[tuple, int] = {}
     rel_src: list[list[int]] = []
     rel_dst: list[list[int]] = []
-    for lineno, (st, sid, rname, dt, did) in _read_tsv(edges_path, 5):
+    for lineno, (st, sid, rname, dt, did) in _read_tsv(edges_path):
         for t in (st, dt):
             if t not in type_index:
                 raise LoadError(f"{edges_path}:{lineno}: unknown node type '{t}'")
@@ -357,7 +381,7 @@ def load_graph(directory) -> HeteroGraph:
     node_splits = [np.full(c, -1, dtype=np.int64) for c in node_counts]
     nl_path = d / "node_labels.tsv"
     if nl_path.exists():
-        for lineno, (tname, lid, cid, split) in _read_tsv(nl_path, 4):
+        for lineno, (tname, lid, cid, split) in _read_tsv(nl_path):
             if tname not in type_index:
                 raise LoadError(f"{nl_path}:{lineno}: unknown node type '{tname}'")
             ti = type_index[tname]
@@ -376,7 +400,7 @@ def load_graph(directory) -> HeteroGraph:
     el_path = d / "edge_labels.tsv"
     if el_path.exists():
         rows: dict[int, list] = {}
-        for lineno, (st, sid, rname, dt, did, cid, split) in _read_tsv(el_path, 7):
+        for lineno, (st, sid, rname, dt, did, cid, split) in _read_tsv(el_path):
             key = (st, rname, dt)
             if key not in rel_index:
                 raise LoadError(f"{el_path}:{lineno}: unknown relation {key}")
@@ -414,28 +438,24 @@ def save_graph(graph: HeteroGraph, directory) -> None:
     """Write the four TSV files; label files are written even when empty."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    with open(d / "nodes.tsv", "w", encoding="utf-8") as fh:
-        fh.write("node_type\tlocal_id\ttext\n")
+    with _create_tsv(d / "nodes.tsv") as fh:
         for ti, tname in enumerate(graph.node_types):
             for i in range(graph.node_counts[ti]):
                 text = graph.texts[ti][i]
                 if "\t" in text or "\n" in text:
                     raise ContractError(f"node {tname}/{i}: text contains tab or newline")
                 fh.write(f"{tname}\t{i}\t{text}\n")
-    with open(d / "edges.tsv", "w", encoding="utf-8") as fh:
-        fh.write("src_type\tsrc_id\trelation\tdst_type\tdst_id\n")
+    with _create_tsv(d / "edges.tsv") as fh:
         for rel, (src, dst) in zip(graph.relations, graph.edges):
             for s, t in zip(src.tolist(), dst.tolist()):
                 fh.write(f"{rel.src_type}\t{s}\t{rel.name}\t{rel.dst_type}\t{t}\n")
-    with open(d / "node_labels.tsv", "w", encoding="utf-8") as fh:
-        fh.write("node_type\tlocal_id\tclass_id\tsplit\n")
+    with _create_tsv(d / "node_labels.tsv") as fh:
         for ti, tname in enumerate(graph.node_types):
             classes = graph.node_class_ids[ti]
             splits = graph.node_splits[ti]
             for i in np.nonzero(classes >= 0)[0].tolist():
                 fh.write(f"{tname}\t{i}\t{classes[i]}\t{SPLIT_NAMES[splits[i]]}\n")
-    with open(d / "edge_labels.tsv", "w", encoding="utf-8") as fh:
-        fh.write("src_type\tsrc_id\trelation\tdst_type\tdst_id\tclass_id\tsplit\n")
+    with _create_tsv(d / "edge_labels.tsv") as fh:
         for ri in sorted(graph.edge_labels):
             rel = graph.relations[ri]
             labels = graph.edge_labels[ri]
@@ -691,23 +711,28 @@ def sample_neighbors(graph: HeteroGraph, targets, fanouts, num_layers: int,
             raise ContractError(f"target type index {t} out of range")
         raise ContractError(f"target ({graph.node_types[t]}, {l}) out of range")
 
-    # Work on global ids.  A node's expansion is one contiguous row of
-    # (neighbor, message relation) pairs in the flat table, row-major over
-    # its relations; expand_start marks the expanded nodes.
+    # Work on global ids in one walk over the layers.  Layer l expands the
+    # nodes first seen in layer l - 1 (the targets at l = 0), then builds the
+    # block whose targets are every node seen so far.  Every neighbor of a
+    # node expanded earlier is already one of those targets, so the block's
+    # new sources are exactly the next layer's nodes to expand, and its edges
+    # extend the previous block's: positions never move (local_of).
     adj = graph.message_adjacency()
     num_rels = len(mrels)
     offsets = graph.type_offsets
+
+    def refs_of(ids: np.ndarray) -> np.ndarray:
+        t = np.searchsorted(offsets, ids, side="right") - 1
+        return np.stack([t, ids - offsets[t]], axis=1)
+
     target_ids = _first_occurrences(offsets[types] + locals_)
-    expand_start = np.full(graph.total_nodes, -1, dtype=np.int64)
-    expand_len = np.zeros(graph.total_nodes, dtype=np.int64)
-    table_nbrs: list[np.ndarray] = []
-    table_rels: list[np.ndarray] = []
-    table_size = 0
-    frontier = target_ids
+    local_of = np.full(graph.total_nodes, -1, dtype=np.int64)
+    local_of[target_ids] = np.arange(target_ids.size)
+    seen, frontier = target_ids, target_ids
+    edges = [(_EMPTY, _EMPTY)] * num_rels
+    blocks_rev: list[Block] = []
+    slots = target_ids.size  # the targets plus every sampled neighbor
     for _ in range(num_layers):
-        frontier = frontier[expand_start[frontier] < 0]
-        if frontier.size == 0:
-            break
         cells = (frontier[:, None] * num_rels + np.arange(num_rels)).ravel()
         starts = adj.offsets[cells]
         degree = adj.offsets[cells + 1] - starts
@@ -720,40 +745,21 @@ def sample_neighbors(graph: HeteroGraph, targets, fanouts, num_layers: int,
             s = starts[c]
             nbrs[ends[c] - taken[c]:ends[c]] = rng.choice(
                 adj.targets[s:s + degree[c]], size=int(taken[c]), replace=False)
-        per_node = taken.reshape(-1, num_rels).sum(axis=1)
-        expand_len[frontier] = per_node
-        expand_start[frontier] = table_size + np.cumsum(per_node) - per_node
-        table_nbrs.append(nbrs)
-        table_rels.append(np.repeat(np.tile(np.arange(num_rels), frontier.size), taken))
-        table_size += nbrs.size
-        frontier = _first_occurrences(nbrs)
-    all_nbrs = np.concatenate(table_nbrs) if table_nbrs else _EMPTY
-    all_rels = np.concatenate(table_rels) if table_rels else _EMPTY
-
-    def refs_of(ids: np.ndarray) -> np.ndarray:
-        t = np.searchsorted(offsets, ids, side="right") - 1
-        return np.stack([t, ids - offsets[t]], axis=1)
-
-    local_of = np.full(graph.total_nodes, -1, dtype=np.int64)
-    blocks_rev: list[Block] = []
-    tgt = target_ids
-    for _ in range(num_layers):
-        row = _ranges(expand_start[tgt], expand_len[tgt])
-        nbrs, rels = all_nbrs[row], all_rels[row]
-        dst = np.repeat(np.arange(tgt.size), expand_len[tgt])
-        local_of[tgt] = np.arange(tgt.size)
-        fresh = _first_occurrences(nbrs[local_of[nbrs] < 0])
-        local_of[fresh] = tgt.size + np.arange(fresh.size)
+        rels = np.repeat(np.tile(np.arange(num_rels), frontier.size), taken)
+        dst = np.repeat(np.arange(seen.size - frontier.size, seen.size),
+                        taken.reshape(-1, num_rels).sum(axis=1))
+        frontier = _first_occurrences(nbrs[local_of[nbrs] < 0])
+        local_of[frontier] = seen.size + np.arange(frontier.size)
         src = local_of[nbrs]
-        src_order = np.concatenate([tgt, fresh])
-        local_of[src_order] = -1
-        edges = [(src[rels == mi], dst[rels == mi]) for mi in range(num_rels)]
-        blocks_rev.append(Block(refs_of(src_order), tgt.size, edges))
-        tgt = src_order
+        edges = [(np.concatenate([s, src[rels == mi]]),
+                  np.concatenate([d, dst[rels == mi]]))
+                 for mi, (s, d) in enumerate(edges)]
+        num_targets, seen = seen.size, np.concatenate([seen, frontier])
+        blocks_rev.append(Block(refs_of(seen), num_targets, edges))
+        slots += nbrs.size
 
-    # slots: the targets plus every sampled neighbor, before any dedup
     return EgoBatch(num_layers, list(reversed(blocks_rev)), refs_of(target_ids),
-                    int(target_ids.size + all_nbrs.size))
+                    slots)
 
 
 # -------------------------------------------------------------- partitioning
@@ -908,7 +914,7 @@ def sample_targets(graph: HeteroGraph, task: str, batch_size: int,
     """
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
-    if mode not in ("global", "partition_local"):
+    if mode not in TARGET_MODES:
         raise ContractError(f"unknown target mode '{mode}'")
     rng = _as_rng(rng)
     pool = _train_pool(graph, task)

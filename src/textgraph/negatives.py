@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ContractError
 from .graph import HeteroGraph, _as_rng
 
+NEGATIVE_MODES = ("independent", "joint")
+
 
 @dataclass
 class TripletBatch:
@@ -130,70 +132,52 @@ def corrupt_joint(graph: HeteroGraph, rels, heads, tails, k: int,
     """k negatives per positive drawn from one shared pool of n corrupted
     entities, so the whole batch touches at most 3n distinct endpoints.
 
-    Pool slot s corrupts positive s's head or tail (fair coin).  Negative j of
-    positive i reuses pool slots cyclically, taking the next k type-compatible
-    entries; a positive with no compatible pool entry is a contract error.
+    Pool slot s corrupts positive s's head or tail (fair coin).  The fill
+    draws nothing.  For the positives of one (head type, tail type) pair, let
+    `compatible` be the ascending pool slots of either type, c its size and
+    start the first of them after positive i.  Negative j of positive i takes
+    compatible[(start + j) % c] while j < c, and compatible[j % c] after
+    that: the compatible slots cyclically from the one after i, then again
+    from the first.  A tail-typed slot replaces the tail, any other the
+    head.  A positive with no compatible slot is a contract error.
     """
     rels, heads, tails = _check_positives(graph, rels, heads, tails, k)
     rng = _as_rng(rng)
     head_types, tail_types = endpoint_types(graph, rels)
     n = rels.size
 
-    pool_types = np.empty(n, dtype=np.int64)
+    pool_types = np.full(n, -1, dtype=np.int64)  # -1: no slot
     pool_ids = np.empty(n, dtype=np.int64)
-    pool_ok = np.zeros(n, dtype=bool)
     for s in range(n):
         types = (head_types[s], tail_types[s])
         drawn = _corrupt_one_side(rng, graph, types,
                                   (int(heads[s]), int(tails[s])))
-        if drawn is None:
-            continue
-        side, pool_ids[s] = drawn
-        pool_types[s] = types[side]
-        pool_ok[s] = True
+        if drawn is not None:
+            side, pool_ids[s] = drawn
+            pool_types[s] = types[side]
 
-    neg_rels = np.repeat(rels, k)
     neg_heads = np.repeat(heads, k)
     neg_tails = np.repeat(tails, k)
-    for i in range(n):
-        ht, tt = int(head_types[i]), int(tail_types[i])
-        taken = 0
-        for step in range(n):
-            s = (i + 1 + step) % n
-            if not pool_ok[s]:
-                continue
-            pt = int(pool_types[s])
-            row = i * k + taken
-            if pt == tt:
-                neg_tails[row] = pool_ids[s]
-            elif pt == ht:
-                neg_heads[row] = pool_ids[s]
-            else:
-                continue
-            taken += 1
-            if taken == k:
-                break
-        if taken < k:
-            # wrap around the pool again: reuse is fine, emptiness is not
-            compatible = [s for s in range(n)
-                          if pool_ok[s] and int(pool_types[s]) in (ht, tt)]
-            if not compatible:
-                raise ContractError(
-                    f"joint pool has no entity compatible with positive {i} "
-                    f"(types {graph.node_types[ht]}/{graph.node_types[tt]})")
-            c = 0
-            while taken < k:
-                s = compatible[c % len(compatible)]
-                pt = int(pool_types[s])
-                row = i * k + taken
-                if pt == tt:
-                    neg_tails[row] = pool_ids[s]
-                else:
-                    neg_heads[row] = pool_ids[s]
-                taken += 1
-                c += 1
-    return _assemble(graph, rels, heads, tails, k, neg_rels, neg_heads,
-                     neg_tails, fallback=False)
+    pair = head_types * len(graph.node_types) + tail_types
+    _, first = np.unique(pair, return_index=True)
+    j = np.arange(k)
+    for i in np.sort(first).tolist():  # lowest positive first, for the error
+        ht, tt = head_types[i], tail_types[i]
+        compatible = np.flatnonzero((pool_types == ht) | (pool_types == tt))
+        c = compatible.size
+        if c == 0:
+            raise ContractError(
+                f"joint pool has no entity compatible with positive {i} "
+                f"(types {graph.node_types[ht]}/{graph.node_types[tt]})")
+        members = np.flatnonzero(pair == pair[i])
+        start = np.searchsorted(compatible, members, side="right")
+        slots = compatible[np.where(j < c, start[:, None] + j, j) % c]
+        rows = members[:, None] * k + j
+        is_tail = pool_types[slots] == tt
+        neg_tails[rows[is_tail]] = pool_ids[slots[is_tail]]
+        neg_heads[rows[~is_tail]] = pool_ids[slots[~is_tail]]
+    return _assemble(graph, rels, heads, tails, k, np.repeat(rels, k),
+                     neg_heads, neg_tails, fallback=False)
 
 
 def sample_eval_negatives(graph: HeteroGraph, rel: int, head: int, tail: int,

@@ -316,7 +316,8 @@ def node_refs(graph: HeteroGraph, *, texted_only: bool = False) -> np.ndarray:
 
 
 def token_table(models: ModelBundle, graph: HeteroGraph, type_index: int) -> np.ndarray:
-    key = ("tokens", type_index, models.max_len)
+    # the key holds the vocab itself, so bundles never share another's table
+    key = ("tokens", type_index, models.max_len, models.vocab)
     table = graph._cache.get(key)
     if table is None:
         table = tx.tokenize_batch(models.vocab, graph.texts[type_index], models.max_len)
@@ -693,7 +694,7 @@ def validate_plan(graph: HeteroGraph, settings: TrainSettings,
                 "encoder pre-fine-tuning needs train edges between texted types")
     if settings.target_mode == "partition_local" and settings.partitions < 2:
         raise ContractError("partition_local mode needs at least 2 leaves")
-    if settings.negative_mode not in ("independent", "joint"):
+    if settings.negative_mode not in ng.NEGATIVE_MODES:
         raise ContractError(f"unknown negative mode '{settings.negative_mode}'")
 
 
@@ -745,7 +746,8 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
     Cache entries are stamped with cache.version, which advances after every
     step that trains the encoder, and once more when such a stage ends and
     its training cache is dropped.  The per-epoch evals share `memo` (an
-    eval_memo(), fresh for this stage when None) under the same version.
+    eval_memo(), fresh for this stage when None) under the same version,
+    and draw from rng 0, never from the training stream `rng`.
     When the last epoch scored best its weights are kept as they are, and
     the memo's rows from that epoch's eval stay valid for the next stage."""
     if kind not in STAGE_KINDS:
@@ -817,7 +819,7 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                          cache_hits=stats["hits"], cache_misses=stats["misses"],
                          encoded_rows=stats["encoded_rows"])
             step += 1
-        metrics = evaluate(models, graph, task, VALID, rng=rng,
+        metrics = evaluate(models, graph, task, VALID, rng=0,
                            representation=representation, memo=memo,
                            version=cache.version)
         for mname, value in sorted(metrics.items()):

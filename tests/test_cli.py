@@ -231,6 +231,16 @@ def test_eval_rejects_mismatched_graph(tmp_path, trained):
     assert cli.main(["eval", ckpt, str(other), "--task", "link"]) == 2
 
 
+def test_eval_rejects_headerless_graph_file(tmp_path, trained, capsys):
+    gdir = tmp_path / "headerless"
+    shutil.copytree(trained["graph_dir"], gdir)
+    edges = gdir / "edges.tsv"
+    edges.write_text(edges.read_text().split("\n", 1)[1])
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    assert cli.main(["eval", ckpt, str(gdir), "--task", "link"]) == 2
+    assert "edges.tsv:1: expected the header" in capsys.readouterr().err
+
+
 def test_eval_rejects_manifest_missing_meta_key(tmp_path, trained, capsys):
     ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
     stem = str(tmp_path / "ckpt")

@@ -177,6 +177,21 @@ def test_missing_required_file(tmp_path):
         gr.load_graph(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["nodes.tsv", "edges.tsv", "node_labels.tsv",
+                                  "edge_labels.tsv"])
+def test_loader_rejects_missing_or_wrong_header(tmp_path, name):
+    """Line 1 is a header, never a row: without one the first row would be
+    dropped in silence, or fail a later check with a misleading message."""
+    gr.save_graph(gr.generate_synthetic(gr.SyntheticSpec(nodes_per_type=40)),
+                  tmp_path)
+    path = tmp_path / name
+    header, rows = path.read_text().split("\n", 1)
+    for text in (rows, "x" + header + "\n" + rows):
+        path.write_text(text)
+        with pytest.raises(LoadError, match=rf"{name}:1: expected the header"):
+            gr.load_graph(tmp_path)
+
+
 # ------------------------------------------------------------ synthetic data
 
 

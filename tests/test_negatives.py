@@ -97,6 +97,110 @@ def test_singleton_types_fallback_and_pool_error():
         ng.corrupt_joint(g, [0], [0], [0], k=1, rng=0)
 
 
+def _reference_joint(graph, rels, heads, tails, k, rng):
+    """corrupt_joint's fill as a per-positive scan of the pool, cyclically
+    from the slot after the positive, then around the compatible slots again
+    from the first: the oracle for the index-rule fill.  Returns the
+    negatives' heads and tails, and whether any positive wrapped around."""
+    head_types, tail_types = ng.endpoint_types(graph, rels)
+    n = rels.size
+    pool = []  # (type, id) per slot, None when both types are singletons
+    for s in range(n):
+        types = (head_types[s], tail_types[s])
+        drawn = ng._corrupt_one_side(rng, graph, types,
+                                     (int(heads[s]), int(tails[s])))
+        pool.append(None if drawn is None else (int(types[drawn[0]]), drawn[1]))
+    neg_heads, neg_tails = np.repeat(heads, k), np.repeat(tails, k)
+    wrapped = False
+    for i in range(n):
+        ht, tt = int(head_types[i]), int(tail_types[i])
+        taken = 0
+        for step in range(n):
+            s = (i + 1 + step) % n
+            if pool[s] is None:
+                continue
+            pt, pid = pool[s]
+            row = i * k + taken
+            if pt == tt:
+                neg_tails[row] = pid
+            elif pt == ht:
+                neg_heads[row] = pid
+            else:
+                continue
+            taken += 1
+            if taken == k:
+                break
+        if taken < k:
+            compatible = [s for s in range(n)
+                          if pool[s] is not None and pool[s][0] in (ht, tt)]
+            if not compatible:
+                raise ContractError(
+                    f"joint pool has no entity compatible with positive {i} "
+                    f"(types {graph.node_types[ht]}/{graph.node_types[tt]})")
+            wrapped = True
+            c = 0
+            while taken < k:
+                pt, pid = pool[compatible[c % len(compatible)]]
+                row = i * k + taken
+                if pt == tt:
+                    neg_tails[row] = pid
+                else:
+                    neg_heads[row] = pid
+                taken += 1
+                c += 1
+    return neg_heads, neg_tails, wrapped
+
+
+def _singleton_types_graph():
+    """A and D have one node each, so D-w-D positives draw no pool slot and
+    A-r-B, A-u-C ones always corrupt their tail."""
+    counts = [1, 3, 2, 1]
+    rels = [gr.Relation("A", "r", "B"), gr.Relation("B", "s", "B"),
+            gr.Relation("A", "u", "C"), gr.Relation("C", "v", "B"),
+            gr.Relation("D", "w", "D")]
+    edges = [(np.array([0, 0]), np.array([0, 2])),
+             (np.array([0, 1]), np.array([1, 2])),
+             (np.array([0]), np.array([1])),
+             (np.array([0, 1]), np.array([2, 0])),
+             (np.array([0]), np.array([0]))]
+    return gr.HeteroGraph(["A", "B", "C", "D"], counts,
+                          [[""] * c for c in counts], rels, edges)
+
+
+def test_joint_fill_matches_per_positive_reference(synth):
+    seen = {"k > n": 0, "wrap-around": 0, "error": 0}
+    for graph, p_rel in ((synth, None),
+                         (_singleton_types_graph(), [0.3, 0.3, 0.2, 0.18, 0.02])):
+        draw = np.random.default_rng(7)
+        for case in range(300):
+            n = int(draw.integers(1, 10))
+            rels = draw.choice(len(graph.relations), size=n, p=p_rel)
+            heads, tails = (
+                np.array([draw.integers(graph.node_counts[t])
+                          for t in graph.relation_types[rels, side]])
+                for side in (0, 1))
+            k = int(draw.integers(1, 2 * n + 3))
+            rng_ref = np.random.default_rng(case)
+            rng_new = np.random.default_rng(case)
+            try:
+                want = _reference_joint(graph, rels, heads, tails, k, rng_ref)
+            except ContractError as e:
+                seen["error"] += 1
+                with pytest.raises(ContractError) as got:
+                    ng.corrupt_joint(graph, rels, heads, tails, k, rng_new)
+                assert str(got.value) == str(e)
+            else:
+                batch = ng.corrupt_joint(graph, rels, heads, tails, k, rng_new)
+                np.testing.assert_array_equal(batch.rels[n:], np.repeat(rels, k))
+                np.testing.assert_array_equal(batch.heads[n:], want[0])
+                np.testing.assert_array_equal(batch.tails[n:], want[1])
+                seen["k > n"] += k > n
+                seen["wrap-around"] += want[2]
+            # the same pool draws were made
+            assert rng_new.random() == rng_ref.random()
+    assert all(seen.values()), seen
+
+
 def test_validation_errors(synth):
     with pytest.raises(ContractError):
         ng.corrupt_independent(synth, [], [], [], k=1)

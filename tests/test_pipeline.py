@@ -336,6 +336,19 @@ def test_mlm_warmup_changes_encoder_only(small_graph):
 # ------------------------------------------------------------- evaluation
 
 
+def test_token_table_follows_the_bundle_vocab():
+    """Two bundles with different vocabularies on one graph object each get
+    their own vocab's ids."""
+    graph = generate_synthetic(SyntheticSpec(nodes_per_type=20, seed=2))
+    a = pl.build_models(graph, quick_settings(), rng=0)
+    b = pl.build_models(graph, quick_settings(), rng=0)
+    b.vocab = tx.Vocab(list(reversed(a.vocab.tokens)))
+    pl.token_table(a, graph, 0)
+    expected = tx.tokenize_batch(b.vocab, graph.texts[0], b.max_len)
+    assert not np.array_equal(expected, pl.token_table(a, graph, 0))
+    np.testing.assert_array_equal(pl.token_table(b, graph, 0), expected)
+
+
 def test_full_graph_embeddings_cls_matches_encoder(small_graph):
     settings = quick_settings()
     models = pl.build_models(small_graph, settings, rng=3)
@@ -456,6 +469,20 @@ def test_run_stagewise_final_eval_equals_scratch_eval(small_graph):
     settings = quick_settings(stages=("WarmStartGNN", "EndToEnd"), epochs=(2, 2))
     models, _, final = pl.run_stagewise(small_graph, settings)
     assert final == pl.evaluate(models, small_graph, "link", TEST)
+
+
+def test_per_epoch_eval_negatives_leave_training_stream_alone(small_graph,
+                                                            monkeypatch):
+    """With every tail type over the full-corruption limit, per-epoch evals
+    sample their negatives; the training steps after them do not change."""
+    def step_losses():
+        log = pl.RunLog()
+        pl.run_stagewise(small_graph, quick_settings(epochs=(2,)), log=log)
+        return [r["loss"] for r in log.records if r["kind"] == "step"]
+
+    full = step_losses()
+    monkeypatch.setattr(pl, "EVAL_FULL_CORRUPTION_LIMIT", 0)
+    assert step_losses() == full
 
 
 def test_memo_eval_equals_scratch_eval_after_best_epoch_restore(small_graph,
