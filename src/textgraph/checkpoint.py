@@ -10,6 +10,7 @@ back C-ordered.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read back (arrays, meta).  Raises LoadError on missing or inconsistent files."""
+    """Read back (arrays, meta).  Raises LoadError on missing, malformed or
+    inconsistent files."""
     stem = checkpoint_stem(path)
     manifest_path = Path(f"{stem}.json")
     bin_path = Path(f"{stem}.bin")
@@ -61,18 +63,32 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             manifest = json.load(fh)
         except json.JSONDecodeError as e:
             raise LoadError(f"{manifest_path}: bad JSON ({e})") from e
+    if not isinstance(manifest, dict):
+        raise LoadError(f"{manifest_path}: not a JSON object")
     if manifest.get("format") != FORMAT_TAG:
         raise LoadError(f"{manifest_path}: unknown format {manifest.get('format')!r}")
+    entries, meta = manifest.get("arrays"), manifest.get("meta", {})
+    if not isinstance(entries, list) or not isinstance(meta, dict):
+        raise LoadError(f"{manifest_path}: needs an 'arrays' list and a 'meta' object")
     flat = np.fromfile(bin_path, dtype="<f8")
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        chunk = flat[entry["offset"]:entry["offset"] + n]
+    offset = 0  # arrays are stored back to back, in manifest order
+    for i, entry in enumerate(entries):
+        fields = entry if isinstance(entry, dict) else {}
+        name, shape, at = (fields.get(k) for k in ("name", "shape", "offset"))
+        if not (isinstance(name, str) and name not in arrays
+                and isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)
+                and type(at) is int and at == offset):
+            raise LoadError(f"{manifest_path}: array entry {i} needs an unused "
+                            f"string name, a shape of non-negative ints and "
+                            f"offset {offset}, got {entry!r}")
+        n = math.prod(shape)
+        chunk = flat[offset:offset + n]
         if chunk.size != n:
-            raise LoadError(f"{bin_path}: array '{entry['name']}' truncated")
-        arrays[entry["name"]] = chunk.astype(np.float64).reshape(shape)
-    expected = sum(int(np.prod(e["shape"])) if e["shape"] else 1 for e in manifest["arrays"])
-    if flat.size != expected:
-        raise LoadError(f"{bin_path}: size {flat.size} values, manifest expects {expected}")
-    return arrays, manifest.get("meta", {})
+            raise LoadError(f"{bin_path}: array '{name}' truncated")
+        arrays[name] = chunk.astype(np.float64).reshape(shape)
+        offset += n
+    if flat.size != offset:
+        raise LoadError(f"{bin_path}: size {flat.size} values, manifest expects {offset}")
+    return arrays, meta

@@ -320,7 +320,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractError, LoadError) as e:
+    except (ConfigError, ContractError, LoadError, OSError) as e:
+        # OSError: an --out path that is a file, or under one, and the like
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericsError as e:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -854,8 +854,9 @@ def assign_partitions(graph: HeteroGraph, num_leaves: int, rng=0) -> PartitionMa
 
 @dataclass
 class TargetSample:
-    """One training batch's targets: nodes for the node task, (rel, src, dst)
-    triples otherwise.  with_replacement flags a pool smaller than the batch."""
+    """One training batch's targets, or a pool to draw batches from: nodes
+    for the node task, (rel, src, dst) triples otherwise.  with_replacement
+    flags a batch drawn from a pool smaller than itself."""
 
     kind: str
     node_refs: np.ndarray | None = None
@@ -867,39 +868,38 @@ class TargetSample:
     with_replacement: bool = False
     leaf: int | None = None
 
+    def __len__(self):
+        return len(self.node_refs if self.kind == "nodes" else self.edge_rels)
 
-def _train_pool(graph: HeteroGraph, task: str):
+    def take(self, rows, **flags) -> "TargetSample":
+        """The targets at rows (indices or a mask), with the given flags."""
+        arrays = {name: value[rows] for name, value in vars(self).items()
+                  if isinstance(value, np.ndarray)}
+        return replace(self, **arrays, **flags)
+
+
+def _train_pool(graph: HeteroGraph, task: str) -> TargetSample:
     key = ("pool", task)
     cached = graph._cache.get(key)
     if cached is not None:
         return cached
     if task == "node":
         refs, classes = graph.node_label_rows(TRAIN)
-        cached = ("nodes", refs, classes)
+        cached = TargetSample("nodes", node_refs=refs, node_classes=classes)
     elif task == "edge":
         ri = graph.designated_relation
         if ri is None:
             raise ContractError("edge task needs edge labels")
         s, d, c = graph.edge_label_rows(TRAIN)
-        cached = ("edges", np.full(s.size, ri, dtype=np.int64), s, d, c)
+        cached = TargetSample("edges", edge_rels=np.full(s.size, ri, dtype=np.int64),
+                              edge_srcs=s, edge_dsts=d, edge_classes=c)
     elif task == "link":
         rels, s, d = graph.link_edges(TRAIN)
-        cached = ("edges", rels, s, d, None)
+        cached = TargetSample("edges", edge_rels=rels, edge_srcs=s, edge_dsts=d)
     else:
         raise ContractError(f"unknown task '{task}'")
     graph._cache[key] = cached
     return cached
-
-
-def _pool_leaf_ids(graph: HeteroGraph, pool, pmap: PartitionMap) -> np.ndarray:
-    """Leaf of each pool entry: the node itself, or an edge's src endpoint."""
-    if pool[0] == "nodes":
-        refs = pool[1]
-        gidx = graph.type_offsets[refs[:, 0]] + refs[:, 1]
-    else:
-        rels, srcs = pool[1], pool[2]
-        gidx = graph.type_offsets[graph.relation_types[rels, 0]] + srcs
-    return pmap.leaf_of[gidx]
 
 
 def sample_targets(graph: HeteroGraph, task: str, batch_size: int,
@@ -918,38 +918,28 @@ def sample_targets(graph: HeteroGraph, task: str, batch_size: int,
         raise ContractError(f"unknown target mode '{mode}'")
     rng = _as_rng(rng)
     pool = _train_pool(graph, task)
-    pool_size = pool[1].shape[0]
-    if pool_size == 0:
+    if len(pool) == 0:
         raise ContractError(f"no train targets for task '{task}'")
 
     leaf = None
     if mode == "partition_local":
         if partition_map is None:
             raise ContractError("partition_local mode needs a partition map")
-        leaf_ids = _pool_leaf_ids(graph, pool, partition_map)
+        # a node target's leaf is its own, an edge target's its src endpoint's
+        if pool.kind == "nodes":
+            types, locals_ = pool.node_refs[:, 0], pool.node_refs[:, 1]
+        else:
+            types, locals_ = graph.relation_types[pool.edge_rels, 0], pool.edge_srcs
+        leaf_ids = partition_map.leaf_of[graph.type_offsets[types] + locals_]
         order = rng.permutation(partition_map.num_leaves)
-        candidate = None
-        for lf in order.tolist():
-            idx = np.nonzero(leaf_ids == lf)[0]
-            if idx.size:
-                candidate = (lf, idx)
-                break
-        if candidate is None:
+        held = np.isin(order, leaf_ids)
+        if not held.any():
             raise ContractError("every partition leaf is empty of train targets")
-        leaf, idx = candidate
+        leaf = int(order[held.argmax()])
+        idx = np.nonzero(leaf_ids == leaf)[0]
     else:
-        idx = np.arange(pool_size)
+        idx = np.arange(len(pool))
 
     with_replacement = idx.size < batch_size
     chosen = rng.choice(idx, size=batch_size, replace=with_replacement)
-
-    if pool[0] == "nodes":
-        refs, classes = pool[1], pool[2]
-        return TargetSample("nodes", node_refs=refs[chosen],
-                            node_classes=classes[chosen],
-                            with_replacement=with_replacement, leaf=leaf)
-    rels, srcs, dsts, classes = pool[1], pool[2], pool[3], pool[4]
-    return TargetSample("edges", edge_rels=rels[chosen], edge_srcs=srcs[chosen],
-                        edge_dsts=dsts[chosen],
-                        edge_classes=None if classes is None else classes[chosen],
-                        with_replacement=with_replacement, leaf=leaf)
+    return pool.take(chosen, with_replacement=with_replacement, leaf=leaf)

@@ -40,7 +40,7 @@ from . import tensor as tg
 from . import text as tx
 from .checkpoint import checkpoint_stem, load_checkpoint, save_checkpoint
 from .errors import ContractError, LoadError, NumericsError
-from .graph import (SPLIT_NAMES, TEST, TRAIN, VALID, HeteroGraph, PartitionMap,
+from .graph import (SPLIT_NAMES, TEST, VALID, HeteroGraph, PartitionMap,
                     TargetSample, _as_rng, _train_pool, assign_partitions,
                     sample_neighbors, sample_targets)
 from .metrics import RankedQuery, accuracy, f1_scores, mrr
@@ -645,12 +645,12 @@ class RunLog:
                 f.write(json.dumps(r, sort_keys=True) + "\n")
 
 
-def _texted_link_pool(graph: HeteroGraph):
+def _texted_link_pool(graph: HeteroGraph) -> TargetSample:
     """Train link edges whose relation joins two texted types; the encoder
     pre-fine-tuning stage scores these directly in CLS space."""
-    rels, srcs, dsts = graph.link_edges(TRAIN)
-    keep = graph.type_has_text[graph.relation_types].all(axis=1)[rels]
-    return rels[keep], srcs[keep], dsts[keep]
+    pool = _train_pool(graph, "link")
+    return pool.take(graph.type_has_text[graph.relation_types].all(axis=1)
+                     [pool.edge_rels])
 
 
 def _pool_batch(size: int, batch_size: int, rng) -> np.ndarray:
@@ -686,10 +686,10 @@ def validate_plan(graph: HeteroGraph, settings: TrainSettings,
         raise ContractError("node task needs node labels")
     if settings.task == "edge" and models.edge_head is None:
         raise ContractError("edge task needs edge labels")
-    if settings.task == "link" and graph.link_edges(TRAIN)[0].size == 0:
+    if settings.task == "link" and len(_train_pool(graph, "link")) == 0:
         raise ContractError("link task needs train edges")
     if "PreFineTuneLM" in settings.stages:
-        if _texted_link_pool(graph)[0].size == 0:
+        if len(_texted_link_pool(graph)) == 0:
             raise ContractError(
                 "encoder pre-fine-tuning needs train edges between texted types")
     if settings.target_mode == "partition_local" and settings.partitions < 2:
@@ -698,37 +698,56 @@ def validate_plan(graph: HeteroGraph, settings: TrainSettings,
         raise ContractError(f"unknown negative mode '{settings.negative_mode}'")
 
 
+def _optimizer(models: ModelBundle, groups: set[str], lr: float) -> tg.Adam:
+    """Adam over the parameters of `groups`, now the only trainable ones."""
+    models.set_trainable(groups)
+    return tg.Adam({name: p for name, p in models.all_params().items()
+                    if name.partition("/")[0] in groups}, lr)
+
+
+def _update(opt: tg.Adam, forward, where: str):
+    """One training step: forward() -> (loss, extra) on a fresh tape; a finite
+    loss is back-propagated and opt steps once, None (a masked-token draw that
+    masked nothing) updates nothing.  Returns (loss or 0.0, extra, elapsed ms)."""
+    t0 = time.perf_counter()
+    with tg.Tape() as tape:
+        loss, extra = forward()
+        if loss is not None:
+            if not np.isfinite(loss.data):
+                raise NumericsError(f"loss diverged in {where}: {loss.data!r}")
+            opt.zero_grad()
+            tg.backward(loss, tape)
+            opt.step()
+    value = 0.0 if loss is None else loss.item()
+    return value, extra, (time.perf_counter() - t0) * 1e3
+
+
 def mlm_warmup(models: ModelBundle, graph: HeteroGraph,
                settings: TrainSettings, log: RunLog, rng) -> int:
     """Masked-token pretraining epochs over every texted node, before any
-    stage runs.  Returns the number of optimizer steps taken."""
+    stage runs.  Returns the number of steps taken, one per batch."""
     refs = node_refs(graph, texted_only=True)
     if refs.shape[0] == 0:
         raise ContractError("masked-token pretraining needs texted nodes")
     rng = _as_rng(rng)
-    models.set_trainable({"lm"})
-    opt = tg.Adam({f"lm/{k}": p for k, p in models.encoder.params.items()},
-                  learning_rate=settings.learning_rate)
+    opt = _optimizer(models, {"lm"}, settings.learning_rate)
     tables = {t: token_table(models, graph, t)
               for t in np.unique(refs[:, 0]).tolist()}
+
+    def forward(tokens):
+        loss, masked = tx.mlm_pretrain_step(
+            models.encoder, tokens, settings.mlm_mask_prob, rng)
+        return (loss if masked else None), None
+
     steps = 0
     for epoch in range(settings.mlm_epochs):
         order = rng.permutation(refs.shape[0])
         for lo in range(0, order.size, settings.batch_size):
             rows = refs[order[lo:lo + settings.batch_size]]
             tokens = np.stack([tables[int(t)][int(l)] for t, l in rows])
-            t0 = time.perf_counter()
-            with tg.Tape() as tape:
-                loss, masked = tx.mlm_pretrain_step(
-                    models.encoder, tokens, settings.mlm_mask_prob, rng)
-                if masked:
-                    if not np.isfinite(loss.data):
-                        raise NumericsError(f"mlm loss diverged at step {steps}")
-                    opt.zero_grad()
-                    tg.backward(loss, tape)
-                    opt.step()
-            log.add_step("MLM", steps, loss.item(), 0.0, rows.shape[0],
-                         (time.perf_counter() - t0) * 1e3,
+            loss, _, ms = _update(opt, lambda: forward(tokens),
+                                  f"MLM at step {steps}")
+            log.add_step("MLM", steps, loss, 0.0, rows.shape[0], ms,
                          encoded_rows=rows.shape[0])
             steps += 1
     return steps
@@ -755,12 +774,8 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
     rng = _as_rng(rng)  # normalize once; a per-call reseed would freeze sampling
     task = "link" if kind == "PreFineTuneLM" else settings.task
     trainable = stage_trainable_groups(kind, settings.task)
-    models.set_trainable(trainable)
-    groups = models.param_groups()
-    params = {f"{g}/{k}": p for g in sorted(trainable)
-              for k, p in groups[g].items()}
-    opt = tg.Adam(params, learning_rate=settings.learning_rate
-                  if learning_rate is None else learning_rate)
+    opt = _optimizer(models, trainable, settings.learning_rate
+                     if learning_rate is None else learning_rate)
 
     representation = stage_representation(kind)
     lm_trainable = "lm" in trainable
@@ -772,15 +787,11 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
         step_kw["settings"] = settings
     metric_name = primary_metric(task)
 
-    if kind == "PreFineTuneLM":
-        pre_pool = _texted_link_pool(graph)
-        pool_size = pre_pool[0].size
-    else:
-        pre_pool = None
-        pool_size = _train_pool(graph, task)[1].shape[0]
-    if pool_size == 0:
+    pool = (_texted_link_pool(graph) if kind == "PreFineTuneLM"
+            else _train_pool(graph, task))
+    if len(pool) == 0:
         raise ContractError(f"no train targets for task '{task}'")
-    steps_per_epoch = max(1, -(-pool_size // settings.batch_size))
+    steps_per_epoch = max(1, -(-len(pool) // settings.batch_size))
 
     if memo is None:
         memo = eval_memo(graph)
@@ -790,32 +801,20 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
     best_epoch = -1
     for epoch in range(epochs):
         for _ in range(steps_per_epoch):
-            if pre_pool is not None:
+            if kind == "PreFineTuneLM":
                 # CLS-space contrast always samples globally
-                idx = _pool_batch(pool_size, settings.batch_size, rng)
-                sample = TargetSample(kind="edges", edge_rels=pre_pool[0][idx],
-                                      edge_srcs=pre_pool[1][idx],
-                                      edge_dsts=pre_pool[2][idx])
+                sample = pool.take(_pool_batch(len(pool), settings.batch_size, rng))
             else:
                 sample = sample_targets(graph, task, settings.batch_size,
                                         mode=settings.target_mode,
                                         partition_map=partition_map, rng=rng)
-            t0 = time.perf_counter()
-            with tg.Tape() as tape:
-                loss, stats = step_fn(models, graph, sample,
-                                      step=cache.version, **step_kw)
-                if not np.isfinite(loss.data):
-                    raise NumericsError(
-                        f"loss diverged in stage {kind} at step {step}: "
-                        f"{loss.data!r}")
-                opt.zero_grad()
-                tg.backward(loss, tape)
-                opt.step()
+            loss, stats, ms = _update(opt, lambda: step_fn(
+                models, graph, sample, step=cache.version, **step_kw),
+                f"stage {kind} at step {step}")
             if lm_trainable:
                 cache.advance()
-            log.add_step(kind, step, loss.item(), cache.hit_rate,
-                         stats["unique_nodes"],
-                         (time.perf_counter() - t0) * 1e3,
+            log.add_step(kind, step, loss, cache.hit_rate,
+                         stats["unique_nodes"], ms,
                          cache_hits=stats["hits"], cache_misses=stats["misses"],
                          encoded_rows=stats["encoded_rows"])
             step += 1

@@ -16,7 +16,7 @@ mask or a scale, so no gradient is computed only to be dropped.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -513,58 +513,43 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------- optimizer
 
 
-@dataclass
-class AdamState:
-    """First/second moment estimates keyed like the parameter dict."""
-
-    learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState) -> AdamState:
-    """One Adam update, in place on params.  Missing grad keys are skipped
-    (frozen groups); a zero gradient leaves the parameter bit-identical."""
-    state.step += 1
-    t = state.step
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"grad for '{name}' has shape {g.shape}, param is {p.data.shape}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return state
-
-
 class Adam:
-    """Convenience wrapper: pulls grads off the tensors, steps, zeroes."""
+    """Adam over a dict of parameters; it holds its own step count and moment
+    estimates.  step() updates the parameters in place from their .grad,
+    skipping any without one (a frozen group); a zero gradient leaves its
+    parameter bit-identical."""
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
         self.params = params
-        self.state = AdamState(learning_rate, beta1, beta2, epsilon)
+        self.learning_rate = learning_rate
+        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
+        self.steps = 0
+        # first and second moment estimates, keyed like params
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def step(self):
-        grads = {k: p.grad for k, p in self.params.items() if p.grad is not None}
-        adam_step(self.params, grads, self.state)
+        self.steps += 1
+        t = self.steps
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = np.asarray(p.grad, dtype=np.float64)
+            if g.shape != p.data.shape:
+                raise ShapeError(f"grad for '{name}' has shape {g.shape}, param is {p.data.shape}")
+            m = self.m.get(name)
+            if m is None:
+                m = self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            m_hat = m / (1.0 - self.beta1 ** t)
+            v_hat = v / (1.0 - self.beta2 ** t)
+            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
     def zero_grad(self):
         for p in self.params.values():

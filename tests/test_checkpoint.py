@@ -61,3 +61,40 @@ def test_dotted_stems_in_one_directory_stay_apart(tmp_path):
         np.testing.assert_array_equal(arrays["a"], expected)
         assert meta == {"v": v}
     assert not (tmp_path / "model.bin").exists()
+
+
+def _swap_offsets(m):
+    first, second = m["arrays"]
+    first["offset"], second["offset"] = second["offset"], first["offset"]
+
+
+MANIFEST_MUTATIONS = {
+    "overlapping offsets": lambda m: m["arrays"][1].update(offset=0),
+    "swapped offsets": _swap_offsets,
+    "no arrays": lambda m: m.pop("arrays"),
+    "entry without shape": lambda m: m["arrays"][0].pop("shape"),
+    "shape is a string": lambda m: m["arrays"][0].update(shape="4"),
+    "negative dimension": lambda m: m["arrays"][0].update(shape=[-4]),
+    "name is not a string": lambda m: m["arrays"][0].update(name=3),
+    "repeated name": lambda m: m["arrays"][1].update(name="a"),
+    "meta is not an object": lambda m: m.update(meta=["k"]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MANIFEST_MUTATIONS))
+def test_malformed_manifest_is_a_load_error(tmp_path, mutation):
+    ck.save_checkpoint(tmp_path / "m", {"a": np.ones(4), "b": np.zeros(4)},
+                       {"k": 1})
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    MANIFEST_MUTATIONS[mutation](manifest)
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    with pytest.raises(LoadError, match="m.json"):
+        ck.load_checkpoint(tmp_path / "m")
+
+
+def test_manifest_that_is_not_an_object_is_a_load_error(tmp_path):
+    ck.save_checkpoint(tmp_path / "m", {"a": np.ones(4)}, {})
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    (tmp_path / "m.json").write_text(json.dumps([manifest]))
+    with pytest.raises(LoadError, match="m.json"):
+        ck.load_checkpoint(tmp_path / "m")

@@ -6,11 +6,14 @@ import os
 import platform
 import resource
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import textgraph.cli as cli
+import textgraph.decoders as dec
 import textgraph.pipeline as pl
 from textgraph import tensor as tg
 from textgraph.graph import (SyntheticSpec, generate_synthetic, load_graph,
@@ -179,6 +182,55 @@ def test_train_reproducible_excluding_elapsed(tmp_path, trained):
         stripped(str(out2 / "metrics.jsonl"))
 
 
+def test_nonfinite_loss_exits_3(tmp_path, graph_dir, monkeypatch, capsys):
+    real = dec.link_loss
+    monkeypatch.setattr(dec, "link_loss", lambda *args: tg.mul(
+        real(*args), tg.Tensor(np.nan)))
+    cfg = _write_config(tmp_path / "run.txt", graph_dir)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "WarmStartGNN" in capsys.readouterr().err
+
+
+def test_out_that_names_a_file_exits_2(tmp_path, graph_dir, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg = _write_config(tmp_path / "run.txt", graph_dir)
+    for argv in (["synth", "--out", str(taken), "--nodes-per-type", "20"],
+                 ["train", "--config", cfg, "--out", str(taken)],
+                 ["train", "--config", cfg, "--out", str(taken / "sub")]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_blas_thread_count_does_not_change_a_run(tmp_path):
+    gdir = tmp_path / "graph"
+    assert cli.main(["synth", "--out", str(gdir), "--nodes-per-type", "120"]) == 0
+    cfg = _write_config(tmp_path / "run.txt", str(gdir),
+                        stages="PreFineTuneLM,WarmStartGNN,EndToEnd",
+                        epochs="1,1,1")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "textgraph.cli", "train",
+                        "--config", cfg, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        with open(out / "metrics.jsonl") as f:
+            records = [json.loads(line) for line in f]
+        for r in records:
+            r.pop("elapsed_ms", None)
+        files = _dir_hashes(out)
+        del files["metrics.jsonl"]
+        runs.append((records, files))
+    assert len(runs[0][1]) == 1 + 3 * 3  # report.json, 3 checkpoints
+    assert runs[0] == runs[1]
+
+
 # --------------------------------------------------------------------- eval
 
 
@@ -257,6 +309,22 @@ def test_eval_rejects_manifest_missing_meta_key(tmp_path, trained, capsys):
     assert "ckpt.json" in err and "'aggregation'" in err
 
 
+def test_eval_rejects_overlapping_manifest_offsets(tmp_path, trained, capsys):
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    stem = str(tmp_path / "ckpt")
+    for ext in (".bin", ".vocab.txt"):
+        shutil.copyfile(ckpt + ext, stem + ext)
+    with open(ckpt + ".json", encoding="utf-8") as f:
+        manifest = json.load(f)
+    manifest["arrays"][1]["offset"] = 0
+    with open(stem + ".json", "w", encoding="utf-8") as f:
+        json.dump(manifest, f)
+    rc = cli.main(["eval", stem, trained["graph_dir"], "--task", "link"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ckpt.json" in err and manifest["arrays"][1]["name"] in err
+
+
 def test_non_default_architecture_evaluates_from_the_models(tmp_path, capsys):
     """eval and dump-embeddings read the GNN's depth and width from the
     checkpoint alone."""
@@ -305,6 +373,15 @@ def test_dump_embeddings_shape_and_recomputation(tmp_path, trained):
     assert rows[0][0] == graph.node_types[0] and rows[0][1] == "0"
     dumped = np.array([[float(v) for v in r[2:]] for r in rows])
     assert np.array_equal(dumped, expected)  # repr round-trips float64
+
+
+def test_dump_embeddings_out_that_names_a_directory_exits_2(tmp_path, trained,
+                                                           capsys):
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    assert cli.main(["dump-embeddings", ckpt, trained["graph_dir"],
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_dump_embeddings_deterministic(tmp_path, trained):

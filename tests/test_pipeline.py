@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
+import textgraph.decoders as dec
 import textgraph.pipeline as pl
 import textgraph.tensor as tg
 import textgraph.text as tx
-from textgraph.errors import ContractError, LoadError
+from textgraph.errors import ContractError, LoadError, NumericsError
 from textgraph.graph import (TEST, TRAIN, VALID, HeteroGraph, SyntheticSpec,
                              generate_synthetic)
 
@@ -642,3 +643,77 @@ def test_nograd_rows_independent_of_call_with_ragged_texts(small_graph):
         pick = rng.choice(refs.shape[0], size=size, replace=False)
         assert assemble(refs[pick]).tobytes() == whole[pick].tobytes(), size
     assert assemble(refs, lm_trainable=True).shape == whole.shape
+
+
+# ------------------------------------------------------------- update step
+
+
+def _count_adam_steps(monkeypatch):
+    calls = []
+    real = tg.Adam.step
+
+    def step(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(tg.Adam, "step", step)
+    return calls
+
+
+def test_nonfinite_mlm_loss_raises_naming_mlm_and_step(small_graph, monkeypatch):
+    real = tx.mlm_pretrain_step
+
+    def nan_step(*args):
+        loss, masked = real(*args)
+        return tg.mul(loss, tg.Tensor(np.nan)), masked
+
+    monkeypatch.setattr(tx, "mlm_pretrain_step", nan_step)
+    settings = quick_settings(mlm_epochs=1)
+    models = pl.build_models(small_graph, settings, rng=0)
+    with pytest.raises(NumericsError, match=r"(?i)mlm.* step 0\b"):
+        pl.mlm_warmup(models, small_graph, settings, pl.RunLog(),
+                      np.random.default_rng(1))
+
+
+def test_nonfinite_stage_loss_raises_naming_stage_and_step(small_graph,
+                                                           monkeypatch):
+    real = dec.link_loss
+    monkeypatch.setattr(dec, "link_loss", lambda *args: tg.mul(
+        real(*args), tg.Tensor(np.nan)))
+    with pytest.raises(NumericsError, match=r"WarmStartGNN.* step 0\b"):
+        pl.run_stagewise(small_graph, quick_settings())
+
+
+def test_stage_loss_off_the_tape_is_a_contract_error(small_graph, monkeypatch):
+    monkeypatch.setattr(dec, "link_loss", lambda *args: tg.Tensor(1.0))
+    with pytest.raises(ContractError, match="tape"):
+        pl.run_stagewise(small_graph, quick_settings())
+
+
+def test_mlm_that_masks_nothing_logs_zero_and_updates_nothing(small_graph,
+                                                              monkeypatch):
+    settings = quick_settings(mlm_epochs=2, mlm_mask_prob=0.0)
+    models = pl.build_models(small_graph, settings, rng=0)
+    before = {k: p.data.tobytes() for k, p in models.encoder.params.items()}
+    calls = _count_adam_steps(monkeypatch)
+    log = pl.RunLog()
+    steps = pl.mlm_warmup(models, small_graph, settings, log,
+                          np.random.default_rng(1))
+    losses = [r["loss"] for r in log.records if r["stage"] == "MLM"]
+    assert steps == len(losses) == 2 * -(-80 // settings.batch_size)
+    assert losses == [0.0] * steps and calls == []
+    assert {k: p.data.tobytes()
+            for k, p in models.encoder.params.items()} == before
+
+
+def test_every_training_step_takes_one_adam_step(small_graph, monkeypatch):
+    calls = _count_adam_steps(monkeypatch)
+    settings = quick_settings(stages=("PreFineTuneLM", "WarmStartGNN"),
+                              epochs=(1, 1), mlm_epochs=1)
+    _, log, _ = pl.run_stagewise(small_graph, settings)
+    steps = [r for r in log.records if r["kind"] == "step"]
+    assert {r["stage"] for r in steps} == {"MLM", "PreFineTuneLM",
+                                           "WarmStartGNN"}
+    # an MLM draw that masked nothing logs 0.0 and takes no step
+    assert len(calls) == sum(r["stage"] != "MLM" or r["loss"] != 0.0
+                             for r in steps)

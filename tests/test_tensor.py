@@ -543,8 +543,8 @@ def test_grad_composite_mlp():
 
 def test_adam_first_step_magnitude():
     p = tg.Tensor(np.zeros(4), grad_enabled=True)
-    state = tg.AdamState(learning_rate=1e-2)
-    tg.adam_step({"p": p}, {"p": np.array([1.0, -2.0, 0.5, 10.0])}, state)
+    p.grad = np.array([1.0, -2.0, 0.5, 10.0])
+    tg.Adam({"p": p}, learning_rate=1e-2).step()
     np.testing.assert_allclose(np.abs(p.data), 1e-2, rtol=1e-6)
     assert (np.sign(p.data) == [-1, 1, -1, -1]).all()
 
@@ -553,17 +553,19 @@ def test_adam_zero_grad_and_missing_key_leave_params():
     p = tg.Tensor([1.5, -0.5], grad_enabled=True)
     q = tg.Tensor([2.0], grad_enabled=True)
     before_p, before_q = p.data.copy(), q.data.copy()
-    state = tg.AdamState(learning_rate=0.1)
-    tg.adam_step({"p": p, "q": q}, {"p": np.zeros(2)}, state)
+    p.grad = np.zeros(2)
+    opt = tg.Adam({"p": p, "q": q}, learning_rate=0.1)
+    opt.step()
     assert p.data.tobytes() == before_p.tobytes()
     assert q.data.tobytes() == before_q.tobytes()
-    assert state.step == 1
+    assert opt.steps == 1
 
 
 def test_adam_shape_mismatch():
     p = tg.Tensor([1.0], grad_enabled=True)
+    p.grad = np.zeros(3)
     with pytest.raises(ShapeError):
-        tg.adam_step({"p": p}, {"p": np.zeros(3)}, tg.AdamState(1e-3))
+        tg.Adam({"p": p}, 1e-3).step()
 
 
 def test_adam_decreases_quadratic():
