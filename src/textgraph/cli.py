@@ -319,6 +319,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # the config key's rule
+            _validate_value("seed", str(args.seed))
         return args.fn(args)
     except (ConfigError, ContractError, LoadError, OSError) as e:
         # OSError: an --out path that is a file, or under one, and the like

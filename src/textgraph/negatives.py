@@ -17,6 +17,8 @@ from .errors import ContractError
 from .graph import HeteroGraph, _as_rng
 
 NEGATIVE_MODES = ("independent", "joint")
+# redraws of a filtered eval negative that hits a known edge before it drops
+EVAL_MAX_RETRIES = 10
 
 
 @dataclass
@@ -74,7 +76,7 @@ def _corrupt_one_side(rng, graph, types, ids):
     return None
 
 
-def _check_positives(graph, rels, heads, tails, k):
+def _check_positives(rels, heads, tails, k):
     rels = np.asarray(rels, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
     tails = np.asarray(tails, dtype=np.int64)
@@ -105,7 +107,7 @@ def corrupt_independent(graph: HeteroGraph, rels, heads, tails, k: int,
     single node forces the other side; if both sides are singletons the
     positive is emitted unchanged and the batch is flagged corrupt_fallback.
     """
-    rels, heads, tails = _check_positives(graph, rels, heads, tails, k)
+    rels, heads, tails = _check_positives(rels, heads, tails, k)
     rng = _as_rng(rng)
     head_types, tail_types = endpoint_types(graph, rels)
     n = rels.size
@@ -141,7 +143,7 @@ def corrupt_joint(graph: HeteroGraph, rels, heads, tails, k: int,
     from the first.  A tail-typed slot replaces the tail, any other the
     head.  A positive with no compatible slot is a contract error.
     """
-    rels, heads, tails = _check_positives(graph, rels, heads, tails, k)
+    rels, heads, tails = _check_positives(rels, heads, tails, k)
     rng = _as_rng(rng)
     head_types, tail_types = endpoint_types(graph, rels)
     n = rels.size
@@ -181,13 +183,12 @@ def corrupt_joint(graph: HeteroGraph, rels, heads, tails, k: int,
 
 
 def sample_eval_negatives(graph: HeteroGraph, rel: int, head: int, tail: int,
-                          count: int, rng=0, filtered: bool = True,
-                          max_retries: int = 10):
-    """Negative tail ids for ranking one positive (head, rel, tail).
+                          count: int, rng=0):
+    """Negative tail ids for ranking one positive (head, rel, tail), filtered.
 
-    Draws uniformly over the tail type excluding the true tail; with
-    filtered=True, draws landing on known (head, tail') edges are resampled up
-    to max_retries then dropped, so fewer than count ids may come back.
+    Draws uniformly over the tail type excluding the true tail; draws landing
+    on known (head, tail') edges are resampled up to EVAL_MAX_RETRIES times
+    then dropped, so fewer than count ids may come back.
     Returns (tail_ids, dropped_count).
     """
     if count < 1:
@@ -195,36 +196,30 @@ def sample_eval_negatives(graph: HeteroGraph, rel: int, head: int, tail: int,
     rng = _as_rng(rng)
     _, tail_types = endpoint_types(graph, np.array([rel]))
     n = graph.node_counts[tail_types[0]]
-    known = set(graph.tails(rel, head).tolist()) if filtered else None
+    known = set(graph.tails(rel, head).tolist())
     out = []
     dropped = 0
     for _ in range(count):
         cand = _uniform_other(rng, n, int(tail))
+        tries = 0
+        while cand is not None and cand in known:
+            tries += 1
+            cand = (_uniform_other(rng, n, int(tail))
+                    if tries <= EVAL_MAX_RETRIES else None)
         if cand is None:
             dropped += 1
             continue
-        if known is not None:
-            tries = 0
-            while cand in known:
-                tries += 1
-                if tries > max_retries:
-                    cand = None
-                    break
-                cand = _uniform_other(rng, n, int(tail))
-            if cand is None:
-                dropped += 1
-                continue
         out.append(int(cand))
     return np.array(out, dtype=np.int64), dropped
 
 
-def full_eval_negatives(graph: HeteroGraph, rel: int, head: int, tail: int,
-                        filtered: bool = True) -> np.ndarray:
-    """Every candidate tail id except the true one; filtered drops known edges."""
+def full_eval_negatives(graph: HeteroGraph, rel: int, head: int,
+                        tail: int) -> np.ndarray:
+    """Every tail id of the tail type except the true tail and the tails of
+    head's known rel edges (filtered ranking)."""
     _, tail_types = endpoint_types(graph, np.array([rel]))
     n = graph.node_counts[tail_types[0]]
     cands = np.arange(n, dtype=np.int64)
     mask = cands != int(tail)
-    if filtered:
-        mask[graph.tails(rel, head)] = False
+    mask[graph.tails(rel, head)] = False
     return cands[mask]

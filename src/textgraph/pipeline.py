@@ -17,12 +17,15 @@ missed, from a no-grad encode of exactly the rows that missed, at most
 budget.infer_batch rows per encode call.  Those encodes run at the width of
 the type's whole token table, so a row's encoded value never depends on
 which other rows share its call.  Cache staleness counts encoder updates,
-not steps: under a frozen encoder a cached row never expires, and per-epoch
-evals share one encode of it.
+not steps: under a frozen encoder a cached row never expires.
 
 Training steps and evals embed nodes through embed_nodes, which reads the
 GNN's depth from the models; full_graph_embeddings alone holds the eval
 encode policy (no grad, rng 0, saturating fanout, EVAL_CHUNK rows per call).
+An eval takes nothing but the models and the graph: its encoded rows are
+kept with the graph and reused while the encoder's weights are bit for bit
+those they were encoded under, so a per-epoch eval under a frozen encoder
+encodes nothing, and every eval equals one on a freshly loaded graph.
 """
 
 from __future__ import annotations
@@ -148,12 +151,12 @@ class EmbeddingCache:
     """LRU of (type, local) -> embedding with a staleness stamp per entry.
 
     Stamps are encoder versions: `version` goes up once per encoder update
-    (advance()) and on every clear(), and never resets.  Callers pass it as
-    the `step` of get/put.  An entry written at version s is served only
-    while step - s stays within staleness_limit; older entries count as
-    misses.  capacity 0 disables storage entirely.  Only no-grad encodes of
-    rows that missed are stored, so a cached value is always bit-identical
-    to what a fresh encode would give under unchanged encoder weights.
+    (advance()) and never resets.  Callers pass it as the `step` of get/put.
+    An entry written at version s is served only while step - s stays within
+    staleness_limit; older entries count as misses.  capacity 0 disables
+    storage entirely.  Only no-grad encodes of rows that missed are stored,
+    so a cached value is always bit-identical to what a fresh encode would
+    give under unchanged encoder weights.
     """
 
     def __init__(self, capacity: int, staleness_limit: int):
@@ -205,18 +208,10 @@ class EmbeddingCache:
         self.version += 1
 
     def clear(self):
-        """Drop every entry and advance the version; counters survive.
-        Called at the end of a stage that trained the encoder, whose best
-        epoch's weights may differ from the ones cached rows came from."""
+        """Drop every entry; counters and the version survive.  Called at
+        the end of a stage that trained the encoder, whose best epoch's
+        weights may differ from the ones cached rows came from."""
         self._store.clear()
-        self.advance()
-
-    def restamp(self, old: int, new: int):
-        """Stamp the entries written at version old as written at new, for
-        rows known to be exact under the weights of both versions."""
-        for key, (value, stamp) in list(self._store.items()):
-            if stamp == old:
-                self._store[key] = (value, new)
 
 
 @dataclass
@@ -496,25 +491,38 @@ _STEP_FN = {"link": _link_step, "node": _node_step, "edge": _edge_step}
 # ----------------------------------------------------------------- evaluation
 
 
+def _eval_rows(models: ModelBundle, graph: HeteroGraph) -> EmbeddingCache:
+    """The graph's cache of eval-encoded rows, kept while the bundle's
+    encoder and vocab are the ones they came from and every encoder weight
+    is bit for bit the same (bytes, not ==, which equates -0.0 and 0.0);
+    otherwise a fresh one.  A no-grad encode at table width depends on
+    nothing else, so a reused row is exactly what a fresh encode gives."""
+    weights = {name: (p.data.shape, p.data.tobytes())
+               for name, p in models.encoder.params.items()}
+    if "eval_rows" in graph._cache:
+        encoder, vocab, kept, rows = graph._cache["eval_rows"]
+        if encoder is models.encoder and vocab is models.vocab and kept == weights:
+            return rows
+    rows = EmbeddingCache(graph.total_nodes, 0)
+    graph._cache["eval_rows"] = (models.encoder, models.vocab, weights, rows)
+    return rows
+
+
 def full_graph_embeddings(models: ModelBundle, graph: HeteroGraph, *,
                           representation: str = "gnn",
-                          fanouts: int | None = None,
-                          memo: EmbeddingCache | None = None,
-                          version: int = 0) -> np.ndarray:
+                          fanouts: int | None = None) -> np.ndarray:
     """Embeddings for every node, rows in global-index order, computed with
     no grad; the one encode policy of evals and dump-embeddings.  The GNN
     representation samples every node's neighborhood at rng 0 with the given
     fanouts; None means a saturating fanout, so message passing sees every
-    edge.  Rows are encoded at most EVAL_CHUNK per call, through memo at
-    encoder version `version` (a scratch cache when None)."""
+    edge.  Rows are encoded at most EVAL_CHUNK per call, and reused from the
+    last call on this graph while the encoder's weights are unchanged."""
     if fanouts is None:
         fanouts = max(graph.node_counts)
-    if memo is None:
-        memo = EmbeddingCache(0, 0)
     with tg.no_grad():
         emb, _ = embed_nodes(
             models, graph, node_refs(graph), representation=representation,
-            fanouts=fanouts, cache=memo, step=version,
+            fanouts=fanouts, cache=_eval_rows(models, graph), step=0,
             budget=NodeBudget(1, EVAL_CHUNK), rng=0, lm_trainable=False)
     return emb.data
 
@@ -526,7 +534,7 @@ EVAL_SAMPLED_NEGATIVES = 500
 EVAL_CHUNK = 256
 
 
-def _eval_link(models, graph, emb, split, rng) -> dict[str, float]:
+def _eval_link(models, graph, emb, split) -> dict[str, float]:
     rels, srcs, dsts = graph.link_edges(split)
     if rels.size == 0:
         raise ContractError("no edges in evaluation split")
@@ -534,12 +542,12 @@ def _eval_link(models, graph, emb, split, rng) -> dict[str, float]:
     head_t, tail_t = ng.endpoint_types(graph, rels)
     hrs = emb[graph.type_offsets[head_t] + srcs] * rel_vecs[rels]
     h_tails = emb[graph.type_offsets[tail_t] + dsts]
+    rng = np.random.default_rng(0)
     queries = []
     for r, s, d, t, hr, h_tail in zip(rels, srcs, dsts, tail_t, hrs, h_tails):
         pos = float(hr @ h_tail)
         if graph.node_counts[t] <= EVAL_FULL_CORRUPTION_LIMIT:
-            neg_ids = ng.full_eval_negatives(graph, int(r), int(s), int(d),
-                                             filtered=True)
+            neg_ids = ng.full_eval_negatives(graph, int(r), int(s), int(d))
         else:
             neg_ids, _ = ng.sample_eval_negatives(
                 graph, int(r), int(s), int(d), EVAL_SAMPLED_NEGATIVES, rng)
@@ -555,7 +563,7 @@ def _classification_metrics(logits: Tensor, classes, num_classes: int):
     return {"accuracy": accuracy(pred, classes), "macro_f1": report.macro}
 
 
-def _eval_node(models, graph, emb, split, rng) -> dict[str, float]:
+def _eval_node(models, graph, emb, split) -> dict[str, float]:
     refs, classes = graph.node_label_rows(split)
     if refs.shape[0] == 0:
         raise ContractError("no node labels in evaluation split")
@@ -565,7 +573,7 @@ def _eval_node(models, graph, emb, split, rng) -> dict[str, float]:
     return _classification_metrics(logits, classes, models.node_head.num_classes)
 
 
-def _eval_edge(models, graph, emb, split, rng) -> dict[str, float]:
+def _eval_edge(models, graph, emb, split) -> dict[str, float]:
     srcs, dsts, classes = graph.edge_label_rows(split)
     if srcs.size == 0:
         raise ContractError("no edge labels in evaluation split")
@@ -581,31 +589,17 @@ def _eval_edge(models, graph, emb, split, rng) -> dict[str, float]:
 _EVAL_FN = {"link": _eval_link, "node": _eval_node, "edge": _eval_edge}
 
 
-def eval_memo(graph: HeteroGraph) -> EmbeddingCache:
-    """A cache for evaluate() that holds every row of the graph and serves
-    only entries of the current encoder version."""
-    return EmbeddingCache(sum(graph.node_counts), 0)
-
-
 def evaluate(models: ModelBundle, graph: HeteroGraph, task: str, split: int, *,
-             rng=0, representation: str = "gnn",
-             memo: EmbeddingCache | None = None, version: int = 0) -> dict:
-    """Task metrics on one split, from full_graph_embeddings().
-
-    Encoded rows depend on nothing but the weights, so a report computed
-    mid-training, after training, or from a reloaded checkpoint is
-    byte-for-byte the same.  Training loops pass an eval_memo() with the
-    training cache's encoder version, so an eval under an encoder that has
-    not been updated since the last one reuses its rows.  They must not hand
-    their training cache here: its entries may be stale by up to
-    cache_staleness encoder updates, and eval writes would reach the next
-    training step.
-    """
+             representation: str = "gnn") -> dict:
+    """Task metrics on one split, from full_graph_embeddings().  Link
+    ranking over a tail type too large to corrupt in full samples its
+    negatives from rng 0.  A report depends on nothing but the weights and
+    the graph, so one computed mid-training, after training, or from a
+    reloaded checkpoint is byte-for-byte the same."""
     if task not in TASKS:
         raise ContractError(f"unknown task '{task}'")
-    emb = full_graph_embeddings(models, graph, representation=representation,
-                                memo=memo, version=version)
-    return _EVAL_FN[task](models, graph, emb, split, _as_rng(rng))
+    emb = full_graph_embeddings(models, graph, representation=representation)
+    return _EVAL_FN[task](models, graph, emb, split)
 
 # -------------------------------------------------------------- training loop
 
@@ -757,18 +751,13 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                 settings: TrainSettings, epochs: int, cache: EmbeddingCache,
                 budget: NodeBudget, log: RunLog, rng, step_start: int = 0,
                 partition_map: PartitionMap | None = None,
-                learning_rate: float | None = None,
-                memo: EmbeddingCache | None = None) -> tuple[int, float]:
+                learning_rate: float | None = None) -> tuple[int, float]:
     """Run one stage for `epochs` epochs, restoring the epoch snapshot that
     scored best on the held-out split.  Returns (next_step, best_value).
 
     Cache entries are stamped with cache.version, which advances after every
-    step that trains the encoder, and once more when such a stage ends and
-    its training cache is dropped.  The per-epoch evals share `memo` (an
-    eval_memo(), fresh for this stage when None) under the same version,
-    and draw from rng 0, never from the training stream `rng`.
-    When the last epoch scored best its weights are kept as they are, and
-    the memo's rows from that epoch's eval stay valid for the next stage."""
+    step that trains the encoder; when such a stage ends its training cache
+    is dropped.  The per-epoch evals never draw from the training stream."""
     if kind not in STAGE_KINDS:
         raise ContractError(f"unknown stage kind '{kind}'")
     rng = _as_rng(rng)  # normalize once; a per-call reseed would freeze sampling
@@ -793,8 +782,6 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
         raise ContractError(f"no train targets for task '{task}'")
     steps_per_epoch = max(1, -(-len(pool) // settings.batch_size))
 
-    if memo is None:
-        memo = eval_memo(graph)
     step = step_start
     best_value = -np.inf
     best_snapshot = None
@@ -818,9 +805,8 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                          cache_hits=stats["hits"], cache_misses=stats["misses"],
                          encoded_rows=stats["encoded_rows"])
             step += 1
-        metrics = evaluate(models, graph, task, VALID, rng=0,
-                           representation=representation, memo=memo,
-                           version=cache.version)
+        metrics = evaluate(models, graph, task, VALID,
+                           representation=representation)
         for mname, value in sorted(metrics.items()):
             log.add_metric(kind, epoch, SPLIT_NAMES[VALID], mname, float(value))
         if metrics[metric_name] > best_value:
@@ -828,15 +814,11 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
             best_snapshot = models.snapshot()
             best_epoch = epoch
     if best_snapshot is not None:
-        last_is_best = best_epoch == epochs - 1
-        if not last_is_best:
+        if best_epoch != epochs - 1:
             models.restore(best_snapshot)
         if lm_trainable:
             # rows cached in training predate the kept encoder weights
             cache.clear()
-            if last_is_best:
-                # the weights are the last eval's, so its memo rows stay exact
-                memo.restamp(cache.version - 1, cache.version)
     return step, best_value
 
 
@@ -869,7 +851,6 @@ def run_stagewise(graph: HeteroGraph, settings: TrainSettings,
                    np.random.default_rng(children[2]))
 
     cache = EmbeddingCache(settings.cache_capacity, settings.cache_staleness)
-    memo = eval_memo(graph)
     budget = NodeBudget(settings.budget_train_nodes, settings.budget_infer_batch)
     rates = settings.stage_learning_rates or \
         (settings.learning_rate,) * len(settings.stages)
@@ -879,13 +860,12 @@ def run_stagewise(graph: HeteroGraph, settings: TrainSettings,
             models, graph, kind, settings=settings, epochs=epochs, cache=cache,
             budget=budget, log=log, rng=np.random.default_rng(children[3 + i]),
             step_start=step, partition_map=partition_map,
-            learning_rate=rates[i], memo=memo)
+            learning_rate=rates[i])
         if stage_callback is not None:
             stage_callback(i, kind, models)
 
-    final = evaluate(models, graph, settings.task, TEST, rng=0,
-                     representation=stage_representation(settings.stages[-1]),
-                     memo=memo, version=cache.version)
+    final = evaluate(models, graph, settings.task, TEST,
+                     representation=stage_representation(settings.stages[-1]))
     for mname, value in sorted(final.items()):
         log.add_metric("final", 0, "test", mname, float(value))
     return models, log, final
@@ -913,13 +893,35 @@ def save_bundle(path: str, models: ModelBundle, graph: HeteroGraph,
     return str(manifest)
 
 
+def _list_of(ok):
+    return lambda v: type(v) is list and all(ok(x) for x in v)
+
+
+_STRINGS = _list_of(lambda v: type(v) is str)
+# manifest meta key -> (what its value must be, the check)
+_META_CHECKS = {
+    **dict.fromkeys(ARCH_KEYS, ("an int >= 1",
+                                lambda v: type(v) is int and v >= 1)),
+    "aggregation": (f"one of {list(rgcn.AGGREGATIONS)}",
+                    lambda v: v in rgcn.AGGREGATIONS),
+    **dict.fromkeys(("vocab_size", "node_classes", "edge_classes"),
+                    ("an int >= 0", lambda v: type(v) is int and v >= 0)),
+    "node_types": ("a list of strings", _STRINGS),
+    "node_counts": ("a list of ints", _list_of(lambda v: type(v) is int)),
+    "relations": ("a list of [name, source type, target type] lists",
+                  _list_of(lambda r: _STRINGS(r) and len(r) == 3)),
+}
+
+
 def load_bundle(path: str, graph: HeteroGraph) -> ModelBundle:
     arrays, meta = load_checkpoint(path)
-    for key in ARCH_KEYS + ("vocab_size", "node_types", "node_counts",
-                            "relations", "node_classes", "edge_classes"):
+    for key, (expected, ok) in _META_CHECKS.items():
         if key not in meta:
             raise LoadError(f"{checkpoint_stem(path)}.json: checkpoint metadata "
                             f"lacks '{key}'")
+        if not ok(meta[key]):
+            raise LoadError(f"{checkpoint_stem(path)}.json: checkpoint metadata "
+                            f"'{key}' must be {expected}, got {meta[key]!r}")
     if list(graph.node_types) != meta["node_types"]:
         raise LoadError(f"{path}: checkpoint node types {meta['node_types']} "
                         f"do not match graph {list(graph.node_types)}")
@@ -928,7 +930,7 @@ def load_bundle(path: str, graph: HeteroGraph) -> ModelBundle:
         raise LoadError(f"{path}: checkpoint node counts {meta['node_counts']} "
                         f"do not match graph {counts}")
     rels = [[r.name, r.src_type, r.dst_type] for r in graph.relations]
-    if rels != [list(r) for r in meta["relations"]]:
+    if rels != meta["relations"]:
         raise LoadError(f"{path}: checkpoint relations do not match graph")
     vocab = tx.Vocab.load(f"{checkpoint_stem(path)}.vocab.txt")
     if vocab.size != meta["vocab_size"]:

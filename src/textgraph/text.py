@@ -44,13 +44,11 @@ class Vocab:
         return self._index.get(token, UNK_ID)
 
     @classmethod
-    def from_texts(cls, texts, min_count: int = 1) -> "Vocab":
+    def from_texts(cls, texts) -> "Vocab":
         counts = Counter()
         for text in texts:
             counts.update(text.lower().split())
-        kept = [t for t, c in counts.items() if c >= min_count]
-        kept.sort(key=lambda t: (-counts[t], t))
-        return cls(kept)
+        return cls(sorted(counts, key=lambda t: (-counts[t], t)))
 
     def save(self, path) -> None:
         Path(path).write_text("".join(t + "\n" for t in self.tokens), encoding="utf-8")

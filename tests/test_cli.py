@@ -113,14 +113,27 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "dropout" in capsys.readouterr().err
 
 
-def test_config_enumerated_ranges(tmp_path):
+def test_config_enumerated_ranges(tmp_path, graph_dir, capsys):
     for bad in ({"hidden_dim": "100"}, {"learning_rate": "0.5"},
                 {"num_layers": "4"}, {"negative_mode": "both"},
                 {"task": "ranking"}, {"stages": "WarmStartGNN,Nope"},
                 {"epochs": "0"}, {"batch_size": "-3"}):
-        cfg = _write_config(tmp_path / "c.txt", "unused", **bad)
+        cfg = _write_config(tmp_path / "c.txt", graph_dir, **bad)
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2, bad
+        assert f"'{next(iter(bad))}'" in capsys.readouterr().err, bad
+
+
+def test_negative_seed_flag_exits_2_before_any_work(tmp_path, graph_dir,
+                                                   capsys):
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--out", str(out), "--seed", "-1"]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    cfg = _write_config(tmp_path / "c.txt", graph_dir)
+    assert cli.main(["train", "--config", cfg, "--out", str(out),
+                     "--seed", "-1"]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_stage_epoch_length_mismatch(tmp_path, capsys):
@@ -307,6 +320,28 @@ def test_eval_rejects_manifest_missing_meta_key(tmp_path, trained, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "ckpt.json" in err and "'aggregation'" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim", "16"), ("node_classes", "2"), ("max_len", "x"),
+    ("hidden_dim", 16.5), ("relations", 5), ("num_heads", 0),
+    ("vocab_size", "25"), ("aggregation", "max"), ("num_layers", True),
+    ("edge_classes", -1), ("node_types", ["a", 1]), ("node_counts", [30.0]),
+    ("relations", [["r", "a"]])])
+def test_eval_rejects_wrongly_typed_meta(tmp_path, trained, capsys, key, value):
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    stem = str(tmp_path / "ckpt")
+    for ext in (".bin", ".vocab.txt"):
+        shutil.copyfile(ckpt + ext, stem + ext)
+    with open(ckpt + ".json", encoding="utf-8") as f:
+        manifest = json.load(f)
+    manifest["meta"][key] = value
+    with open(stem + ".json", "w", encoding="utf-8") as f:
+        json.dump(manifest, f)
+    rc = cli.main(["eval", stem, trained["graph_dir"], "--task", "link"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ckpt.json" in err and f"'{key}'" in err
 
 
 def test_eval_rejects_overlapping_manifest_offsets(tmp_path, trained, capsys):

@@ -1,5 +1,5 @@
-"""The quick demos run to completion.  Demos 04 and 05 train for minutes and
-are left to be run by hand."""
+"""The quick demos run to completion.  Demos 04 and 05 train for minutes;
+the CI workflow runs them in a step of their own, outside tier-1."""
 
 import os
 import subprocess

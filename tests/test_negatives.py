@@ -219,9 +219,6 @@ def test_eval_negatives_filtered():
     ids, dropped = ng.sample_eval_negatives(g, 0, head=0, tail=0, count=50, rng=0)
     assert set(ids.tolist()) <= {3, 4}
     assert len(ids) + dropped == 50
-    unfiltered, d2 = ng.sample_eval_negatives(g, 0, head=0, tail=0, count=50,
-                                              rng=0, filtered=False)
-    assert d2 == 0 and len(unfiltered) == 50 and 0 not in unfiltered
 
 
 def test_full_eval_negatives():
@@ -231,5 +228,3 @@ def test_full_eval_negatives():
                        [gr.Relation("A", "r", "B")], [(src, dst)])
     filtered = ng.full_eval_negatives(g, 0, head=0, tail=0)
     np.testing.assert_array_equal(filtered, [3, 4, 5])
-    raw = ng.full_eval_negatives(g, 0, head=0, tail=0, filtered=False)
-    np.testing.assert_array_equal(raw, [1, 2, 3, 4, 5])

@@ -1,6 +1,5 @@
 """Stage plans, budget split, embedding cache, feature assembly, training."""
 
-import copy
 import json
 
 import numpy as np
@@ -15,11 +14,14 @@ from textgraph.graph import (TEST, TRAIN, VALID, HeteroGraph, SyntheticSpec,
                              generate_synthetic)
 
 
+SMALL_SPEC = SyntheticSpec(nodes_per_type=40, clusters=2, intra_p=0.15,
+                           inter_p=0.02, vocab_size=40, tokens_per_node=5,
+                           seed=5)
+
+
 @pytest.fixture(scope="module")
 def small_graph():
-    return generate_synthetic(SyntheticSpec(
-        nodes_per_type=40, clusters=2, intra_p=0.15, inter_p=0.02,
-        vocab_size=40, tokens_per_node=5, seed=5))
+    return generate_synthetic(SMALL_SPEC)
 
 
 def quick_settings(**kw):
@@ -409,35 +411,56 @@ def test_bundle_rejects_mismatched_graph(tmp_path, small_graph):
         pl.load_bundle(stem, other)
 
 
-# ------------------------------------------- encoder-version cache and memo
+# ---------------------------------------- encoder-version cache and eval rows
 
 
 def _texted_rows(graph):
     return sum(c for t, c in enumerate(graph.node_counts) if graph.has_text(t))
 
 
-def test_frozen_encoder_cache_never_goes_stale(small_graph):
+def _count_encoded_rows(monkeypatch):
+    """Rows passed to every text encode from now on, one entry per call."""
+    encoded = []
+    real_encode = tx.encode_cls
+
+    def spy(model, tokens, **kwargs):
+        encoded.append(tokens.shape[0])
+        return real_encode(model, tokens, **kwargs)
+
+    monkeypatch.setattr(tx, "encode_cls", spy)
+    return encoded
+
+
+def _scratch_evaluate(models, *args, **kwargs):
+    """evaluate() on a freshly generated copy of small_graph, which holds no
+    rows from earlier evals."""
+    return pl.evaluate(models, generate_synthetic(SMALL_SPEC), *args, **kwargs)
+
+
+def test_frozen_encoder_cache_never_goes_stale(small_graph, monkeypatch):
     """A frozen encoder never ages a cached row: a stage longer than the
     staleness limit drops nothing and encodes every texted row at most once,
     in training and across all its evals."""
     settings = quick_settings(task="node", cache_staleness=2)
     models = pl.build_models(small_graph, settings,
                              rng=np.random.default_rng(0))
-    cache, memo = pl.EmbeddingCache(256, 2), pl.eval_memo(small_graph)
+    cache = pl.EmbeddingCache(256, 2)
     log = pl.RunLog()
+    encoded = _count_encoded_rows(monkeypatch)
     pl.train_stage(models, small_graph, "WarmStartGNN", settings=settings,
                    epochs=3, cache=cache, budget=pl.NodeBudget(8, 16), log=log,
-                   rng=np.random.default_rng(0), memo=memo)
+                   rng=np.random.default_rng(0))
     steps = [r for r in log.records if r["kind"] == "step"]
     texted = _texted_rows(small_graph)
     assert len(steps) > cache.staleness_limit
     assert cache.version == 0
     assert cache.stale_drops == 0 and cache.evictions == 0
-    assert sum(r["encoded_rows"] for r in steps) <= texted
+    train_rows = sum(r["encoded_rows"] for r in steps)
+    assert train_rows <= texted
     assert sum(r["cache_hits"] for r in steps) == cache.hits
     assert sum(r["cache_misses"] for r in steps) == cache.misses
     # three evals, one encode
-    assert memo.misses == texted and memo.hits == 2 * texted
+    assert sum(encoded) - train_rows == texted
 
 
 def test_training_stage_advances_encoder_version(small_graph):
@@ -448,8 +471,8 @@ def test_training_stage_advances_encoder_version(small_graph):
     step, _ = pl.train_stage(models, small_graph, "EndToEnd", settings=settings,
                              epochs=1, cache=cache, budget=pl.NodeBudget(8, 16),
                              log=pl.RunLog(), rng=np.random.default_rng(0))
-    # one advance per step, one more for the best-epoch restore
-    assert cache.version == step + 1
+    # one advance per step
+    assert cache.version == step
 
 
 def test_warm_start_then_end_to_end_staleness_zero_equals_cache_off(small_graph):
@@ -486,45 +509,43 @@ def test_per_epoch_eval_negatives_leave_training_stream_alone(small_graph,
     assert step_losses() == full
 
 
-def test_memo_eval_equals_scratch_eval_after_best_epoch_restore(small_graph,
-                                                                monkeypatch):
+def test_eval_rows_equal_scratch_eval_after_best_epoch_restore(small_graph,
+                                                               monkeypatch):
     """Epoch 0 is made the best, so the stage restores pre-update encoder
-    weights; the memo must then serve nothing from the later eval."""
+    weights; the rows of the later eval must then not be served."""
     settings = quick_settings()
     models = pl.build_models(small_graph, settings,
                              rng=np.random.default_rng(0))
-    cache, memo = pl.EmbeddingCache(256, 5), pl.eval_memo(small_graph)
     real_evaluate = pl.evaluate
     scores = iter([1.0, 0.0])
 
     def epoch_zero_best(*args, **kwargs):
-        real_evaluate(*args, **kwargs)  # fills the memo like the real loop
+        real_evaluate(*args, **kwargs)  # encodes rows like the real loop
         return {"mrr": next(scores)}
 
     monkeypatch.setattr(pl, "evaluate", epoch_zero_best)
     pl.train_stage(models, small_graph, "EndToEnd", settings=settings,
-                   epochs=2, cache=cache, budget=pl.NodeBudget(8, 16),
-                   log=pl.RunLog(), rng=np.random.default_rng(0), memo=memo)
+                   epochs=2, cache=pl.EmbeddingCache(256, 5),
+                   budget=pl.NodeBudget(8, 16), log=pl.RunLog(),
+                   rng=np.random.default_rng(0))
     monkeypatch.undo()
-    assert memo.hits == 0  # the encoder trained between the two evals
 
-    def embeddings(cache, step):
-        return pl.full_graph_embeddings(models, small_graph, memo=cache,
-                                        version=step)
-
-    scratch = embeddings(pl.EmbeddingCache(0, 0), 0)
-    # the memo's rows from the epoch-1 eval no longer match the weights
-    assert not np.array_equal(embeddings(memo, cache.version - 1), scratch)
-    assert embeddings(memo, cache.version).tobytes() == scratch.tobytes()
+    encoded = _count_encoded_rows(monkeypatch)
+    scratch = pl.full_graph_embeddings(models, generate_synthetic(SMALL_SPEC))
+    scratch_rows = sum(encoded)
+    emb = pl.full_graph_embeddings(models, small_graph)
+    # the epoch-1 eval's rows no longer match the weights: all re-encoded
+    assert sum(encoded) == 2 * scratch_rows == 2 * _texted_rows(small_graph)
+    assert emb.tobytes() == scratch.tobytes()
     for representation in ("gnn", "cls"):
         kw = dict(representation=representation)
-        assert pl.evaluate(models, small_graph, "link", VALID, memo=memo,
-                           version=cache.version, **kw) == \
-            pl.evaluate(models, small_graph, "link", VALID, **kw)
-    assert memo.hits > 0
+        assert pl.evaluate(models, small_graph, "link", VALID, **kw) == \
+            _scratch_evaluate(models, "link", VALID, **kw)
+    # the two scratch evals encode; the evals on small_graph reuse their rows
+    assert sum(encoded) == 4 * scratch_rows
 
 
-def test_frozen_stage_after_last_epoch_best_reuses_eval_memo(small_graph,
+def test_frozen_stage_after_last_epoch_best_reuses_eval_rows(small_graph,
                                                             monkeypatch):
     """A 1-epoch encoder-training stage keeps its last (and best) weights, so
     the next frozen stage's first eval encodes nothing and still equals a
@@ -532,37 +553,30 @@ def test_frozen_stage_after_last_epoch_best_reuses_eval_memo(small_graph,
     settings = quick_settings()
     models = pl.build_models(small_graph, settings,
                              rng=np.random.default_rng(0))
-    cache, memo = pl.EmbeddingCache(256, 5), pl.eval_memo(small_graph)
+    cache = pl.EmbeddingCache(256, 5)
     kw = dict(settings=settings, cache=cache, budget=pl.NodeBudget(8, 16),
-              log=pl.RunLog(), memo=memo)
+              log=pl.RunLog())
     pl.train_stage(models, small_graph, "EndToEnd", epochs=1,
                    rng=np.random.default_rng(0), **kw)
     assert len(cache) == 0
-
-    encoded = []
-    real_encode = tx.encode_cls
-
-    def spy(model, tokens, **kwargs):
-        encoded.append(tokens.shape[0])
-        return real_encode(model, tokens, **kwargs)
 
     evals = []
     real_evaluate = pl.evaluate
 
     def recording(*args, **kwargs):
-        scratch_rng = copy.deepcopy(kwargs["rng"])
         before = len(encoded)
         result = real_evaluate(*args, **kwargs)
         rows = sum(encoded[before:])
-        emb = pl.full_graph_embeddings(models, small_graph, memo=memo,
-                                       version=kwargs["version"])
-        scratch_emb = pl.full_graph_embeddings(models, small_graph)
-        scratch = real_evaluate(*args, **{**kwargs, "rng": scratch_rng,
-                                          "memo": None, "version": 0})
-        evals.append((rows, result, scratch, emb.tobytes() == scratch_emb.tobytes()))
+        emb = pl.full_graph_embeddings(models, small_graph)
+        scratch_emb = pl.full_graph_embeddings(models,
+                                               generate_synthetic(SMALL_SPEC))
+        scratch = real_evaluate(models, generate_synthetic(SMALL_SPEC),
+                                *args[2:], **kwargs)
+        evals.append((rows, result, scratch,
+                      emb.tobytes() == scratch_emb.tobytes()))
         return result
 
-    monkeypatch.setattr(tx, "encode_cls", spy)
+    encoded = _count_encoded_rows(monkeypatch)
     monkeypatch.setattr(pl, "evaluate", recording)
     pl.train_stage(models, small_graph, "WarmStartGNN", epochs=1,
                    rng=np.random.default_rng(1), **kw)
@@ -570,6 +584,54 @@ def test_frozen_stage_after_last_epoch_best_reuses_eval_memo(small_graph,
     assert rows == 0
     assert json.dumps(result) == json.dumps(scratch)
     assert same_embeddings
+
+
+def test_in_place_encoder_edit_makes_the_next_eval_re_encode(small_graph,
+                                                             monkeypatch):
+    """An encoder weight edited in place, even a 0.0 turned -0.0, is seen:
+    the next eval encodes every texted row again and equals an eval on a
+    fresh graph byte for byte."""
+    models = pl.build_models(small_graph, quick_settings(), rng=6)
+    pl.evaluate(models, small_graph, "link", VALID)
+    encoded = _count_encoded_rows(monkeypatch)
+    texted = _texted_rows(small_graph)
+    bias = models.encoder.params["blk0_bq"].data
+    assert bias[0] == 0.0
+    bias[0] = -0.0
+    pl.evaluate(models, small_graph, "link", VALID)
+    assert sum(encoded) == texted
+
+    models.encoder.params["tok_emb"].data[5, 0] += 0.5
+    before = sum(encoded)
+    result = pl.evaluate(models, small_graph, "link", VALID)
+    assert sum(encoded) - before == texted
+    assert json.dumps(result) == json.dumps(
+        _scratch_evaluate(models, "link", VALID))
+
+
+def test_gnn_only_weight_change_re_encodes_nothing(small_graph, monkeypatch):
+    models = pl.build_models(small_graph, quick_settings(), rng=7)
+    first = pl.full_graph_embeddings(models, small_graph)
+    encoded = _count_encoded_rows(monkeypatch)
+    rng = np.random.default_rng(0)
+    for p in models.gnn.params().values():
+        p.data = p.data + rng.normal(scale=0.1, size=p.data.shape)
+    assert not np.array_equal(pl.full_graph_embeddings(models, small_graph),
+                              first)
+    result = pl.evaluate(models, small_graph, "link", VALID)
+    assert encoded == []
+    assert json.dumps(result) == json.dumps(
+        _scratch_evaluate(models, "link", VALID))
+
+
+def test_evals_under_unchanged_weights_encode_each_row_once(small_graph,
+                                                            monkeypatch):
+    models = pl.build_models(small_graph, quick_settings(), rng=8)
+    encoded = _count_encoded_rows(monkeypatch)
+    pl.evaluate(models, small_graph, "link", VALID)
+    assert sum(encoded) == _texted_rows(small_graph)
+    pl.evaluate(models, small_graph, "link", TEST, representation="cls")
+    assert sum(encoded) == _texted_rows(small_graph)
 
 
 def test_nograd_encodes_only_misses_within_call_cap(small_graph, monkeypatch):

@@ -20,7 +20,7 @@ def test_vocab_ids_and_unk():
 
 
 def test_vocab_file_round_trip(tmp_path):
-    v = tx.Vocab.from_texts(["red red blue", "red green"], min_count=1)
+    v = tx.Vocab.from_texts(["red red blue", "red green"])
     assert v.tokens[0] == "red"  # most frequent first
     path = tmp_path / "vocab.txt"
     v.save(path)
