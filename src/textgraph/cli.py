@@ -8,52 +8,64 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import os
 import sys
 
 from . import pipeline as pl
 from .errors import ContractError, LoadError, NumericsError
-from .graph import (SPLIT_NAMES, TARGET_MODES, HeteroGraph, SyntheticSpec,
-                    generate_synthetic, load_graph, save_graph)
-from .negatives import NEGATIVE_MODES
+from .graph import (SPLIT_NAMES, SyntheticSpec, generate_synthetic, load_graph,
+                    save_graph)
 
-_ENUM_KEYS = {
-    "task": pl.TASKS,
-    "negative_mode": NEGATIVE_MODES,
-    "target_mode": TARGET_MODES,
+# TrainSettings fields a config file cannot set: the model's shape beyond the
+# grid below, and per-stage learning rates
+_PROGRAMMATIC_ONLY = ("stage_learning_rates", "max_len", "dim", "num_heads",
+                      "num_blocks", "aggregation")
+# config key -> its default, whose type the file's value is parsed into
+_CONFIG_DEFAULTS = {
+    "graph_dir": "", "out_dir": "",
+    **{f.name: f.default for f in dataclasses.fields(pl.TrainSettings)
+       if f.name not in _PROGRAMMATIC_ONLY}}
+
+
+def _grid(*choices):
+    return (f"one of {list(choices)}", lambda v: v in choices)
+
+
+# The config file's own policy, narrower than pipeline.SETTING_RULES: a grid
+# over the GNN's depth and width and the step size, and masked-token
+# pretraining that masks something.
+_CONFIG_RULES = {
+    "num_layers": _grid(1, 2, 3),
+    "hidden_dim": _grid(128, 256, 512),
+    "learning_rate": _grid(1e-3, 1e-4, 1e-5),
+    "mlm_mask_prob": ("> 0", lambda v: v > 0),
 }
-_CHOICE_KEYS = {
-    "num_layers": (1, 2, 3),
-    "hidden_dim": (128, 256, 512),
-}
-_LEARNING_RATES = (1e-3, 1e-4, 1e-5)
-_POSITIVE_INT_KEYS = ("batch_size", "fanouts", "negatives_k",
-                      "budget_train_nodes", "budget_infer_batch", "partitions")
-_NON_NEGATIVE_INT_KEYS = ("cache_capacity", "cache_staleness", "mlm_epochs",
-                          "seed")
-_KNOWN_KEYS = (set(_ENUM_KEYS) | set(_CHOICE_KEYS) | set(_POSITIVE_INT_KEYS)
-               | set(_NON_NEGATIVE_INT_KEYS)
-               | {"graph_dir", "stages", "epochs", "learning_rate",
-                  "mlm_mask_prob", "out_dir"})
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_value(key: str, raw: str, default):
+    """raw as default's type; a tuple takes comma-separated items."""
+    if isinstance(default, tuple):
+        return tuple(_parse_value(key, item.strip(), default[0])
+                     for item in raw.split(",") if item.strip())
     try:
-        return int(raw)
+        return type(default)(raw)
     except ValueError:
-        raise ConfigError(f"key '{key}' needs an integer, got '{raw}'") from None
+        raise ConfigError(f"key '{key}' needs {type(default).__name__} values, "
+                          f"got '{raw}'") from None
 
 
-def parse_config(path: str) -> dict:
-    """Flat key=value file -> validated dict of run options.
+def parse_config(path: str) -> tuple[pl.TrainSettings, dict]:
+    """Flat key=value file -> (TrainSettings, its graph_dir and out_dir).
 
-    Unknown keys are rejected by name; enumerated fields are checked against
-    their allowed sets, numeric fields against their ranges.
+    Unknown and duplicate keys are rejected by name.  Each value is parsed as
+    its field's default is typed (a tuple takes comma-separated items) and
+    checked against _CONFIG_RULES, then TrainSettings checks SETTING_RULES.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -69,78 +81,17 @@ def parse_config(path: str) -> dict:
             raise ConfigError(f"{path}:{ln}: expected key=value, got '{bare}'")
         key, _, raw = bare.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _CONFIG_DEFAULTS:
             raise ConfigError(f"{path}:{ln}: unknown key '{key}'")
         if key in out:
             raise ConfigError(f"{path}:{ln}: duplicate key '{key}'")
-        out[key] = _validate_value(key, raw)
-    return out
-
-
-def _validate_value(key: str, raw: str):
-    if key in ("graph_dir", "out_dir"):
-        return raw
-    if key in _ENUM_KEYS:
-        if raw not in _ENUM_KEYS[key]:
-            raise ConfigError(f"key '{key}' must be one of "
-                              f"{sorted(_ENUM_KEYS[key])}, got '{raw}'")
-        return raw
-    if key in _CHOICE_KEYS:
-        value = _parse_int(key, raw)
-        if value not in _CHOICE_KEYS[key]:
-            raise ConfigError(f"key '{key}' must be one of "
-                              f"{list(_CHOICE_KEYS[key])}, got {value}")
-        return value
-    if key == "learning_rate":
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"key 'learning_rate' needs a float, got '{raw}'") \
-                from None
-        if value not in _LEARNING_RATES:
-            raise ConfigError(f"key 'learning_rate' must be one of "
-                              f"{list(_LEARNING_RATES)}, got {value}")
-        return value
-    if key == "mlm_mask_prob":
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"key 'mlm_mask_prob' needs a float, got '{raw}'") \
-                from None
-        if not 0.0 < value <= 1.0:
-            raise ConfigError(f"key 'mlm_mask_prob' must be in (0, 1], got {value}")
-        return value
-    if key == "stages":
-        stages = tuple(s.strip() for s in raw.split(",") if s.strip())
-        if not stages:
-            raise ConfigError("key 'stages' must list at least one stage")
-        for s in stages:
-            if s not in pl.STAGE_KINDS:
-                raise ConfigError(f"key 'stages' has unknown stage kind '{s}' "
-                                  f"(choose from {list(pl.STAGE_KINDS)})")
-        return stages
-    if key == "epochs":
-        epochs = tuple(_parse_int("epochs", s.strip())
-                       for s in raw.split(",") if s.strip())
-        if not epochs or any(e < 1 for e in epochs):
-            raise ConfigError("key 'epochs' must list positive integers")
-        return epochs
-    value = _parse_int(key, raw)
-    if key in _POSITIVE_INT_KEYS and value < 1:
-        raise ConfigError(f"key '{key}' must be >= 1, got {value}")
-    if key in _NON_NEGATIVE_INT_KEYS and value < 0:
-        raise ConfigError(f"key '{key}' must be >= 0, got {value}")
-    return value
-
-
-def settings_from_config(conf: dict) -> pl.TrainSettings:
-    fields = {k: v for k, v in conf.items() if k not in ("graph_dir", "out_dir")}
-    settings = pl.TrainSettings(**fields)
-    if len(settings.stages) != len(settings.epochs):
-        raise ConfigError(
-            f"stages lists {len(settings.stages)} entries but epochs lists "
-            f"{len(settings.epochs)}")
-    return settings
+        value = _parse_value(key, raw, _CONFIG_DEFAULTS[key])
+        what, ok = _CONFIG_RULES.get(key, (None, None))
+        if ok is not None and not ok(value):
+            raise ConfigError(f"key '{key}' must be {what}, got {value!r}")
+        out[key] = value
+    paths = {key: out.pop(key) for key in ("graph_dir", "out_dir") if key in out}
+    return pl.TrainSettings(**out), paths
 
 
 def _ensure_out_dir(path: str, force: bool):
@@ -160,11 +111,8 @@ def _report_json(report: dict) -> str:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(nodes_per_type=args.nodes_per_type,
-                         clusters=args.clusters, intra_p=args.intra_p,
-                         inter_p=args.inter_p, vocab_size=args.vocab_size,
-                         tokens_per_node=args.tokens_per_node,
-                         cluster_token_p=args.cluster_token_p, seed=args.seed)
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(SyntheticSpec)})
     spec.validate()
     _ensure_out_dir(args.out, args.force)
     graph = generate_synthetic(spec)
@@ -175,16 +123,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    conf = parse_config(args.config)
-    if "graph_dir" not in conf:
+    settings, paths = parse_config(args.config)
+    if "graph_dir" not in paths:
         raise ConfigError(f"{args.config}: missing required key 'graph_dir'")
     if args.seed is not None:
-        conf["seed"] = args.seed
-    out_dir = args.out or conf.get("out_dir")
+        settings = dataclasses.replace(settings, seed=args.seed)
+    out_dir = args.out or paths.get("out_dir")
     if not out_dir:
         raise ConfigError("train needs --out or an out_dir config key")
-    settings = settings_from_config(conf)
-    graph = load_graph(conf["graph_dir"])
+    graph = load_graph(paths["graph_dir"])
     _ensure_out_dir(out_dir, args.force)
 
     def save_stage(index: int, kind: str, models: pl.ModelBundle):
@@ -206,9 +153,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     graph = load_graph(args.graph_dir)
     models = pl.load_bundle(args.checkpoint, graph)
-    if args.split not in SPLIT_NAMES:
-        raise ConfigError(f"split must be one of {list(SPLIT_NAMES)}, "
-                          f"got '{args.split}'")
     if args.task == "node" and models.node_head is None:
         raise ConfigError("checkpoint has no node classifier head")
     if args.task == "edge" and models.edge_head is None:
@@ -249,14 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic graph directory")
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--force", action="store_true")
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--nodes-per-type", type=int, default=500)
-    p_synth.add_argument("--clusters", type=int, default=4)
-    p_synth.add_argument("--intra-p", type=float, default=0.03)
-    p_synth.add_argument("--inter-p", type=float, default=0.002)
-    p_synth.add_argument("--vocab-size", type=int, default=120)
-    p_synth.add_argument("--tokens-per-node", type=int, default=12)
-    p_synth.add_argument("--cluster-token-p", type=float, default=0.9)
+    for f in dataclasses.fields(SyntheticSpec):
+        p_synth.add_argument("--" + f.name.replace("_", "-"),
+                             type=type(f.default), default=f.default)
     p_synth.set_defaults(fn=cmd_synth)
 
     p_train = sub.add_parser("train", help="run a staged training plan")
@@ -270,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("graph_dir")
     p_eval.add_argument("--task", required=True, choices=sorted(pl.TASKS))
-    p_eval.add_argument("--split", default="test")
+    p_eval.add_argument("--split", default="test", choices=SPLIT_NAMES)
     p_eval.add_argument("--representation", default="gnn",
                         choices=("gnn", "cls"))
     p_eval.set_defaults(fn=cmd_eval)
@@ -319,8 +258,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None:  # the config key's rule
-            _validate_value("seed", str(args.seed))
         return args.fn(args)
     except (ConfigError, ContractError, LoadError, OSError) as e:
         # OSError: an --out path that is a file, or under one, and the like

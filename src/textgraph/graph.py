@@ -488,20 +488,22 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self):
-        if self.clusters < 2:
-            raise ContractError("clusters must be >= 2")
-        if self.nodes_per_type < self.clusters:
-            raise ContractError("nodes_per_type must be >= clusters")
-        if not (0.0 <= self.inter_p <= 1.0 and 0.0 <= self.intra_p <= 1.0):
-            raise ContractError("edge probabilities must lie in [0, 1]")
-        if self.intra_p <= self.inter_p:
-            raise ContractError("intra_p must exceed inter_p")
-        if self.vocab_size < self.clusters:
-            raise ContractError("vocab_size must be >= clusters")
-        if self.tokens_per_node < 1:
-            raise ContractError("tokens_per_node must be >= 1")
-        if not (0.0 <= self.cluster_token_p <= 1.0):
-            raise ContractError("cluster_token_p must lie in [0, 1]")
+        c, big = self.clusters, 2 ** 63  # seed alone has no upper bound
+        for name, what, ok in (
+                ("seed", ">= 0", self.seed >= 0),
+                ("clusters", ">= 2 and < 2**63", 2 <= c < big),
+                ("nodes_per_type", ">= clusters and < 2**63",
+                 c <= self.nodes_per_type < big),
+                ("inter_p", "in [0, 1]", 0.0 <= self.inter_p <= 1.0),
+                ("intra_p", "in (inter_p, 1]", self.inter_p < self.intra_p <= 1.0),
+                ("vocab_size", ">= clusters and < 2**63",
+                 c <= self.vocab_size < big),
+                ("tokens_per_node", ">= 1 and < 2**63",
+                 1 <= self.tokens_per_node < big),
+                ("cluster_token_p", "in [0, 1]", 0.0 <= self.cluster_token_p <= 1.0)):
+            if not ok:
+                raise ContractError(
+                    f"'{name}' must be {what}, got {getattr(self, name)}")
 
 
 def _cluster_assignment(n: int, clusters: int) -> np.ndarray:
@@ -658,8 +660,8 @@ def _normalize_fanouts(fanouts, num_msg_rels: int) -> list[int]:
         if len(fan) != num_msg_rels:
             raise ContractError(
                 f"need {num_msg_rels} fanouts (one per message relation), got {len(fan)}")
-    if any(f < 1 for f in fan):
-        raise ContractError("fanouts must be positive")
+    if any(not 1 <= f < 2 ** 63 for f in fan):
+        raise ContractError(f"fanouts must be positive and < 2**63, got {fan}")
     return fan
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,9 +43,9 @@ from . import tensor as tg
 from . import text as tx
 from .checkpoint import checkpoint_stem, load_checkpoint, save_checkpoint
 from .errors import ContractError, LoadError, NumericsError
-from .graph import (SPLIT_NAMES, TEST, VALID, HeteroGraph, PartitionMap,
-                    TargetSample, _as_rng, _train_pool, assign_partitions,
-                    sample_neighbors, sample_targets)
+from .graph import (SPLIT_NAMES, TARGET_MODES, TEST, VALID, HeteroGraph,
+                    PartitionMap, TargetSample, _as_rng, _train_pool,
+                    assign_partitions, sample_neighbors, sample_targets)
 from .metrics import RankedQuery, accuracy, f1_scores, mrr
 from .tensor import Tensor
 
@@ -78,9 +78,10 @@ def primary_metric(task: str) -> str:
     return {"link": "mrr", "node": "accuracy", "edge": "macro_f1"}[task]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSettings:
-    """Everything a run needs; CLI configs parse into one of these."""
+    """Everything a run needs; CLI configs parse into one of these.  Checked
+    on construction against SETTING_RULES and the per-stage lengths."""
 
     task: str = "link"
     stages: tuple = ("PreFineTuneLM", "WarmStartGNN", "EndToEnd")
@@ -114,6 +115,73 @@ class TrainSettings:
     num_blocks: int = 2
     aggregation: str = "mean"
     seed: int = 0
+
+    def __post_init__(self):
+        rules = [*((f.name, *SETTING_RULES[f.name]) for f in fields(self)),
+                 ("epochs", "a tuple with one entry per stage",
+                  lambda v: len(v) == len(self.stages)),
+                 ("stage_learning_rates",
+                  "None or a tuple with one entry per stage",
+                  lambda v: v is None or len(v) == len(self.stages)),
+                 ("partitions", ">= 2 under target_mode partition_local",
+                  lambda v: v >= 2 or self.target_mode != "partition_local")]
+        for key, what, ok in rules:
+            value = getattr(self, key)
+            if not ok(value):
+                raise ContractError(f"key '{key}' must be {what}, got {value!r}")
+
+
+def _int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    return isinstance(v, (float, np.floating)) or _int(v)
+
+
+def _count(low: int):
+    return (f"an int >= {low} and < 2**63",
+            lambda v: _int(v) and low <= v < 2 ** 63)
+
+
+def _one_of(choices):
+    return (f"one of {list(choices)}",
+            lambda v: isinstance(v, str) and v in choices)
+
+
+def _tuple_of(ok):
+    return lambda v: isinstance(v, tuple) and len(v) > 0 and all(map(ok, v))
+
+
+def _rate(v) -> bool:
+    return _real(v) and 0 < v < np.inf
+
+
+# TrainSettings field -> (what its value must be, the check).  Config files,
+# programmatic runs and checkpoint manifests all hold to these; a config file
+# adds its own narrower policy (cli).  Every count is < 2**63, as numpy sizes
+# arrays in int64; seed has no upper bound, as SeedSequence takes any int >= 0.
+SETTING_RULES = {
+    "task": _one_of(TASKS),
+    "stages": (f"a non-empty tuple of stage kinds from {list(STAGE_KINDS)}",
+               _tuple_of(_one_of(STAGE_KINDS)[1])),
+    "epochs": ("a non-empty tuple of ints >= 1 and < 2**63",
+               _tuple_of(_count(1)[1])),
+    **dict.fromkeys(("batch_size", "fanouts", "num_layers", "hidden_dim",
+                     "negatives_k", "budget_train_nodes", "budget_infer_batch",
+                     "partitions", "max_len", "dim", "num_heads", "num_blocks"),
+                    _count(1)),
+    "learning_rate": ("a float > 0", _rate),
+    "stage_learning_rates": ("None or a non-empty tuple of floats > 0",
+                             lambda v: v is None or _tuple_of(_rate)(v)),
+    "negative_mode": _one_of(ng.NEGATIVE_MODES),
+    **dict.fromkeys(("cache_capacity", "cache_staleness", "mlm_epochs"),
+                    _count(0)),
+    "target_mode": _one_of(TARGET_MODES),
+    "mlm_mask_prob": ("a float in [0, 1]", lambda v: _real(v) and 0 <= v <= 1),
+    "aggregation": _one_of(rgcn.AGGREGATIONS),
+    "seed": ("an int >= 0", lambda v: _int(v) and v >= 0),
+}
 
 
 @dataclass
@@ -536,8 +604,6 @@ EVAL_CHUNK = 256
 
 def _eval_link(models, graph, emb, split) -> dict[str, float]:
     rels, srcs, dsts = graph.link_edges(split)
-    if rels.size == 0:
-        raise ContractError("no edges in evaluation split")
     rel_vecs = models.distmult.rel_vectors.data
     head_t, tail_t = ng.endpoint_types(graph, rels)
     hrs = emb[graph.type_offsets[head_t] + srcs] * rel_vecs[rels]
@@ -557,7 +623,11 @@ def _eval_link(models, graph, emb, split) -> dict[str, float]:
     return {"mrr": mrr(queries)}
 
 
-def _classification_metrics(logits: Tensor, classes, num_classes: int):
+def _classification_metrics(task: str, logits: Tensor, classes,
+                            num_classes: int):
+    if classes.max() >= num_classes:  # a checkpoint's head, a relabeled graph
+        raise ContractError(f"{task} label class {int(classes.max())} is beyond "
+                            f"the {task} head's {num_classes} classes")
     pred = logits.data.argmax(axis=1)
     report = f1_scores(pred, classes, num_classes)
     return {"accuracy": accuracy(pred, classes), "macro_f1": report.macro}
@@ -565,28 +635,34 @@ def _classification_metrics(logits: Tensor, classes, num_classes: int):
 
 def _eval_node(models, graph, emb, split) -> dict[str, float]:
     refs, classes = graph.node_label_rows(split)
-    if refs.shape[0] == 0:
-        raise ContractError("no node labels in evaluation split")
     rows = graph.type_offsets[refs[:, 0]] + refs[:, 1]
     with tg.no_grad():
         logits = dec.node_logits(models.node_head, Tensor(emb[rows]))
-    return _classification_metrics(logits, classes, models.node_head.num_classes)
+    return _classification_metrics("node", logits, classes,
+                                   models.node_head.num_classes)
 
 
 def _eval_edge(models, graph, emb, split) -> dict[str, float]:
     srcs, dsts, classes = graph.edge_label_rows(split)
-    if srcs.size == 0:
-        raise ContractError("no edge labels in evaluation split")
     rels = np.full(srcs.size, graph.designated_relation, dtype=np.int64)
     head_t, tail_t = ng.endpoint_types(graph, rels)
     with tg.no_grad():
         logits = dec.edge_logits(models.edge_head,
                                  Tensor(emb[graph.type_offsets[head_t] + srcs]),
                                  Tensor(emb[graph.type_offsets[tail_t] + dsts]))
-    return _classification_metrics(logits, classes, models.edge_head.num_classes)
+    return _classification_metrics("edge", logits, classes,
+                                   models.edge_head.num_classes)
 
 
 _EVAL_FN = {"link": _eval_link, "node": _eval_node, "edge": _eval_edge}
+
+
+def _require_eval_rows(graph: HeteroGraph, task: str, split: int):
+    rows = {"link": graph.link_edges, "node": graph.node_label_rows,
+            "edge": graph.edge_label_rows}[task](split)
+    if rows[-1].size == 0:  # the class ids, or the tails of link edges
+        raise ContractError(f"the {task} task has no {SPLIT_NAMES[split]} "
+                            "rows to evaluate on")
 
 
 def evaluate(models: ModelBundle, graph: HeteroGraph, task: str, split: int, *,
@@ -598,6 +674,7 @@ def evaluate(models: ModelBundle, graph: HeteroGraph, task: str, split: int, *,
     reloaded checkpoint is byte-for-byte the same."""
     if task not in TASKS:
         raise ContractError(f"unknown task '{task}'")
+    _require_eval_rows(graph, task, split)
     emb = full_graph_embeddings(models, graph, representation=representation)
     return _EVAL_FN[task](models, graph, emb, split)
 
@@ -659,23 +736,8 @@ def _pool_batch(size: int, batch_size: int, rng) -> np.ndarray:
 
 def validate_plan(graph: HeteroGraph, settings: TrainSettings,
                   models: ModelBundle):
-    if settings.task not in TASKS:
-        raise ContractError(f"unknown task '{settings.task}'")
-    if not settings.stages:
-        raise ContractError("the plan needs at least one stage")
-    for kind in settings.stages:
-        if kind not in STAGE_KINDS:
-            raise ContractError(f"unknown stage kind '{kind}'")
-    if len(settings.stages) != len(settings.epochs):
-        raise ContractError("stages and epochs must have equal length")
-    if any(e < 1 for e in settings.epochs):
-        raise ContractError("every stage needs at least one epoch")
-    if settings.stage_learning_rates is not None:
-        if len(settings.stage_learning_rates) != len(settings.stages):
-            raise ContractError(
-                "stage_learning_rates and stages must have equal length")
-        if any(lr <= 0 for lr in settings.stage_learning_rates):
-            raise ContractError("stage learning rates must be positive")
+    """What the plan needs of the graph, checked before the first step: each
+    stage evaluates on valid rows (PreFineTuneLM on links), the run on test."""
     if settings.task == "node" and models.node_head is None:
         raise ContractError("node task needs node labels")
     if settings.task == "edge" and models.edge_head is None:
@@ -686,10 +748,10 @@ def validate_plan(graph: HeteroGraph, settings: TrainSettings,
         if len(_texted_link_pool(graph)) == 0:
             raise ContractError(
                 "encoder pre-fine-tuning needs train edges between texted types")
-    if settings.target_mode == "partition_local" and settings.partitions < 2:
-        raise ContractError("partition_local mode needs at least 2 leaves")
-    if settings.negative_mode not in ng.NEGATIVE_MODES:
-        raise ContractError(f"unknown negative mode '{settings.negative_mode}'")
+    evals = {("link" if kind == "PreFineTuneLM" else settings.task, VALID)
+             for kind in settings.stages} | {(settings.task, TEST)}
+    for task, split in sorted(evals):
+        _require_eval_rows(graph, task, split)
 
 
 def _optimizer(models: ModelBundle, groups: set[str], lr: float) -> tg.Adam:
@@ -758,8 +820,6 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
     Cache entries are stamped with cache.version, which advances after every
     step that trains the encoder; when such a stage ends its training cache
     is dropped.  The per-epoch evals never draw from the training stream."""
-    if kind not in STAGE_KINDS:
-        raise ContractError(f"unknown stage kind '{kind}'")
     rng = _as_rng(rng)  # normalize once; a per-call reseed would freeze sampling
     task = "link" if kind == "PreFineTuneLM" else settings.task
     trainable = stage_trainable_groups(kind, settings.task)
@@ -900,14 +960,10 @@ def _list_of(ok):
 _STRINGS = _list_of(lambda v: type(v) is str)
 # manifest meta key -> (what its value must be, the check)
 _META_CHECKS = {
-    **dict.fromkeys(ARCH_KEYS, ("an int >= 1",
-                                lambda v: type(v) is int and v >= 1)),
-    "aggregation": (f"one of {list(rgcn.AGGREGATIONS)}",
-                    lambda v: v in rgcn.AGGREGATIONS),
-    **dict.fromkeys(("vocab_size", "node_classes", "edge_classes"),
-                    ("an int >= 0", lambda v: type(v) is int and v >= 0)),
+    **{key: SETTING_RULES[key] for key in ARCH_KEYS},
+    **dict.fromkeys(("vocab_size", "node_classes", "edge_classes"), _count(0)),
     "node_types": ("a list of strings", _STRINGS),
-    "node_counts": ("a list of ints", _list_of(lambda v: type(v) is int)),
+    "node_counts": ("a list of ints", _list_of(_int)),
     "relations": ("a list of [name, source type, target type] lists",
                   _list_of(lambda r: _STRINGS(r) and len(r) == 3)),
 }

@@ -1,5 +1,6 @@
 """End-to-end command tests: synth, train, eval, dump-embeddings."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ import textgraph.cli as cli
 import textgraph.decoders as dec
 import textgraph.pipeline as pl
 from textgraph import tensor as tg
+from textgraph.errors import ContractError
 from textgraph.graph import (SyntheticSpec, generate_synthetic, load_graph,
                              sample_neighbors, save_graph)
 from textgraph.rgcn import gnn_forward
@@ -147,6 +149,119 @@ def test_config_missing_graph_dir(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.txt", None)
     assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "graph_dir" in capsys.readouterr().err
+
+
+# one bad value per TrainSettings field: (config file value, programmatic
+# value); a field no config file sets is an unknown key there
+BAD_SETTINGS = {
+    "task": ("ranking", "ranking"),
+    "stages": ("WarmStartGNN,Nope", ("Nope",)),
+    "epochs": ("0", (0,)),
+    "batch_size": ("99999999999999999999", 2 ** 63),
+    "fanouts": ("99999999999999999999", 0),
+    "num_layers": ("4", 0),
+    "hidden_dim": ("100", -1),
+    "learning_rate": ("-1.0", -1.0),
+    "stage_learning_rates": ("0.0", (-1.0, 1e-3, 1e-3)),
+    "negatives_k": ("99999999999999999999", True),
+    "negative_mode": ("both", "both"),
+    "budget_train_nodes": ("0", 0),
+    "budget_infer_batch": ("-1", 1.5),
+    "cache_capacity": ("-1", -1),
+    "cache_staleness": ("99999999999999999999", 2 ** 63),
+    "target_mode": ("local", "local"),
+    "partitions": ("0", np.int64(0)),
+    "mlm_epochs": ("-1", -1),
+    "mlm_mask_prob": ("0", 1.5),
+    "max_len": ("0", 0),
+    "dim": ("0", 0),
+    "num_heads": ("0", 0),
+    "num_blocks": ("0", 0),
+    "aggregation": ("max", "max"),
+    "seed": ("-1", -1),
+}
+
+
+def test_every_setting_has_a_rule_and_a_bad_value():
+    names = {f.name for f in dataclasses.fields(pl.TrainSettings)}
+    assert set(pl.SETTING_RULES) == names == set(BAD_SETTINGS)
+    assert pl.TrainSettings(seed=2 ** 70).seed == 2 ** 70  # no upper bound
+
+
+@pytest.mark.parametrize("key", sorted(BAD_SETTINGS))
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, graph_dir, capsys,
+                                                 key):
+    cfg = _write_config(tmp_path / "c.txt", graph_dir,
+                        **{key: BAD_SETTINGS[key][0]})
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", sorted(BAD_SETTINGS))
+def test_bad_setting_fails_before_models_are_built(graph_dir, monkeypatch, key):
+    graph = load_graph(graph_dir)
+    monkeypatch.setattr(pl, "build_models", lambda *a, **k: pytest.fail(
+        "models were built"))
+    with pytest.raises(ContractError, match=f"key '{key}' must be"):
+        pl.run_stagewise(graph, pl.TrainSettings(**{key: BAD_SETTINGS[key][1]}))
+
+
+def test_readme_run_cfg_parses_into_the_defaults(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        block = f.read().split("with `run.cfg`:\n\n```\n", 1)[1]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(block.split("```", 1)[0])
+    settings, paths = cli.parse_config(str(cfg))
+    assert paths == {"graph_dir": "/tmp/g"}
+    assert settings == pl.TrainSettings()  # the block spells out the defaults
+
+
+def test_synth_flags_default_to_the_spec():
+    args = cli.build_parser().parse_args(["synth", "--out", "unused"])
+    assert SyntheticSpec(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(SyntheticSpec)}) \
+        == SyntheticSpec()
+
+
+def test_integer_flags_past_int64_exit_2(tmp_path, trained, capsys):
+    huge = "99999999999999999999"
+    out = tmp_path / "g"
+    assert cli.main(["synth", "--out", str(out), "--nodes-per-type", huge]) == 2
+    assert "'nodes_per_type'" in capsys.readouterr().err
+    assert not out.exists()
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    assert cli.main(["dump-embeddings", ckpt, trained["graph_dir"],
+                     "--out", str(tmp_path / "e.tsv"), "--fanouts", huge]) == 2
+    assert "fanouts" in capsys.readouterr().err
+
+
+def _edit_graph_file(src_dir, dst_dir, name, edit):
+    shutil.copytree(src_dir, dst_dir)
+    path = os.path.join(dst_dir, name)
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines(keepends=True)
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(edit(lines))
+    return str(dst_dir)
+
+
+@pytest.mark.parametrize("task, name, edit, split", [
+    ("node", "node_labels.tsv",
+     lambda lines: [l.replace("\ttest\n", "\ttrain\n") for l in lines], "test"),
+    ("link", "edge_labels.tsv", lambda lines: lines[:1], "valid")])
+def test_plan_without_eval_rows_fails_before_any_step(tmp_path, graph_dir,
+                                                     capsys, task, name, edit,
+                                                     split):
+    gdir = _edit_graph_file(graph_dir, tmp_path / "g", name, edit)
+    cfg = _write_config(tmp_path / "c.txt", gdir, task=task,
+                        stages="PreFineTuneLM,WarmStartGNN", epochs="1,1")
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert f"the {task} task has no {split} rows" in capsys.readouterr().err
+    assert os.listdir(out) == []  # no step record, no checkpoint
 
 
 # -------------------------------------------------------------------- train
@@ -286,6 +401,24 @@ def test_eval_rejects_missing_head(tmp_path, capsys):
     assert "head" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task, name", [("node", "node_labels.tsv"),
+                                        ("edge", "edge_labels.tsv")])
+def test_eval_label_class_beyond_the_head_exits_2(tmp_path, trained, capsys,
+                                                  task, name):
+    def relabel_first_test_row(lines):
+        i = next(i for i, l in enumerate(lines) if l.endswith("\ttest\n"))
+        cols = lines[i].split("\t")
+        cols[-2] = "7"
+        return lines[:i] + ["\t".join(cols)] + lines[i + 1:]
+
+    gdir = _edit_graph_file(trained["graph_dir"], tmp_path / "g", name,
+                            relabel_first_test_row)
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    assert cli.main(["eval", ckpt, gdir, "--task", task]) == 2
+    assert f"{task} label class 7 is beyond the {task} head's 2 classes" in \
+        capsys.readouterr().err
+
+
 def test_eval_rejects_mismatched_graph(tmp_path, trained):
     other = tmp_path / "othergraph"
     assert cli.main(["synth", "--out", str(other), "--seed", "9",
@@ -385,8 +518,9 @@ def test_non_default_architecture_evaluates_from_the_models(tmp_path, capsys):
     dump = tmp_path / "emb.tsv"
     assert cli.main(["dump-embeddings", ckpt, str(gdir),
                      "--out", str(dump)]) == 0
-    dumped = np.array([[float(v) for v in line.split("\t")[2:]]
-                       for line in open(dump)])
+    with open(dump) as f:
+        dumped = np.array([[float(v) for v in line.split("\t")[2:]]
+                           for line in f])
     assert np.array_equal(dumped, pl.full_graph_embeddings(models, graph))
 
 
@@ -402,7 +536,8 @@ def test_dump_embeddings_shape_and_recomputation(tmp_path, trained):
     graph = load_graph(trained["graph_dir"])
     models = pl.load_bundle(ckpt, graph)
     expected = pl.full_graph_embeddings(models, graph)
-    rows = [line.rstrip("\n").split("\t") for line in open(out)]
+    with open(out) as f:
+        rows = [line.rstrip("\n").split("\t") for line in f]
     assert len(rows) == graph.total_nodes
     assert all(len(r) == 2 + models.dim for r in rows)
     assert rows[0][0] == graph.node_types[0] and rows[0][1] == "0"
@@ -448,8 +583,9 @@ def test_dump_embeddings_honors_fanouts_on_small_graphs(tmp_path, trained):
             lm_trainable=False)
         expected = gnn_forward(models.gnn, batch, feats).data[
             batch.target_index(all_refs)]
-    dumped = np.array([[float(v) for v in line.split("\t")[2:]]
-                       for line in open(narrow)])
+    with open(narrow) as f:
+        dumped = np.array([[float(v) for v in line.split("\t")[2:]]
+                           for line in f])
     assert np.array_equal(dumped, expected)
     assert narrow.read_bytes() != full.read_bytes()
 
