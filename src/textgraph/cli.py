@@ -153,10 +153,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     graph = load_graph(args.graph_dir)
     models = pl.load_bundle(args.checkpoint, graph)
-    if args.task == "node" and models.node_head is None:
-        raise ConfigError("checkpoint has no node classifier head")
-    if args.task == "edge" and models.edge_head is None:
-        raise ConfigError("checkpoint has no edge classifier head")
     metrics = pl.evaluate(models, graph, args.task, SPLIT_NAMES.index(args.split),
                           representation=args.representation)
     report = {"task": args.task, "split": args.split,
@@ -259,8 +255,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractError, LoadError, OSError) as e:
-        # OSError: an --out path that is a file, or under one, and the like
+    except (ConfigError, ContractError, LoadError, OSError, MemoryError) as e:
+        # OSError: an --out path that is a file, or under one, and the like;
+        # MemoryError: a count that fits its rule but not in memory
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericsError as e:

@@ -312,6 +312,14 @@ def _parse_int(path: Path, lineno: int, value: str, what: str) -> int:
         raise LoadError(f"{path}:{lineno}: {what} is not an integer: {value!r}") from None
 
 
+def _parse_class(path: Path, lineno: int, value: str) -> int:
+    cls = _parse_int(path, lineno, value, "class_id")
+    if not 0 <= cls < 2 ** 63:  # stored as int64
+        raise LoadError(f"{path}:{lineno}: class_id must be >= 0 and < 2**63, "
+                        f"got {cls}")
+    return cls
+
+
 def _parse_split(path: Path, lineno: int, value: str) -> int:
     try:
         return SPLIT_NAMES.index(value)
@@ -388,9 +396,7 @@ def load_graph(directory) -> HeteroGraph:
             local = _parse_int(nl_path, lineno, lid, "local_id")
             if not 0 <= local < node_counts[ti]:
                 raise LoadError(f"{nl_path}:{lineno}: node id {local} out of range")
-            cls = _parse_int(nl_path, lineno, cid, "class_id")
-            if cls < 0:
-                raise LoadError(f"{nl_path}:{lineno}: class_id must be >= 0")
+            cls = _parse_class(nl_path, lineno, cid)
             if node_class_ids[ti][local] != -1:
                 raise LoadError(f"{nl_path}:{lineno}: duplicate label for {tname}/{local}")
             node_class_ids[ti][local] = cls
@@ -407,9 +413,7 @@ def load_graph(directory) -> HeteroGraph:
             ri = rel_index[key]
             s = _parse_int(el_path, lineno, sid, "src_id")
             t_ = _parse_int(el_path, lineno, did, "dst_id")
-            cls = _parse_int(el_path, lineno, cid, "class_id")
-            if cls < 0:
-                raise LoadError(f"{el_path}:{lineno}: class_id must be >= 0")
+            cls = _parse_class(el_path, lineno, cid)
             rows.setdefault(ri, []).append(
                 (s, t_, cls, _parse_split(el_path, lineno, split), lineno))
         for ri, entries in rows.items():

@@ -19,6 +19,9 @@ from .graph import HeteroGraph, _as_rng
 NEGATIVE_MODES = ("independent", "joint")
 # redraws of a filtered eval negative that hits a known edge before it drops
 EVAL_MAX_RETRIES = 10
+# the most edges, positives and negatives together, one batch may hold: far
+# past any batch that fits in memory, and well inside what numpy can size
+MAX_BATCH_EDGES = 2 ** 32
 
 
 @dataclass
@@ -86,6 +89,9 @@ def _check_positives(rels, heads, tails, k):
         raise ContractError("need at least one positive triple")
     if k < 1:
         raise ContractError("negatives_per_positive must be >= 1")
+    if rels.size * (int(k) + 1) > MAX_BATCH_EDGES:
+        raise ContractError(f"{rels.size} positives with {k} negatives each "
+                            f"exceed {MAX_BATCH_EDGES} edges per batch")
     return rels, heads, tails
 
 

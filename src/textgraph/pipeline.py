@@ -11,13 +11,15 @@ train fixed sets of groups:
   EndToEnd       trains lm + gnn + the task head
   HeadOnly       trains only the task head
 
-Back-prop-on-samples: per step, at most budget.train_nodes texted rows are
-encoded on the tape; every other row comes from the cache or, when it
-missed, from a no-grad encode of exactly the rows that missed, at most
-budget.infer_batch rows per encode call.  Those encodes run at the width of
-the type's whole token table, so a row's encoded value never depends on
-which other rows share its call.  Cache staleness counts encoder updates,
-not steps: under a frozen encoder a cached row never expires.
+Back-prop-on-samples: per step, at most train_nodes texted rows are encoded
+on the tape (settings.budget_train_nodes while the encoder trains, none
+otherwise); every other row comes from the cache or, when it missed, from a
+no-grad encode of exactly the rows that missed, at most infer_batch rows per
+encode call.  Those encodes run at the width of the type's whole token
+table, so a row's encoded value never depends on which other rows share its
+call.  The cache keys rows by global node id and keeps its own clock, the
+encoder version: staleness counts encoder updates, not steps, so under a
+frozen encoder a cached row never expires.
 
 Training steps and evals embed nodes through embed_nodes, which reads the
 GNN's depth from the models; full_graph_embeddings alone holds the eval
@@ -124,7 +126,14 @@ class TrainSettings:
                   "None or a tuple with one entry per stage",
                   lambda v: v is None or len(v) == len(self.stages)),
                  ("partitions", ">= 2 under target_mode partition_local",
-                  lambda v: v >= 2 or self.target_mode != "partition_local")]
+                  lambda v: v >= 2 or self.target_mode != "partition_local"),
+                 # a step's batch, negatives included, has to fit in memory
+                 ("batch_size", "<= 2**32, the most edges one step may hold",
+                  lambda v: v <= ng.MAX_BATCH_EDGES),
+                 ("negatives_k", "such that batch_size * (negatives_k + 1), "
+                  "the edges one step holds, is <= 2**32",
+                  lambda v: int(self.batch_size) * (int(v) + 1)
+                  <= ng.MAX_BATCH_EDGES)]
         for key, what, ok in rules:
             value = getattr(self, key)
             if not ok(value):
@@ -184,47 +193,35 @@ SETTING_RULES = {
 }
 
 
-@dataclass
-class NodeBudget:
-    """Per-step encoder workload: the most rows encoded on the tape, and the
-    most rows one no-grad encode call may take (a memory bound only; encoded
-    values do not depend on it)."""
-
-    train_nodes: int
-    infer_batch: int
-
-    def __post_init__(self):
-        if self.train_nodes < 1:
-            raise ContractError("budget train_nodes must be >= 1")
-        if self.infer_batch < 1:
-            raise ContractError("budget infer_batch must be >= 1")
-
-
 def split_train_inference(num_rows: int, budget: int, rng):
     """Uniform subset of at most budget row indices for on-tape encoding; the
     complement, in original order, goes through the no-grad path.  The two
-    index sets partition range(num_rows) exactly."""
-    if budget < 1:
-        raise ContractError("train budget must be >= 1")
+    index sets partition range(num_rows) exactly.  Budget 0 puts every row on
+    the no-grad path and draws nothing."""
+    if budget < 0:
+        raise ContractError("train budget must be >= 0")
+    everything = np.arange(num_rows, dtype=np.int64)
     if num_rows <= budget:
-        return np.arange(num_rows, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return everything, np.empty(0, dtype=np.int64)
+    if budget == 0:
+        return np.empty(0, dtype=np.int64), everything
     rng = _as_rng(rng)
     train = np.sort(rng.choice(num_rows, size=budget, replace=False))
     mask = np.ones(num_rows, dtype=bool)
     mask[train] = False
-    return train, np.nonzero(mask)[0].astype(np.int64)
+    return train, everything[mask]
 
 
 class EmbeddingCache:
-    """LRU of (type, local) -> embedding with a staleness stamp per entry.
+    """LRU of global node id -> embedding, each entry stamped with the
+    encoder version it was written under.
 
-    Stamps are encoder versions: `version` goes up once per encoder update
-    (advance()) and never resets.  Callers pass it as the `step` of get/put.
-    An entry written at version s is served only while step - s stays within
-    staleness_limit; older entries count as misses.  capacity 0 disables
-    storage entirely.  Only no-grad encodes of rows that missed are stored,
-    so a cached value is always bit-identical to what a fresh encode would
-    give under unchanged encoder weights.
+    `version` goes up once per encoder update (advance()) and never resets.
+    An entry written at version s is served only while version - s stays
+    within staleness_limit; older entries count as misses.  capacity 0
+    disables storage entirely.  Only no-grad encodes of rows that missed are
+    stored, so a cached value is always bit-identical to what a fresh encode
+    would give under unchanged encoder weights.
     """
 
     def __init__(self, capacity: int, staleness_limit: int):
@@ -249,11 +246,11 @@ class EmbeddingCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def get(self, key, step: int):
+    def get(self, key):
         entry = self._store.get(key)
         if entry is not None:
             value, stamp = entry
-            if step - stamp <= self.staleness_limit:
+            if self.version - stamp <= self.staleness_limit:
                 self._store.move_to_end(key)
                 self.hits += 1
                 return value
@@ -262,10 +259,10 @@ class EmbeddingCache:
         self.misses += 1
         return None
 
-    def put(self, key, value: np.ndarray, step: int):
+    def put(self, key, value: np.ndarray):
         if self.capacity == 0:
             return
-        self._store[key] = (value, step)
+        self._store[key] = (value, self.version)
         self._store.move_to_end(key)
         while len(self._store) > self.capacity:
             self._store.popitem(last=False)
@@ -403,15 +400,16 @@ def _encode_nograd(models, graph, type_index: int, locals_: np.ndarray,
 
 
 def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
-                      *, cache: EmbeddingCache, step: int, budget: NodeBudget,
-                      rng, lm_trainable: bool):
+                      *, cache: EmbeddingCache, train_nodes: int,
+                      infer_batch: int, rng):
     """Feature rows for refs, mixing tape-encoded text, cached text, and
     textless type embeddings.  Returns (features, stats).
 
-    When the text encoder is trainable, a uniform sample of at most
-    budget.train_nodes texted rows is encoded on the tape; everything else is
-    served from the cache, and what missed is encoded without grad, once per
-    distinct row, and written back to the cache.
+    A uniform sample of at most train_nodes texted rows is encoded on the
+    tape (0 under a frozen encoder and in evals); everything else is served
+    from the cache, keyed by global node id, and what missed is encoded
+    without grad, once per distinct row, at most infer_batch rows per encode
+    call, and written back to the cache.
     """
     n = refs.shape[0]
     if n == 0:
@@ -420,94 +418,79 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
     texted_idx = np.nonzero(texted)[0]
     plain_idx = np.nonzero(~texted)[0]
 
-    pieces: list[Tensor] = []
-    perm = np.empty(n, dtype=np.int64)
-    offset = 0
+    pieces: list[tuple[np.ndarray, Tensor]] = []  # (rows of refs, features)
     stats = {"train_rows": 0, "infer_rows": 0, "hits": 0, "misses": 0,
              "encoded_rows": 0}
 
-    if plain_idx.size:
-        # textless types read straight from their embedding tables
-        for t in np.unique(refs[plain_idx, 0]):
-            rows = plain_idx[refs[plain_idx, 0] == t]
-            emb = models.gnn.type_embeddings.get(int(t))
-            if emb is None:
-                raise ContractError(
-                    f"type '{graph.node_types[int(t)]}' has neither text nor "
-                    "an embedding table")
-            pieces.append(tg.take_rows(emb, refs[rows, 1]))
-            perm[rows] = offset + np.arange(rows.size)
-            offset += rows.size
+    # textless types read straight from their embedding tables
+    for t in np.unique(refs[plain_idx, 0]).tolist():
+        rows = plain_idx[refs[plain_idx, 0] == t]
+        emb = models.gnn.type_embeddings.get(t)
+        if emb is None:
+            raise ContractError(f"type '{graph.node_types[t]}' has neither text "
+                                "nor an embedding table")
+        pieces.append((rows, tg.take_rows(emb, refs[rows, 1])))
 
-    if texted_idx.size:
-        if lm_trainable:
-            train_sel, infer_sel = split_train_inference(
-                texted_idx.size, budget.train_nodes, rng)
-        else:
-            train_sel = np.empty(0, dtype=np.int64)
-            infer_sel = np.arange(texted_idx.size, dtype=np.int64)
-        if train_sel.size:
-            rows = texted_idx[train_sel]
-            table_rows = np.stack([token_table(models, graph, int(t))[int(l)]
-                                   for t, l in refs[rows]])
-            pieces.append(tx.encode_cls(models.encoder, table_rows))
-            perm[rows] = offset + np.arange(rows.size)
-            offset += rows.size
-            stats["train_rows"] = int(rows.size)
-            stats["encoded_rows"] += int(rows.size)
-        if infer_sel.size:
-            rows = texted_idx[infer_sel]
-            keys = refs[rows]
-            values = np.empty((rows.size, models.dim))
-            missed = []
-            # two lists of ints rather than a list per row: row lists would
-            # outlive gc's young generations and trigger full collections
-            for i, key in enumerate(zip(keys[:, 0].tolist(),
-                                        keys[:, 1].tolist())):
-                hit = cache.get(key, step)
-                if hit is None:
-                    missed.append(i)
-                else:
-                    values[i] = hit
-            missed = np.asarray(missed, dtype=np.int64)
-            stats["hits"] = int(rows.size - missed.size)
-            stats["misses"] = int(missed.size)
-            for t in np.unique(keys[missed, 0]).tolist():
-                waiting = missed[keys[missed, 0] == t]
-                locals_, inverse = np.unique(keys[waiting, 1], return_inverse=True)
-                block = _encode_nograd(models, graph, t, locals_,
-                                       budget.infer_batch)
-                for l, row in zip(locals_.tolist(), block):
-                    cache.put((t, l), row, step)
-                values[waiting] = block[inverse]
-                stats["encoded_rows"] += int(locals_.size)
-            pieces.append(Tensor(values))
-            perm[rows] = offset + np.arange(rows.size)
-            offset += rows.size
-            stats["infer_rows"] = int(rows.size)
+    train_sel, infer_sel = split_train_inference(texted_idx.size, train_nodes,
+                                                 rng)
+    if train_sel.size:
+        rows = texted_idx[train_sel]
+        table_rows = np.stack([token_table(models, graph, int(t))[int(l)]
+                               for t, l in refs[rows]])
+        pieces.append((rows, tx.encode_cls(models.encoder, table_rows)))
+        stats["train_rows"] = int(rows.size)
+        stats["encoded_rows"] += int(rows.size)
+    if infer_sel.size:
+        rows = texted_idx[infer_sel]
+        types, locals_ = refs[rows, 0], refs[rows, 1]
+        values = np.empty((rows.size, models.dim))
+        missed = []
+        for i, g in enumerate((graph.type_offsets[types] + locals_).tolist()):
+            hit = cache.get(g)
+            if hit is None:
+                missed.append(i)
+            else:
+                values[i] = hit
+        missed = np.asarray(missed, dtype=np.int64)
+        stats["hits"] = int(rows.size - missed.size)
+        stats["misses"] = int(missed.size)
+        for t in np.unique(types[missed]).tolist():
+            waiting = missed[types[missed] == t]
+            uniq, inverse = np.unique(locals_[waiting], return_inverse=True)
+            block = _encode_nograd(models, graph, t, uniq, infer_batch)
+            for g, row in zip((graph.type_offsets[t] + uniq).tolist(), block):
+                cache.put(g, row)
+            values[waiting] = block[inverse]
+            stats["encoded_rows"] += int(uniq.size)
+        pieces.append((rows, Tensor(values)))
+        stats["infer_rows"] = int(rows.size)
 
-    cat = pieces[0] if len(pieces) == 1 else tg.concat(pieces, axis=0)
+    perm = np.empty(n, dtype=np.int64)
+    perm[np.concatenate([rows for rows, _ in pieces])] = np.arange(n)
+    feats = [f for _, f in pieces]
+    cat = feats[0] if len(feats) == 1 else tg.concat(feats, axis=0)
     return tg.take_rows(cat, perm), stats
 
 # -------------------------------------------------------------- step builders
 
 
-def embed_nodes(models, graph, refs, *, representation, fanouts, cache, step,
-                budget, rng, lm_trainable):
+def embed_nodes(models, graph, refs, *, representation, fanouts, cache,
+                train_nodes, infer_batch, rng):
     """Embeddings for the given node refs, in order: their [CLS] rows ("cls"),
     or the GNN run over their sampled ego graph ("gnn"), as deep as the
-    models' GNN.  Returns (embeddings, stats)."""
+    models' GNN.  cache, train_nodes and infer_batch go to assemble_features.
+    Returns (embeddings, stats)."""
     if representation == "cls":
-        return assemble_features(
-            models, graph, refs, cache=cache, step=step, budget=budget,
-            rng=rng, lm_trainable=lm_trainable)
+        return assemble_features(models, graph, refs, cache=cache,
+                                 train_nodes=train_nodes,
+                                 infer_batch=infer_batch, rng=rng)
     if representation != "gnn":
         raise ContractError(f"unknown representation '{representation}'")
     batch = sample_neighbors(graph, refs, fanouts=fanouts,
                              num_layers=len(models.gnn.layers), rng=rng)
-    feats, stats = assemble_features(
-        models, graph, batch.source_refs, cache=cache, step=step,
-        budget=budget, rng=rng, lm_trainable=lm_trainable)
+    feats, stats = assemble_features(models, graph, batch.source_refs,
+                                     cache=cache, train_nodes=train_nodes,
+                                     infer_batch=infer_batch, rng=rng)
     h = rgcn.gnn_forward(models.gnn, batch, feats)
     return tg.take_rows(h, batch.target_index(refs)), stats
 
@@ -590,8 +573,8 @@ def full_graph_embeddings(models: ModelBundle, graph: HeteroGraph, *,
     with tg.no_grad():
         emb, _ = embed_nodes(
             models, graph, node_refs(graph), representation=representation,
-            fanouts=fanouts, cache=_eval_rows(models, graph), step=0,
-            budget=NodeBudget(1, EVAL_CHUNK), rng=0, lm_trainable=False)
+            fanouts=fanouts, cache=_eval_rows(models, graph), train_nodes=0,
+            infer_batch=EVAL_CHUNK, rng=0)
     return emb.data
 
 
@@ -665,6 +648,14 @@ def _require_eval_rows(graph: HeteroGraph, task: str, split: int):
                             "rows to evaluate on")
 
 
+def _require_head(models: ModelBundle, task: str):
+    """Models built on a graph without node (edge) labels have no node
+    (edge) head; link prediction needs none."""
+    if task != "link" and getattr(models, f"{task}_head") is None:
+        raise ContractError(f"the models have no {task} classifier head "
+                            f"(their graph had no {task} labels)")
+
+
 def evaluate(models: ModelBundle, graph: HeteroGraph, task: str, split: int, *,
              representation: str = "gnn") -> dict:
     """Task metrics on one split, from full_graph_embeddings().  Link
@@ -674,6 +665,7 @@ def evaluate(models: ModelBundle, graph: HeteroGraph, task: str, split: int, *,
     reloaded checkpoint is byte-for-byte the same."""
     if task not in TASKS:
         raise ContractError(f"unknown task '{task}'")
+    _require_head(models, task)
     _require_eval_rows(graph, task, split)
     emb = full_graph_embeddings(models, graph, representation=representation)
     return _EVAL_FN[task](models, graph, emb, split)
@@ -738,10 +730,7 @@ def validate_plan(graph: HeteroGraph, settings: TrainSettings,
                   models: ModelBundle):
     """What the plan needs of the graph, checked before the first step: each
     stage evaluates on valid rows (PreFineTuneLM on links), the run on test."""
-    if settings.task == "node" and models.node_head is None:
-        raise ContractError("node task needs node labels")
-    if settings.task == "edge" and models.edge_head is None:
-        raise ContractError("edge task needs edge labels")
+    _require_head(models, settings.task)
     if settings.task == "link" and len(_train_pool(graph, "link")) == 0:
         raise ContractError("link task needs train edges")
     if "PreFineTuneLM" in settings.stages:
@@ -811,15 +800,16 @@ def mlm_warmup(models: ModelBundle, graph: HeteroGraph,
 
 def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                 settings: TrainSettings, epochs: int, cache: EmbeddingCache,
-                budget: NodeBudget, log: RunLog, rng, step_start: int = 0,
+                log: RunLog, rng, step_start: int = 0,
                 partition_map: PartitionMap | None = None,
                 learning_rate: float | None = None) -> tuple[int, float]:
     """Run one stage for `epochs` epochs, restoring the epoch snapshot that
     scored best on the held-out split.  Returns (next_step, best_value).
 
-    Cache entries are stamped with cache.version, which advances after every
-    step that trains the encoder; when such a stage ends its training cache
-    is dropped.  The per-epoch evals never draw from the training stream."""
+    Each step encodes at most settings.budget_train_nodes rows on the tape
+    while the encoder trains, and advances the cache's encoder version after
+    it; when such a stage ends its training cache is dropped.  The per-epoch
+    evals never draw from the training stream."""
     rng = _as_rng(rng)  # normalize once; a per-call reseed would freeze sampling
     task = "link" if kind == "PreFineTuneLM" else settings.task
     trainable = stage_trainable_groups(kind, settings.task)
@@ -827,11 +817,12 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                      if learning_rate is None else learning_rate)
 
     representation = stage_representation(kind)
-    lm_trainable = "lm" in trainable
+    trains_encoder = "lm" in trainable
     step_fn = _STEP_FN[task]
     step_kw = dict(representation=representation, fanouts=settings.fanouts,
-                   cache=cache, budget=budget, rng=rng,
-                   lm_trainable=lm_trainable)
+                   cache=cache, rng=rng, infer_batch=settings.budget_infer_batch,
+                   train_nodes=(settings.budget_train_nodes if trains_encoder
+                                else 0))
     if task == "link":  # the one step that reads settings: its negatives
         step_kw["settings"] = settings
     metric_name = primary_metric(task)
@@ -855,10 +846,10 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
                 sample = sample_targets(graph, task, settings.batch_size,
                                         mode=settings.target_mode,
                                         partition_map=partition_map, rng=rng)
-            loss, stats, ms = _update(opt, lambda: step_fn(
-                models, graph, sample, step=cache.version, **step_kw),
+            loss, stats, ms = _update(
+                opt, lambda: step_fn(models, graph, sample, **step_kw),
                 f"stage {kind} at step {step}")
-            if lm_trainable:
+            if trains_encoder:
                 cache.advance()
             log.add_step(kind, step, loss, cache.hit_rate,
                          stats["unique_nodes"], ms,
@@ -876,7 +867,7 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
     if best_snapshot is not None:
         if best_epoch != epochs - 1:
             models.restore(best_snapshot)
-        if lm_trainable:
+        if trains_encoder:
             # rows cached in training predate the kept encoder weights
             cache.clear()
     return step, best_value
@@ -911,14 +902,13 @@ def run_stagewise(graph: HeteroGraph, settings: TrainSettings,
                    np.random.default_rng(children[2]))
 
     cache = EmbeddingCache(settings.cache_capacity, settings.cache_staleness)
-    budget = NodeBudget(settings.budget_train_nodes, settings.budget_infer_batch)
     rates = settings.stage_learning_rates or \
         (settings.learning_rate,) * len(settings.stages)
     step = 0
     for i, (kind, epochs) in enumerate(zip(settings.stages, settings.epochs)):
         step, _ = train_stage(
             models, graph, kind, settings=settings, epochs=epochs, cache=cache,
-            budget=budget, log=log, rng=np.random.default_rng(children[3 + i]),
+            log=log, rng=np.random.default_rng(children[3 + i]),
             step_start=step, partition_map=partition_map,
             learning_rate=rates[i])
         if stage_callback is not None:

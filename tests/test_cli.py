@@ -264,6 +264,46 @@ def test_plan_without_eval_rows_fails_before_any_step(tmp_path, graph_dir,
     assert os.listdir(out) == []  # no step record, no checkpoint
 
 
+@pytest.mark.parametrize("key", ["batch_size", "negatives_k"])
+def test_step_count_past_memory_exits_2_before_any_step(tmp_path, graph_dir,
+                                                        capsys, key):
+    """2**62 fits int64: the batch sampler raised ValueError (exit 1) and
+    np.repeat crashed by SIGSEGV.  Smaller sizes that numpy would really try
+    to allocate are left untested."""
+    cfg = _write_config(tmp_path / "c.txt", graph_dir, **{key: str(2 ** 62)})
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: key '{key}' must be") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_memory_error_exits_2(tmp_path, graph_dir, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 32.0 GiB")
+
+    monkeypatch.setattr(pl, "run_stagewise", out_of_memory)
+    cfg = _write_config(tmp_path / "c.txt", graph_dir)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 32.0 GiB\n"
+
+
+@pytest.mark.parametrize("name", ["node_labels.tsv", "edge_labels.tsv"])
+def test_class_id_past_int64_exits_2_naming_the_line(tmp_path, graph_dir,
+                                                     capsys, name):
+    def huge_first_class(lines):
+        cols = lines[1].split("\t")
+        cols[-2] = "99999999999999999999"
+        return [lines[0], "\t".join(cols)] + lines[2:]
+
+    gdir = _edit_graph_file(graph_dir, tmp_path / "g", name, huge_first_class)
+    cfg = _write_config(tmp_path / "c.txt", gdir)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{name}:2: class_id" in err
+    assert err.count("\n") == 1
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -399,6 +439,21 @@ def test_eval_rejects_missing_head(tmp_path, capsys):
     rc = cli.main(["eval", stem, str(gdir), "--task", "node"])
     assert rc == 2
     assert "head" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["node", "edge"])
+def test_eval_without_the_task_head_exits_2_naming_it(tmp_path, graph_dir,
+                                                      capsys, task):
+    graph = load_graph(graph_dir)
+    settings = pl.TrainSettings()
+    models = pl.build_models(graph, settings)
+    setattr(models, f"{task}_head", None)
+    stem = str(tmp_path / "ckpt")
+    pl.save_bundle(stem, models, graph, settings)
+    assert cli.main(["eval", stem, graph_dir, "--task", task]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the models have no {task} classifier head")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("task, name", [("node", "node_labels.tsv"),
@@ -579,8 +634,7 @@ def test_dump_embeddings_honors_fanouts_on_small_graphs(tmp_path, trained):
     with tg.no_grad():
         feats, _ = pl.assemble_features(
             models, graph, batch.source_refs, cache=pl.EmbeddingCache(0, 0),
-            step=0, budget=pl.NodeBudget(1, pl.EVAL_CHUNK), rng=0,
-            lm_trainable=False)
+            train_nodes=0, infer_batch=pl.EVAL_CHUNK, rng=0)
         expected = gnn_forward(models.gnn, batch, feats).data[
             batch.target_index(all_refs)]
     with open(narrow) as f:

@@ -192,6 +192,43 @@ def test_loader_rejects_missing_or_wrong_header(tmp_path, name):
             gr.load_graph(tmp_path)
 
 
+# values a hand-edited or damaged graph file may hold in any field
+FUZZ_VALUES = ("", "0", "1", "7", "-1", "x", "1.5", " 2", "1e3", "query",
+               "product", "purchase", "train", "test", "-",
+               "99999999999999999999", "-99999999999999999999")
+
+
+def test_loader_fuzz_single_field_mutations(tmp_path):
+    """Replacing one field of one line of a saved graph, header lines
+    included, leaves a graph that loads or raises LoadError or ContractError;
+    nothing else escapes the loader."""
+    gr.save_graph(gr.generate_synthetic(gr.SyntheticSpec(nodes_per_type=30)),
+                  tmp_path / "base")
+    files = {name: (tmp_path / "base" / name).read_text().split("\n")
+             for name in sorted(gr.TSV_COLUMNS)}
+    names = sorted(files)
+    rng = np.random.default_rng(0)
+    outcomes = {"loaded": 0, "LoadError": 0, "ContractError": 0}
+    for trial in range(300):
+        name = names[rng.integers(len(names))]
+        lines = list(files[name])
+        i = int(rng.integers(len(lines) - 1))  # the last is after the final \n
+        fields = lines[i].split("\t")
+        fields[rng.integers(len(fields))] = FUZZ_VALUES[
+            rng.integers(len(FUZZ_VALUES))]
+        lines[i] = "\t".join(fields)
+        d = tmp_path / f"m{trial}"
+        d.mkdir()
+        for other, text in files.items():
+            (d / other).write_text("\n".join(lines if other == name else text))
+        try:
+            gr.load_graph(d)
+            outcomes["loaded"] += 1
+        except (LoadError, ContractError) as e:
+            outcomes[type(e).__name__] += 1
+    assert outcomes["loaded"] and outcomes["LoadError"], outcomes
+
+
 # ------------------------------------------------------------ synthetic data
 
 

@@ -228,3 +228,12 @@ def test_full_eval_negatives():
                        [gr.Relation("A", "r", "B")], [(src, dst)])
     filtered = ng.full_eval_negatives(g, 0, head=0, tail=0)
     np.testing.assert_array_equal(filtered, [3, 4, 5])
+
+
+@pytest.mark.parametrize("corrupt", [ng.corrupt_joint, ng.corrupt_independent])
+def test_negative_count_past_a_batch_is_a_contract_error(synth, corrupt):
+    """k = 2**62 would overflow np.repeat's size (a crash by signal); a
+    count past MAX_BATCH_EDGES edges per batch is refused before any draw."""
+    rels, heads, tails = _positives(synth, 4, np.random.default_rng(0))
+    with pytest.raises(ContractError, match="edges per batch"):
+        corrupt(synth, rels, heads, tails, 2 ** 62, rng=0)

@@ -55,7 +55,7 @@ def test_split_train_inference_deterministic():
     b = pl.split_train_inference(50, 10, np.random.default_rng(3))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     with pytest.raises(ContractError):
-        pl.split_train_inference(10, 0, np.random.default_rng(0))
+        pl.split_train_inference(10, -1, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------- cache
@@ -64,33 +64,36 @@ def test_split_train_inference_deterministic():
 def test_cache_hit_then_staleness_expiry():
     cache = pl.EmbeddingCache(capacity=4, staleness_limit=2)
     v = np.ones(3)
-    cache.put(("a", 0), v, step=10)
-    assert cache.get(("a", 0), step=12) is v       # age 2 == limit
-    assert cache.get(("a", 0), step=13) is None    # age 3 expired
+    cache.version = 10
+    cache.put(("a", 0), v)
+    cache.version = 12
+    assert cache.get(("a", 0)) is v                # age 2 == limit
+    cache.advance()
+    assert cache.get(("a", 0)) is None             # age 3 expired
     assert cache.hits == 1 and cache.misses == 1 and cache.stale_drops == 1
 
 
 def test_cache_lru_eviction_order():
     cache = pl.EmbeddingCache(capacity=2, staleness_limit=100)
-    cache.put("a", np.zeros(1), 0)
-    cache.put("b", np.zeros(1), 0)
-    assert cache.get("a", 0) is not None           # refresh a
-    cache.put("c", np.zeros(1), 0)                 # evicts b
-    assert cache.get("b", 0) is None
-    assert cache.get("a", 0) is not None and cache.get("c", 0) is not None
+    cache.put("a", np.zeros(1))
+    cache.put("b", np.zeros(1))
+    assert cache.get("a") is not None              # refresh a
+    cache.put("c", np.zeros(1))                    # evicts b
+    assert cache.get("b") is None
+    assert cache.get("a") is not None and cache.get("c") is not None
     assert cache.evictions == 1
 
 
 def test_cache_capacity_zero_stores_nothing():
     cache = pl.EmbeddingCache(capacity=0, staleness_limit=5)
-    cache.put("a", np.zeros(1), 0)
-    assert len(cache) == 0 and cache.get("a", 0) is None
+    cache.put("a", np.zeros(1))
+    assert len(cache) == 0 and cache.get("a") is None
 
 
 def test_cache_clear_keeps_counters():
     cache = pl.EmbeddingCache(capacity=4, staleness_limit=5)
-    cache.put("a", np.zeros(1), 0)
-    cache.get("a", 0)
+    cache.put("a", np.zeros(1))
+    cache.get("a")
     cache.clear()
     assert len(cache) == 0 and cache.hits == 1
 
@@ -139,12 +142,11 @@ def _all_refs_of_type(graph, t):
 def test_assemble_features_matches_direct_encode(small_graph):
     settings = quick_settings()
     models = pl.build_models(small_graph, settings, rng=1)
-    budget = pl.NodeBudget(8, 16)
     cache = pl.EmbeddingCache(256, 5)
     refs = _all_refs_of_type(small_graph, 0)[:20]
     feats, stats = pl.assemble_features(
-        models, small_graph, refs, cache=cache, step=0, budget=budget,
-        rng=np.random.default_rng(0), lm_trainable=False)
+        models, small_graph, refs, cache=cache, train_nodes=0, infer_batch=16,
+        rng=np.random.default_rng(0))
     table = pl.token_table(models, small_graph, 0)
     with tg.no_grad():
         chunk0 = tx.encode_cls(models.encoder, table[0:16]).data
@@ -157,17 +159,15 @@ def test_assemble_features_matches_direct_encode(small_graph):
 def test_assemble_features_cache_round_trip_bit_identical(small_graph):
     settings = quick_settings()
     models = pl.build_models(small_graph, settings, rng=1)
-    budget = pl.NodeBudget(8, 16)
     cache = pl.EmbeddingCache(256, 5)
     refs = _all_refs_of_type(small_graph, 1)[5:25]
     first, s1 = pl.assemble_features(models, small_graph, refs, cache=cache,
-                                     step=0, budget=budget,
-                                     rng=np.random.default_rng(0),
-                                     lm_trainable=False)
+                                     train_nodes=0, infer_batch=16,
+                                     rng=np.random.default_rng(0))
+    cache.advance()
     second, s2 = pl.assemble_features(models, small_graph, refs, cache=cache,
-                                      step=1, budget=budget,
-                                      rng=np.random.default_rng(9),
-                                      lm_trainable=False)
+                                      train_nodes=0, infer_batch=16,
+                                      rng=np.random.default_rng(9))
     assert s2["hits"] == 20 and s2["misses"] == 0
     assert np.array_equal(first.data, second.data)
 
@@ -178,17 +178,15 @@ def test_assemble_features_budget_respected(small_graph):
     refs = np.concatenate([_all_refs_of_type(small_graph, 0),
                            _all_refs_of_type(small_graph, 1)])
     feats, stats = pl.assemble_features(
-        models, small_graph, refs, cache=pl.EmbeddingCache(256, 5), step=0,
-        budget=pl.NodeBudget(8, 16), rng=np.random.default_rng(0),
-        lm_trainable=True)
+        models, small_graph, refs, cache=pl.EmbeddingCache(256, 5),
+        train_nodes=8, infer_batch=16, rng=np.random.default_rng(0))
     assert stats["train_rows"] == 8
     assert stats["infer_rows"] == refs.shape[0] - 8
     assert feats.data.shape == (refs.shape[0], settings.dim)
     with pytest.raises(ContractError):
         pl.assemble_features(models, small_graph, np.empty((0, 2), dtype=np.int64),
-                             cache=pl.EmbeddingCache(0, 0), step=0,
-                             budget=pl.NodeBudget(8, 16),
-                             rng=np.random.default_rng(0), lm_trainable=False)
+                             cache=pl.EmbeddingCache(0, 0), train_nodes=0,
+                             infer_batch=16, rng=np.random.default_rng(0))
 
 
 def test_assemble_features_tape_rows_get_gradients(small_graph):
@@ -198,14 +196,35 @@ def test_assemble_features_tape_rows_get_gradients(small_graph):
     refs = _all_refs_of_type(small_graph, 0)[:12]
     with tg.Tape() as tape:
         feats, stats = pl.assemble_features(
-            models, small_graph, refs, cache=pl.EmbeddingCache(64, 5), step=0,
-            budget=pl.NodeBudget(4, 8), rng=np.random.default_rng(0),
-            lm_trainable=True)
+            models, small_graph, refs, cache=pl.EmbeddingCache(64, 5),
+            train_nodes=4, infer_batch=8, rng=np.random.default_rng(0))
         loss = tg.tensor_sum(feats * feats)
         tg.backward(loss, tape)
     emb_grad = models.encoder.params["tok_emb"].grad
     assert emb_grad is not None and np.abs(emb_grad).sum() > 0
     assert stats["train_rows"] == 4
+
+
+def test_cache_never_serves_one_types_row_for_anothers(small_graph):
+    """Rows are keyed by global node id: local id 3 of type 0 and local id 3
+    of type 1 are two entries, each served only for its own node."""
+    models = pl.build_models(small_graph, quick_settings(), rng=1)
+    cache = pl.EmbeddingCache(256, 5)
+
+    def assemble(refs, cache=cache):
+        feats, stats = pl.assemble_features(
+            models, small_graph, np.array(refs), cache=cache, train_nodes=0,
+            infer_batch=16, rng=0)
+        return feats.data, stats
+
+    first, _ = assemble([[0, 3]])
+    other, stats = assemble([[1, 3]])
+    assert stats["hits"] == 0 and stats["misses"] == 1 and len(cache) == 2
+    fresh, _ = assemble([[1, 3]], cache=pl.EmbeddingCache(0, 0))
+    assert other.tobytes() == fresh.tobytes() != first.tobytes()
+    both, stats = assemble([[1, 3], [0, 3]])
+    assert stats["hits"] == 2
+    assert both.tobytes() == np.concatenate([other, first]).tobytes()
 
 
 # ------------------------------------------------------------ training runs
@@ -241,8 +260,7 @@ def test_head_only_stage_freezes_everything_else(small_graph):
     head_before = models.node_head.proj.data.copy()
     log = pl.RunLog()
     pl.train_stage(models, small_graph, "HeadOnly", settings=settings,
-                   epochs=1, cache=pl.EmbeddingCache(64, 5),
-                   budget=pl.NodeBudget(8, 16), log=log,
+                   epochs=1, cache=pl.EmbeddingCache(64, 5), log=log,
                    rng=np.random.default_rng(0))
     for k, v in before.items():
         assert np.array_equal(models.all_params()[k].data, v), k
@@ -448,7 +466,7 @@ def test_frozen_encoder_cache_never_goes_stale(small_graph, monkeypatch):
     log = pl.RunLog()
     encoded = _count_encoded_rows(monkeypatch)
     pl.train_stage(models, small_graph, "WarmStartGNN", settings=settings,
-                   epochs=3, cache=cache, budget=pl.NodeBudget(8, 16), log=log,
+                   epochs=3, cache=cache, log=log,
                    rng=np.random.default_rng(0))
     steps = [r for r in log.records if r["kind"] == "step"]
     texted = _texted_rows(small_graph)
@@ -469,8 +487,8 @@ def test_training_stage_advances_encoder_version(small_graph):
                              rng=np.random.default_rng(0))
     cache = pl.EmbeddingCache(256, 5)
     step, _ = pl.train_stage(models, small_graph, "EndToEnd", settings=settings,
-                             epochs=1, cache=cache, budget=pl.NodeBudget(8, 16),
-                             log=pl.RunLog(), rng=np.random.default_rng(0))
+                             epochs=1, cache=cache, log=pl.RunLog(),
+                             rng=np.random.default_rng(0))
     # one advance per step
     assert cache.version == step
 
@@ -525,8 +543,7 @@ def test_eval_rows_equal_scratch_eval_after_best_epoch_restore(small_graph,
 
     monkeypatch.setattr(pl, "evaluate", epoch_zero_best)
     pl.train_stage(models, small_graph, "EndToEnd", settings=settings,
-                   epochs=2, cache=pl.EmbeddingCache(256, 5),
-                   budget=pl.NodeBudget(8, 16), log=pl.RunLog(),
+                   epochs=2, cache=pl.EmbeddingCache(256, 5), log=pl.RunLog(),
                    rng=np.random.default_rng(0))
     monkeypatch.undo()
 
@@ -554,8 +571,7 @@ def test_frozen_stage_after_last_epoch_best_reuses_eval_rows(small_graph,
     models = pl.build_models(small_graph, settings,
                              rng=np.random.default_rng(0))
     cache = pl.EmbeddingCache(256, 5)
-    kw = dict(settings=settings, cache=cache, budget=pl.NodeBudget(8, 16),
-              log=pl.RunLog())
+    kw = dict(settings=settings, cache=cache, log=pl.RunLog())
     pl.train_stage(models, small_graph, "EndToEnd", epochs=1,
                    rng=np.random.default_rng(0), **kw)
     assert len(cache) == 0
@@ -636,11 +652,11 @@ def test_evals_under_unchanged_weights_encode_each_row_once(small_graph,
 
 def test_nograd_encodes_only_misses_within_call_cap(small_graph, monkeypatch):
     """A no-grad assemble encodes each missed row once and nothing else, in
-    calls of at most budget.infer_batch rows; an overlapping second call
+    calls of at most infer_batch rows; an overlapping second call
     encodes only the rows the first one did not."""
     settings = quick_settings()
     models = pl.build_models(small_graph, settings, rng=1)
-    budget = pl.NodeBudget(8, 16)
+    infer_batch = 16
     calls = []
     real_encode = tx.encode_cls
 
@@ -653,21 +669,21 @@ def test_nograd_encodes_only_misses_within_call_cap(small_graph, monkeypatch):
     refs = np.concatenate([_all_refs_of_type(small_graph, 0)[[30, 3, 17, 9]],
                            _all_refs_of_type(small_graph, 1)[:37]])
     _, first = pl.assemble_features(models, small_graph, refs, cache=cache,
-                                    step=0, budget=budget, rng=0,
-                                    lm_trainable=False)
+                                    train_nodes=0, infer_batch=infer_batch,
+                                    rng=0)
     assert first["misses"] == refs.shape[0]
     assert first["encoded_rows"] == first["misses"] == sum(calls)
 
     done = len(calls)
     more = np.concatenate([refs[20:], _all_refs_of_type(small_graph, 1)[37:]])
     feats, second = pl.assemble_features(models, small_graph, more, cache=cache,
-                                         step=0, budget=budget, rng=0,
-                                         lm_trainable=False)
+                                         train_nodes=0, infer_batch=infer_batch,
+                                         rng=0)
     new_rows = small_graph.node_counts[1] - 37
     assert second["hits"] == refs.shape[0] - 20
     assert second["encoded_rows"] == second["misses"] == new_rows \
         == sum(calls[done:])
-    assert max(calls) <= budget.infer_batch
+    assert max(calls) <= infer_batch
     # the rows still equal one whole-table encode
     table = pl.token_table(models, small_graph, 1)
     with tg.no_grad():
@@ -693,18 +709,18 @@ def test_nograd_rows_independent_of_call_with_ragged_texts(small_graph):
               for t in (0, 1)}
     assert len(widths) == 2
 
-    def assemble(rows, lm_trainable=False):
+    def assemble(rows, train_nodes=0):
         feats, _ = pl.assemble_features(
-            models, ragged, rows, cache=pl.EmbeddingCache(0, 0), step=0,
-            budget=pl.NodeBudget(8, 16), rng=np.random.default_rng(0),
-            lm_trainable=lm_trainable)
+            models, ragged, rows, cache=pl.EmbeddingCache(0, 0),
+            train_nodes=train_nodes, infer_batch=16,
+            rng=np.random.default_rng(0))
         return feats.data
 
     whole = assemble(refs)
     for size in (1, 2, 5, 17, 33):
         pick = rng.choice(refs.shape[0], size=size, replace=False)
         assert assemble(refs[pick]).tobytes() == whole[pick].tobytes(), size
-    assert assemble(refs, lm_trainable=True).shape == whole.shape
+    assert assemble(refs, train_nodes=8).shape == whole.shape
 
 
 # ------------------------------------------------------------- update step
@@ -779,3 +795,22 @@ def test_every_training_step_takes_one_adam_step(small_graph, monkeypatch):
     # an MLM draw that masked nothing logs 0.0 and takes no step
     assert len(calls) == sum(r["stage"] != "MLM" or r["loss"] != 0.0
                              for r in steps)
+
+
+@pytest.mark.parametrize("task", ["node", "edge"])
+def test_missing_task_head_is_a_contract_error(small_graph, task):
+    settings = quick_settings(task=task)
+    models = pl.build_models(small_graph, settings)
+    setattr(models, f"{task}_head", None)
+    with pytest.raises(ContractError, match=f"no {task} classifier head"):
+        pl.evaluate(models, small_graph, task, TEST)
+    with pytest.raises(ContractError, match=f"no {task} classifier head"):
+        pl.validate_plan(small_graph, settings, models)
+
+
+@pytest.mark.parametrize("key", ["batch_size", "negatives_k"])
+def test_step_count_past_memory_is_a_contract_error(small_graph, key):
+    """2**62 fits int64 but no step's arrays: refused by name before any
+    model is built, not by a traceback or a signal in the first step."""
+    with pytest.raises(ContractError, match=f"key '{key}' must be"):
+        pl.run_stagewise(small_graph, quick_settings(**{key: 2 ** 62}))
