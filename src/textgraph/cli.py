@@ -166,14 +166,10 @@ def cmd_dump_embeddings(args) -> int:
     models = pl.load_bundle(args.checkpoint, graph)
     emb = pl.full_graph_embeddings(models, graph, fanouts=args.fanouts)
     with open(args.out, "w", encoding="utf-8") as f:
-        row = 0
-        for t in range(len(graph.node_types)):
-            name = graph.node_types[t]
-            for l in range(graph.node_counts[t]):
-                vec = "\t".join(repr(v) for v in emb[row].tolist())
-                f.write(f"{name}\t{l}\t{vec}\n")
-                row += 1
-    print(f"wrote {row} embedding rows to {args.out}")
+        for (t, l), vec in zip(graph.refs.tolist(), emb.tolist()):
+            f.write(f"{graph.node_types[t]}\t{l}\t"
+                    + "\t".join(map(repr, vec)) + "\n")
+    print(f"wrote {len(emb)} embedding rows to {args.out}")
     return 0
 
 

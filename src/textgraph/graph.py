@@ -7,7 +7,12 @@ tag.  Message passing sees every base relation in both directions, so a graph
 with R relations exposes 2R message relations: 2r carries relation r's edges
 src -> dst and 2r + 1 carries them dst -> src.  One CSR over global node ids
 (message_adjacency) holds every message relation; the sampler, neighbor
-queries, eval-negative filtering and partitioning all read it.
+queries, eval-negative filtering and partitioning all read it.  Global id
+g of node (type t, local l) is type_offsets[t] + l; graph.refs[g] is that
+(t, l) pair.
+
+task_targets is the one rule for which rows a task uses on a split: train
+pools, batches and evals all read it.
 
 On-disk format is a directory of TSV files: nodes.tsv, edges.tsv, and the
 optional node_labels.tsv / edge_labels.tsv.  Every file starts with its
@@ -103,7 +108,8 @@ class HeteroGraph:
     """In-memory graph: node sets, text, relations, labels, and one lazily
     built CSR over global ids covering every message relation.
 
-    relation_types[r] is relation r's (src type, dst type) index pair.
+    relation_types[r] is relation r's (src type, dst type) index pair;
+    refs[g] is global node g's (type, local) pair, read-only.
     """
 
     def __init__(self, node_types, node_counts, texts, relations, edges,
@@ -140,6 +146,11 @@ class HeteroGraph:
                 MessageRelation(ri, True, rel.name + "-rev", di, si))
         self.type_offsets = np.zeros(len(self.node_types) + 1, dtype=np.int64)
         np.cumsum(self.node_counts, out=self.type_offsets[1:])
+        types = np.repeat(np.arange(len(self.node_types), dtype=np.int64),
+                          self.node_counts)
+        self.refs = np.stack([types, np.arange(types.size, dtype=np.int64)
+                              - self.type_offsets[types]], axis=1)
+        self.refs.flags.writeable = False
         self._cache: dict = {}
 
     # ------------------------------------------------------------ structure
@@ -218,25 +229,10 @@ class HeteroGraph:
         return min(self.edge_labels) if self.edge_labels else None
 
     def node_label_rows(self, split: int):
-        """(refs (M,2), class_ids) of labeled nodes in a split, across all types."""
-        refs, classes = [], []
-        for t in range(len(self.node_types)):
-            m = self.node_splits[t] == split
-            locals_ = np.nonzero(m)[0]
-            if locals_.size:
-                refs.append(np.stack([np.full(locals_.size, t, dtype=np.int64),
-                                      locals_], axis=1))
-                classes.append(self.node_class_ids[t][locals_])
-        if not refs:
-            return np.empty((0, 2), dtype=np.int64), _EMPTY
-        return np.concatenate(refs), np.concatenate(classes)
-
-    def edge_label_rows(self, split: int):
-        """(src, dst, class_ids) of the designated relation for a split."""
-        ri = self.designated_relation
-        if ri is None:
-            raise ContractError("graph has no edge labels")
-        return self.edge_labels[ri].rows_for_split(split)
+        """(refs (M,2), class_ids) of labeled nodes in a split, in global-id
+        order."""
+        mask = np.concatenate([_EMPTY, *self.node_splits]) == split
+        return self.refs[mask], np.concatenate([_EMPTY, *self.node_class_ids])[mask]
 
     def link_edges(self, split: int):
         """(rels, srcs, dsts) for link prediction.
@@ -725,13 +721,8 @@ def sample_neighbors(graph: HeteroGraph, targets, fanouts, num_layers: int,
     # extend the previous block's: positions never move (local_of).
     adj = graph.message_adjacency()
     num_rels = len(mrels)
-    offsets = graph.type_offsets
 
-    def refs_of(ids: np.ndarray) -> np.ndarray:
-        t = np.searchsorted(offsets, ids, side="right") - 1
-        return np.stack([t, ids - offsets[t]], axis=1)
-
-    target_ids = _first_occurrences(offsets[types] + locals_)
+    target_ids = _first_occurrences(graph.type_offsets[types] + locals_)
     local_of = np.full(graph.total_nodes, -1, dtype=np.int64)
     local_of[target_ids] = np.arange(target_ids.size)
     seen, frontier = target_ids, target_ids
@@ -761,11 +752,11 @@ def sample_neighbors(graph: HeteroGraph, targets, fanouts, num_layers: int,
                   np.concatenate([d, dst[rels == mi]]))
                  for mi, (s, d) in enumerate(edges)]
         num_targets, seen = seen.size, np.concatenate([seen, frontier])
-        blocks_rev.append(Block(refs_of(seen), num_targets, edges))
+        blocks_rev.append(Block(graph.refs[seen], num_targets, edges))
         slots += nbrs.size
 
-    return EgoBatch(num_layers, list(reversed(blocks_rev)), refs_of(target_ids),
-                    slots)
+    return EgoBatch(num_layers, list(reversed(blocks_rev)),
+                    graph.refs[target_ids], slots)
 
 
 # -------------------------------------------------------------- partitioning
@@ -773,11 +764,10 @@ def sample_neighbors(graph: HeteroGraph, targets, fanouts, num_layers: int,
 
 @dataclass
 class PartitionMap:
-    """Two-level layout: leaf per global node, leaves paired into groups."""
+    """The leaf of every global node."""
 
     num_leaves: int
     leaf_of: np.ndarray
-    group_of_leaf: np.ndarray
 
 
 def _union_neighbors(graph: HeteroGraph) -> Csr:
@@ -851,8 +841,7 @@ def assign_partitions(graph: HeteroGraph, num_leaves: int, rng=0) -> PartitionMa
         for v in adj.neighbors(node).tolist():
             if leaf_of[v] == -1:
                 q.append(v)
-    group_of_leaf = np.arange(num_leaves, dtype=np.int64) // 2
-    return PartitionMap(num_leaves, leaf_of, group_of_leaf)
+    return PartitionMap(num_leaves, leaf_of)
 
 
 # ----------------------------------------------------------- target sampling
@@ -884,28 +873,41 @@ class TargetSample:
         return replace(self, **arrays, **flags)
 
 
-def _train_pool(graph: HeteroGraph, task: str) -> TargetSample:
-    key = ("pool", task)
+def task_targets(graph: HeteroGraph, task: str, split: int) -> TargetSample:
+    """Every row `task` uses on `split`: the split's labeled nodes (node),
+    the designated relation's labeled edges (edge), or link_edges (link).
+
+    Kept in graph._cache, so labels are treated as fixed once the graph is
+    built: train pools and eval rows alike are read once per graph."""
+    key = ("targets", task, split)
     cached = graph._cache.get(key)
     if cached is not None:
         return cached
     if task == "node":
-        refs, classes = graph.node_label_rows(TRAIN)
+        refs, classes = graph.node_label_rows(split)
         cached = TargetSample("nodes", node_refs=refs, node_classes=classes)
     elif task == "edge":
         ri = graph.designated_relation
         if ri is None:
             raise ContractError("edge task needs edge labels")
-        s, d, c = graph.edge_label_rows(TRAIN)
+        s, d, c = graph.edge_labels[ri].rows_for_split(split)
         cached = TargetSample("edges", edge_rels=np.full(s.size, ri, dtype=np.int64),
                               edge_srcs=s, edge_dsts=d, edge_classes=c)
     elif task == "link":
-        rels, s, d = graph.link_edges(TRAIN)
+        rels, s, d = graph.link_edges(split)
         cached = TargetSample("edges", edge_rels=rels, edge_srcs=s, edge_dsts=d)
     else:
         raise ContractError(f"unknown task '{task}'")
     graph._cache[key] = cached
     return cached
+
+
+def require_targets(graph: HeteroGraph, task: str, split: int) -> TargetSample:
+    """task_targets, which must hold at least one row."""
+    targets = task_targets(graph, task, split)
+    if len(targets) == 0:
+        raise ContractError(f"the {task} task has no {SPLIT_NAMES[split]} rows")
+    return targets
 
 
 def sample_targets(graph: HeteroGraph, task: str, batch_size: int,
@@ -923,9 +925,7 @@ def sample_targets(graph: HeteroGraph, task: str, batch_size: int,
     if mode not in TARGET_MODES:
         raise ContractError(f"unknown target mode '{mode}'")
     rng = _as_rng(rng)
-    pool = _train_pool(graph, task)
-    if len(pool) == 0:
-        raise ContractError(f"no train targets for task '{task}'")
+    pool = require_targets(graph, task, TRAIN)
 
     leaf = None
     if mode == "partition_local":

@@ -28,6 +28,8 @@ An eval takes nothing but the models and the graph: its encoded rows are
 kept with the graph and reused while the encoder's weights are bit for bit
 those they were encoded under, so a per-epoch eval under a frozen encoder
 encodes nothing, and every eval equals one on a freshly loaded graph.
+Stages and evals read their rows from graph.task_targets; validate_plan
+checks every row set a plan reads before the first step.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ from . import tensor as tg
 from . import text as tx
 from .checkpoint import checkpoint_stem, load_checkpoint, save_checkpoint
 from .errors import ContractError, LoadError, NumericsError
-from .graph import (SPLIT_NAMES, TARGET_MODES, TEST, VALID, HeteroGraph,
-                    PartitionMap, TargetSample, _as_rng, _train_pool,
-                    assign_partitions, sample_neighbors, sample_targets)
+from .graph import (SPLIT_NAMES, TARGET_MODES, TEST, TRAIN, VALID, HeteroGraph,
+                    PartitionMap, TargetSample, _as_rng, assign_partitions,
+                    require_targets, sample_neighbors, sample_targets,
+                    task_targets)
 from .metrics import RankedQuery, accuracy, f1_scores, mrr
 from .tensor import Tensor
 
@@ -330,6 +333,13 @@ ARCH_KEYS = ("dim", "max_len", "hidden_dim", "num_layers", "num_heads",
 def _new_models(graph: HeteroGraph, vocab: tx.Vocab, arch: TrainSettings,
                 node_classes: int, edge_classes: int, rng) -> ModelBundle:
     """Freshly initialized models; a head with 0 classes is left out."""
+    # a head's weights are one (inputs, classes) float64 array, whose size
+    # in bytes numpy holds in an int64
+    for task, inputs, classes in (("node", arch.dim, node_classes),
+                                  ("edge", 2 * arch.dim, edge_classes)):
+        if inputs * classes * 8 >= 2 ** 63:
+            raise ContractError(f"the {task} head's {classes} classes over "
+                                f"{inputs} inputs are too many for one array")
     rng = _as_rng(rng)
     encoder = tx.TextEncoderModel(vocab.size, dim=arch.dim,
                                   num_heads=arch.num_heads,
@@ -368,11 +378,7 @@ def build_models(graph: HeteroGraph, settings: TrainSettings, rng=0) -> ModelBun
 def node_refs(graph: HeteroGraph, *, texted_only: bool = False) -> np.ndarray:
     """(type, local) rows for every node, in global-index order; with
     texted_only, for every node of a texted type."""
-    parts = [np.stack([np.full(graph.node_counts[t], t, dtype=np.int64),
-                       np.arange(graph.node_counts[t], dtype=np.int64)], axis=1)
-             for t in range(len(graph.node_types))
-             if graph.has_text(t) or not texted_only]
-    return np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
+    return graph.refs[graph.type_has_text[graph.refs[:, 0]] | (not texted_only)]
 
 
 def token_table(models: ModelBundle, graph: HeteroGraph, type_index: int) -> np.ndarray:
@@ -585,8 +591,8 @@ EVAL_SAMPLED_NEGATIVES = 500
 EVAL_CHUNK = 256
 
 
-def _eval_link(models, graph, emb, split) -> dict[str, float]:
-    rels, srcs, dsts = graph.link_edges(split)
+def _eval_link(models, graph, emb, targets) -> dict[str, float]:
+    rels, srcs, dsts = targets.edge_rels, targets.edge_srcs, targets.edge_dsts
     rel_vecs = models.distmult.rel_vectors.data
     head_t, tail_t = ng.endpoint_types(graph, rels)
     hrs = emb[graph.type_offsets[head_t] + srcs] * rel_vecs[rels]
@@ -616,36 +622,27 @@ def _classification_metrics(task: str, logits: Tensor, classes,
     return {"accuracy": accuracy(pred, classes), "macro_f1": report.macro}
 
 
-def _eval_node(models, graph, emb, split) -> dict[str, float]:
-    refs, classes = graph.node_label_rows(split)
+def _eval_node(models, graph, emb, targets) -> dict[str, float]:
+    refs = targets.node_refs
     rows = graph.type_offsets[refs[:, 0]] + refs[:, 1]
     with tg.no_grad():
         logits = dec.node_logits(models.node_head, Tensor(emb[rows]))
-    return _classification_metrics("node", logits, classes,
+    return _classification_metrics("node", logits, targets.node_classes,
                                    models.node_head.num_classes)
 
 
-def _eval_edge(models, graph, emb, split) -> dict[str, float]:
-    srcs, dsts, classes = graph.edge_label_rows(split)
-    rels = np.full(srcs.size, graph.designated_relation, dtype=np.int64)
-    head_t, tail_t = ng.endpoint_types(graph, rels)
+def _eval_edge(models, graph, emb, targets) -> dict[str, float]:
+    head_t, tail_t = ng.endpoint_types(graph, targets.edge_rels)
     with tg.no_grad():
-        logits = dec.edge_logits(models.edge_head,
-                                 Tensor(emb[graph.type_offsets[head_t] + srcs]),
-                                 Tensor(emb[graph.type_offsets[tail_t] + dsts]))
-    return _classification_metrics("edge", logits, classes,
+        logits = dec.edge_logits(
+            models.edge_head,
+            Tensor(emb[graph.type_offsets[head_t] + targets.edge_srcs]),
+            Tensor(emb[graph.type_offsets[tail_t] + targets.edge_dsts]))
+    return _classification_metrics("edge", logits, targets.edge_classes,
                                    models.edge_head.num_classes)
 
 
 _EVAL_FN = {"link": _eval_link, "node": _eval_node, "edge": _eval_edge}
-
-
-def _require_eval_rows(graph: HeteroGraph, task: str, split: int):
-    rows = {"link": graph.link_edges, "node": graph.node_label_rows,
-            "edge": graph.edge_label_rows}[task](split)
-    if rows[-1].size == 0:  # the class ids, or the tails of link edges
-        raise ContractError(f"the {task} task has no {SPLIT_NAMES[split]} "
-                            "rows to evaluate on")
 
 
 def _require_head(models: ModelBundle, task: str):
@@ -658,17 +655,17 @@ def _require_head(models: ModelBundle, task: str):
 
 def evaluate(models: ModelBundle, graph: HeteroGraph, task: str, split: int, *,
              representation: str = "gnn") -> dict:
-    """Task metrics on one split, from full_graph_embeddings().  Link
-    ranking over a tail type too large to corrupt in full samples its
-    negatives from rng 0.  A report depends on nothing but the weights and
-    the graph, so one computed mid-training, after training, or from a
-    reloaded checkpoint is byte-for-byte the same."""
+    """Task metrics on the split's task_targets, from
+    full_graph_embeddings().  Link ranking over a tail type too large to
+    corrupt in full samples its negatives from rng 0.  A report depends on
+    nothing but the weights and the graph, so one computed mid-training,
+    after training, or from a reloaded checkpoint is byte-for-byte the same."""
     if task not in TASKS:
         raise ContractError(f"unknown task '{task}'")
     _require_head(models, task)
-    _require_eval_rows(graph, task, split)
+    targets = require_targets(graph, task, split)
     emb = full_graph_embeddings(models, graph, representation=representation)
-    return _EVAL_FN[task](models, graph, emb, split)
+    return _EVAL_FN[task](models, graph, emb, targets)
 
 # -------------------------------------------------------------- training loop
 
@@ -711,9 +708,13 @@ class RunLog:
 def _texted_link_pool(graph: HeteroGraph) -> TargetSample:
     """Train link edges whose relation joins two texted types; the encoder
     pre-fine-tuning stage scores these directly in CLS space."""
-    pool = _train_pool(graph, "link")
-    return pool.take(graph.type_has_text[graph.relation_types].all(axis=1)
+    pool = task_targets(graph, "link", TRAIN)
+    pool = pool.take(graph.type_has_text[graph.relation_types].all(axis=1)
                      [pool.edge_rels])
+    if len(pool) == 0:
+        raise ContractError(
+            "encoder pre-fine-tuning needs train edges between texted types")
+    return pool
 
 
 def _pool_batch(size: int, batch_size: int, rng) -> np.ndarray:
@@ -729,18 +730,15 @@ def _pool_batch(size: int, batch_size: int, rng) -> np.ndarray:
 def validate_plan(graph: HeteroGraph, settings: TrainSettings,
                   models: ModelBundle):
     """What the plan needs of the graph, checked before the first step: each
-    stage evaluates on valid rows (PreFineTuneLM on links), the run on test."""
+    stage trains on its task's train rows (PreFineTuneLM on links between
+    texted types) and evaluates on its valid rows, the run on the test rows."""
     _require_head(models, settings.task)
-    if settings.task == "link" and len(_train_pool(graph, "link")) == 0:
-        raise ContractError("link task needs train edges")
     if "PreFineTuneLM" in settings.stages:
-        if len(_texted_link_pool(graph)) == 0:
-            raise ContractError(
-                "encoder pre-fine-tuning needs train edges between texted types")
-    evals = {("link" if kind == "PreFineTuneLM" else settings.task, VALID)
-             for kind in settings.stages} | {(settings.task, TEST)}
-    for task, split in sorted(evals):
-        _require_eval_rows(graph, task, split)
+        _texted_link_pool(graph)  # raises when it is empty
+    needs = {("link" if kind == "PreFineTuneLM" else settings.task, split)
+             for kind in settings.stages for split in (TRAIN, VALID)}
+    for task, split in sorted(needs | {(settings.task, TEST)}):
+        require_targets(graph, task, split)
 
 
 def _optimizer(models: ModelBundle, groups: set[str], lr: float) -> tg.Adam:
@@ -828,9 +826,7 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
     metric_name = primary_metric(task)
 
     pool = (_texted_link_pool(graph) if kind == "PreFineTuneLM"
-            else _train_pool(graph, task))
-    if len(pool) == 0:
-        raise ContractError(f"no train targets for task '{task}'")
+            else require_targets(graph, task, TRAIN))
     steps_per_epoch = max(1, -(-len(pool) // settings.batch_size))
 
     step = step_start

@@ -251,6 +251,8 @@ def _edit_graph_file(src_dir, dst_dir, name, edit):
 @pytest.mark.parametrize("task, name, edit, split", [
     ("node", "node_labels.tsv",
      lambda lines: [l.replace("\ttest\n", "\ttrain\n") for l in lines], "test"),
+    ("node", "node_labels.tsv",
+     lambda lines: [l.replace("\ttrain\n", "\tvalid\n") for l in lines], "train"),
     ("link", "edge_labels.tsv", lambda lines: lines[:1], "valid")])
 def test_plan_without_eval_rows_fails_before_any_step(tmp_path, graph_dir,
                                                      capsys, task, name, edit,
@@ -302,6 +304,29 @@ def test_class_id_past_int64_exits_2_naming_the_line(tmp_path, graph_dir,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{name}:2: class_id" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("task, name", [("node", "node_labels.tsv"),
+                                        ("edge", "edge_labels.tsv")])
+def test_label_class_past_memory_exits_2_before_any_step(tmp_path, graph_dir,
+                                                         capsys, task, name):
+    """2**62 classes fit the loader's int64 bound; the head's initial draw
+    raised ValueError (exit 1).  Head sizes numpy would really try to
+    allocate are left untested."""
+    def huge_first_class(lines):
+        cols = lines[1].split("\t")
+        cols[-2] = str(2 ** 62)
+        return [lines[0], "\t".join(cols)] + lines[2:]
+
+    gdir = _edit_graph_file(graph_dir, tmp_path / "g", name, huge_first_class)
+    cfg = _write_config(tmp_path / "c.txt", gdir, task=task)
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # class_id 2**62 asks for 2**62 + 1 classes
+    assert err.startswith(f"error: the {task} head's {2 ** 62 + 1} classes")
+    assert err.count("\n") == 1
+    assert os.listdir(out) == []
 
 
 # -------------------------------------------------------------------- train
@@ -530,6 +555,22 @@ def test_eval_rejects_wrongly_typed_meta(tmp_path, trained, capsys, key, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert "ckpt.json" in err and f"'{key}'" in err
+
+
+def test_eval_rejects_oversized_manifest_head(tmp_path, trained, capsys):
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    stem = str(tmp_path / "ckpt")
+    for ext in (".bin", ".vocab.txt"):
+        shutil.copyfile(ckpt + ext, stem + ext)
+    with open(ckpt + ".json", encoding="utf-8") as f:
+        manifest = json.load(f)
+    manifest["meta"]["node_classes"] = 2 ** 62
+    with open(stem + ".json", "w", encoding="utf-8") as f:
+        json.dump(manifest, f)
+    assert cli.main(["eval", stem, trained["graph_dir"], "--task", "node"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the node head's {2 ** 62} classes")
+    assert err.count("\n") == 1
 
 
 def test_eval_rejects_overlapping_manifest_offsets(tmp_path, trained, capsys):

@@ -1,5 +1,6 @@
-"""The quick demos run to completion.  Demos 04 and 05 train for minutes;
-the CI workflow runs them in a step of their own, outside tier-1."""
+"""The quick demos run to completion with warnings as errors, as tier-1
+does.  Demos 04 and 05 train for minutes; the CI workflow runs them in a
+step of their own, outside tier-1."""
 
 import os
 import subprocess
@@ -18,6 +19,6 @@ def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -88,6 +88,21 @@ def test_global_index_round_trip():
     np.testing.assert_array_equal(g.type_offsets, [0, 3, 5])
 
 
+def test_refs_are_read_only_type_local_pairs():
+    g = gr.HeteroGraph(["A", "E", "B"], [3, 0, 2],
+                       [["a", "b", "c"], [], ["d", "e"]],
+                       [gr.Relation("A", "r", "B")],
+                       [(np.array([0, 2]), np.array([1, 0]))])
+    want = np.concatenate([
+        np.stack([np.full(c, t), np.arange(c)], axis=1)
+        for t, c in enumerate(g.node_counts)])
+    np.testing.assert_array_equal(g.refs, want)
+    assert g.refs.dtype == np.int64 and g.refs.shape == (5, 2)
+    assert not g.refs.flags.writeable
+    with pytest.raises(ValueError):
+        g.refs[0, 0] = 1
+
+
 def test_out_of_range_edge_rejected():
     with pytest.raises(ContractError, match="out of range"):
         gr.HeteroGraph(["A"], [2], [["", ""]],
@@ -508,7 +523,6 @@ def test_partitions_are_balanced(synth):
     sizes = np.bincount(pmap.leaf_of, minlength=4)
     assert sizes.max() - sizes.min() <= 1
     assert (pmap.leaf_of >= 0).all()
-    np.testing.assert_array_equal(pmap.group_of_leaf, [0, 0, 1, 1])
 
 
 def test_partitions_capture_locality(synth):
