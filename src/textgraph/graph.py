@@ -15,14 +15,17 @@ task_targets is the one rule for which rows a task uses on a split: train
 pools, batches and evals all read it.
 
 On-disk format is a directory of TSV files: nodes.tsv, edges.tsv, and the
-optional node_labels.tsv / edge_labels.tsv.  Every file starts with its
-header row (TSV_COLUMNS), which the loader checks.
+optional node_labels.tsv / edge_labels.tsv.  TSV_COLUMNS gives each file's
+columns, which are also its header row, and _COLUMN_PARSERS the parser of
+each id, class and split column; the loader checks every header and parses
+every line by these tables, so each load error names its file and line.
+Each edges.tsv line is one edge, a repeated line included, and a graph may
+have no edges.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -263,7 +266,10 @@ class HeteroGraph:
 # ----------------------------------------------------------------- file IO
 
 
-# every file's header line; save_graph writes it and load_graph checks it
+# The on-disk format: each file's columns, which are also its header line,
+# and (_COLUMN_PARSERS) the parser of every column that holds no name or
+# text.  save_graph writes the headers; load_graph checks them and parses
+# every line's fields.
 TSV_COLUMNS = {
     "nodes.tsv": ("node_type", "local_id", "text"),
     "edges.tsv": ("src_type", "src_id", "relation", "dst_type", "dst_id"),
@@ -273,196 +279,185 @@ TSV_COLUMNS = {
 }
 
 
-def _read_tsv(path: Path):
-    """Yield (line_number, fields) rows after a checked header line; the
-    field count is the header's."""
+def _class_id(value: str) -> int:
+    cls = int(value)
+    if not 0 <= cls < 2 ** 63:  # stored as int64
+        raise ValueError(value)
+    return cls
+
+
+# a parser raises ValueError on a field it rejects; _field_error says why
+_COLUMN_PARSERS = {"local_id": int, "src_id": int, "dst_id": int,
+                   "class_id": _class_id, "split": SPLIT_NAMES.index}
+
+
+def _field_error(column: str, value: str) -> str:
+    if column == "split":
+        return f"split must be one of {SPLIT_NAMES}, got {value!r}"
+    try:
+        number = int(value)
+    except ValueError:
+        return f"{column} is not an integer: {value!r}"
+    return f"{column} must be >= 0 and < 2**63, got {number}"
+
+
+def _read_tsv(path: Path, add_row) -> None:
+    """Check the header line, then call add_row(*fields) on every non-empty
+    line, each field parsed by its column's _COLUMN_PARSERS entry (the rest
+    stay strings).  A wrong field count, a field its parser rejects and a
+    LoadError from add_row raise LoadError naming the file and line."""
     columns = TSV_COLUMNS[path.name]
+    parsers = [(i, _COLUMN_PARSERS[c]) for i, c in enumerate(columns)
+               if c in _COLUMN_PARSERS]
     header = "\t".join(columns)
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != header:
             raise LoadError(f"{path}:1: expected the header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != len(columns):
-                raise LoadError(
-                    f"{path}:{lineno}: expected {len(columns)} tab-separated "
-                    f"fields, got {len(fields)}")
-            yield lineno, fields
-
-
-@contextmanager
-def _create_tsv(path: Path):
-    """A file open for writing, its header line already written."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(TSV_COLUMNS[path.name]) + "\n")
-        yield fh
-
-
-def _parse_int(path: Path, lineno: int, value: str, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise LoadError(f"{path}:{lineno}: {what} is not an integer: {value!r}") from None
-
-
-def _parse_class(path: Path, lineno: int, value: str) -> int:
-    cls = _parse_int(path, lineno, value, "class_id")
-    if not 0 <= cls < 2 ** 63:  # stored as int64
-        raise LoadError(f"{path}:{lineno}: class_id must be >= 0 and < 2**63, "
-                        f"got {cls}")
-    return cls
-
-
-def _parse_split(path: Path, lineno: int, value: str) -> int:
-    try:
-        return SPLIT_NAMES.index(value)
-    except ValueError:
-        raise LoadError(
-            f"{path}:{lineno}: split must be one of {SPLIT_NAMES}, got {value!r}") from None
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != len(columns):
+                    raise LoadError(f"expected {len(columns)} tab-separated "
+                                    f"fields, got {len(fields)}")
+                for i, parse in parsers:
+                    try:
+                        fields[i] = parse(fields[i])
+                    except ValueError:
+                        raise LoadError(_field_error(columns[i], fields[i])) from None
+                add_row(*fields)
+        except LoadError as e:
+            raise LoadError(f"{path}:{lineno}: {e}") from None
 
 
 def load_graph(directory) -> HeteroGraph:
     """Load a graph directory written by save_graph (label files optional)."""
     d = Path(directory)
-    nodes_path = d / "nodes.tsv"
-    edges_path = d / "edges.tsv"
-    for p in (nodes_path, edges_path):
-        if not p.exists():
-            raise LoadError(f"{p}: not found")
+    for name in ("nodes.tsv", "edges.tsv"):
+        if not (d / name).exists():
+            raise LoadError(f"{d / name}: not found")
 
-    type_order: list[str] = []
-    per_type: dict[str, dict[int, str]] = {}
-    for lineno, (tname, lid, text) in _read_tsv(nodes_path):
-        local = _parse_int(nodes_path, lineno, lid, "local_id")
-        bucket = per_type.setdefault(tname, {})
-        if tname not in type_order:
-            type_order.append(tname)
+    texts_of: dict[str, dict[int, str]] = {}  # types in order of first use
+
+    def add_node(tname, local, text):
+        bucket = texts_of.setdefault(tname, {})
         if local in bucket:
-            raise LoadError(f"{nodes_path}:{lineno}: duplicate node {tname}/{local}")
+            raise LoadError(f"duplicate node {tname}/{local}")
         bucket[local] = text
-    node_counts, texts = [], []
-    for tname in type_order:
-        bucket = per_type[tname]
-        n = len(bucket)
-        if sorted(bucket) != list(range(n)):
-            raise LoadError(
-                f"{nodes_path}: type '{tname}' ids must be dense 0..{n - 1}")
-        node_counts.append(n)
-        texts.append([bucket[i] for i in range(n)])
-    type_index = {t: i for i, t in enumerate(type_order)}
 
-    relations: list[Relation] = []
-    rel_index: dict[tuple, int] = {}
-    rel_src: list[list[int]] = []
-    rel_dst: list[list[int]] = []
-    for lineno, (st, sid, rname, dt, did) in _read_tsv(edges_path):
-        for t in (st, dt):
-            if t not in type_index:
-                raise LoadError(f"{edges_path}:{lineno}: unknown node type '{t}'")
-        s = _parse_int(edges_path, lineno, sid, "src_id")
-        t_ = _parse_int(edges_path, lineno, did, "dst_id")
-        key = (st, rname, dt)
-        ri = rel_index.get(key)
-        if ri is None:
-            ri = len(relations)
-            rel_index[key] = ri
-            relations.append(Relation(st, rname, dt))
-            rel_src.append([])
-            rel_dst.append([])
-        for v, tname, side in ((s, st, "src_id"), (t_, dt, "dst_id")):
-            if not 0 <= v < node_counts[type_index[tname]]:
-                raise LoadError(
-                    f"{edges_path}:{lineno}: {side} {v} out of range for type '{tname}'")
-        rel_src[ri].append(s)
-        rel_dst[ri].append(t_)
-    edges = [(np.array(s, dtype=np.int64), np.array(t, dtype=np.int64))
-             for s, t in zip(rel_src, rel_dst)]
+    _read_tsv(d / "nodes.tsv", add_node)
+    for tname, bucket in texts_of.items():
+        if sorted(bucket) != list(range(len(bucket))):
+            raise LoadError(f"{d / 'nodes.tsv'}: type '{tname}' ids must be "
+                            f"dense 0..{len(bucket) - 1}")
+    texts = [[bucket[i] for i in range(len(bucket))] for bucket in texts_of.values()]
+    node_counts = [len(rows) for rows in texts]
+    type_index = {t: i for i, t in enumerate(texts_of)}
+
+    def node(tname, local, column) -> int:
+        """The type index of node tname/local, which must exist."""
+        ti = type_index.get(tname)
+        if ti is None:
+            raise LoadError(f"unknown node type '{tname}'")
+        if not 0 <= local < node_counts[ti]:
+            raise LoadError(f"{column} {local} out of range for type '{tname}'")
+        return ti
+
+    edges_of: dict[tuple, tuple[list, list]] = {}  # relations in order of first use
+
+    def add_edge(st, s, rname, dt, t):
+        node(st, s, "src_id")
+        node(dt, t, "dst_id")
+        pairs = edges_of.get((st, rname, dt))
+        if pairs is None:
+            pairs = edges_of[st, rname, dt] = ([], [])
+        pairs[0].append(s)
+        pairs[1].append(t)
+
+    _read_tsv(d / "edges.tsv", add_edge)
+    rel_index = {key: ri for ri, key in enumerate(edges_of)}
 
     node_class_ids = [np.full(c, -1, dtype=np.int64) for c in node_counts]
     node_splits = [np.full(c, -1, dtype=np.int64) for c in node_counts]
-    nl_path = d / "node_labels.tsv"
-    if nl_path.exists():
-        for lineno, (tname, lid, cid, split) in _read_tsv(nl_path):
-            if tname not in type_index:
-                raise LoadError(f"{nl_path}:{lineno}: unknown node type '{tname}'")
-            ti = type_index[tname]
-            local = _parse_int(nl_path, lineno, lid, "local_id")
-            if not 0 <= local < node_counts[ti]:
-                raise LoadError(f"{nl_path}:{lineno}: node id {local} out of range")
-            cls = _parse_class(nl_path, lineno, cid)
-            if node_class_ids[ti][local] != -1:
-                raise LoadError(f"{nl_path}:{lineno}: duplicate label for {tname}/{local}")
-            node_class_ids[ti][local] = cls
-            node_splits[ti][local] = _parse_split(nl_path, lineno, split)
 
-    edge_labels: dict[int, EdgeLabelSet] = {}
-    el_path = d / "edge_labels.tsv"
-    if el_path.exists():
-        rows: dict[int, list] = {}
-        for lineno, (st, sid, rname, dt, did, cid, split) in _read_tsv(el_path):
-            key = (st, rname, dt)
-            if key not in rel_index:
-                raise LoadError(f"{el_path}:{lineno}: unknown relation {key}")
-            ri = rel_index[key]
-            s = _parse_int(el_path, lineno, sid, "src_id")
-            t_ = _parse_int(el_path, lineno, did, "dst_id")
-            cls = _parse_class(el_path, lineno, cid)
-            rows.setdefault(ri, []).append(
-                (s, t_, cls, _parse_split(el_path, lineno, split), lineno))
-        for ri, entries in rows.items():
-            pairs = set(zip(edges[ri][0].tolist(), edges[ri][1].tolist()))
-            seen = set()
-            for s, t_, _, _, lineno in entries:
-                if (s, t_) not in pairs:
-                    raise LoadError(
-                        f"{el_path}:{lineno}: labeled edge ({s}, {t_}) not in edges.tsv")
-                if (s, t_) in seen:
-                    raise LoadError(f"{el_path}:{lineno}: duplicate edge label ({s}, {t_})")
-                seen.add((s, t_))
-            edge_labels[ri] = EdgeLabelSet(
-                ri,
-                np.array([e[0] for e in entries], dtype=np.int64),
-                np.array([e[1] for e in entries], dtype=np.int64),
-                np.array([e[2] for e in entries], dtype=np.int64),
-                np.array([e[3] for e in entries], dtype=np.int64),
-            )
+    def add_node_label(tname, local, cls, split):
+        ti = node(tname, local, "local_id")
+        if node_class_ids[ti][local] != -1:
+            raise LoadError(f"duplicate label for {tname}/{local}")
+        node_class_ids[ti][local] = cls
+        node_splits[ti][local] = split
 
-    return HeteroGraph(type_order, node_counts, texts, relations, edges,
+    # per labeled relation, in order of first label: its edges as a set, and
+    # (src, dst) -> (class, split) in file order
+    labeled: dict[int, tuple[set, dict]] = {}
+
+    def add_edge_label(st, s, rname, dt, t, cls, split):
+        ri = rel_index.get((st, rname, dt))
+        if ri is None:
+            raise LoadError(f"unknown relation {(st, rname, dt)}")
+        if ri not in labeled:
+            labeled[ri] = (set(zip(*edges_of[st, rname, dt])), {})
+        pairs, rows = labeled[ri]
+        if (s, t) not in pairs:
+            raise LoadError(f"labeled edge ({s}, {t}) not in edges.tsv")
+        if (s, t) in rows:
+            raise LoadError(f"duplicate edge label ({s}, {t})")
+        rows[s, t] = (cls, split)
+
+    for name, add_row in (("node_labels.tsv", add_node_label),
+                          ("edge_labels.tsv", add_edge_label)):
+        if (d / name).exists():
+            _read_tsv(d / name, add_row)
+    edge_labels = {}
+    for ri, (_, rows) in labeled.items():
+        columns = (*zip(*rows), *zip(*rows.values()))  # src, dst, class, split
+        edge_labels[ri] = EdgeLabelSet(ri, *(np.array(c, dtype=np.int64)
+                                             for c in columns))
+    edges = [(np.array(s, dtype=np.int64), np.array(t, dtype=np.int64))
+             for s, t in edges_of.values()]
+    return HeteroGraph(list(texts_of), node_counts, texts,
+                       [Relation(*key) for key in edges_of], edges,
                        node_class_ids, node_splits, edge_labels)
 
 
+def _write_tsv(path: Path, lines) -> None:
+    """Write path's header line, then lines, each ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(TSV_COLUMNS[path.name]) + "\n" + "".join(lines))
+
+
 def save_graph(graph: HeteroGraph, directory) -> None:
-    """Write the four TSV files; label files are written even when empty."""
+    """Write the four TSV files; label files are written even when empty.
+    Every text is checked before any file is opened."""
+    for tname, rows in zip(graph.node_types, graph.texts):
+        joined = "".join(rows)
+        if "\t" in joined or "\n" in joined:
+            i = next(i for i, text in enumerate(rows) if "\t" in text or "\n" in text)
+            raise ContractError(f"node {tname}/{i}: text contains tab or newline")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    with _create_tsv(d / "nodes.tsv") as fh:
-        for ti, tname in enumerate(graph.node_types):
-            for i in range(graph.node_counts[ti]):
-                text = graph.texts[ti][i]
-                if "\t" in text or "\n" in text:
-                    raise ContractError(f"node {tname}/{i}: text contains tab or newline")
-                fh.write(f"{tname}\t{i}\t{text}\n")
-    with _create_tsv(d / "edges.tsv") as fh:
-        for rel, (src, dst) in zip(graph.relations, graph.edges):
-            for s, t in zip(src.tolist(), dst.tolist()):
-                fh.write(f"{rel.src_type}\t{s}\t{rel.name}\t{rel.dst_type}\t{t}\n")
-    with _create_tsv(d / "node_labels.tsv") as fh:
-        for ti, tname in enumerate(graph.node_types):
-            classes = graph.node_class_ids[ti]
-            splits = graph.node_splits[ti]
-            for i in np.nonzero(classes >= 0)[0].tolist():
-                fh.write(f"{tname}\t{i}\t{classes[i]}\t{SPLIT_NAMES[splits[i]]}\n")
-    with _create_tsv(d / "edge_labels.tsv") as fh:
-        for ri in sorted(graph.edge_labels):
-            rel = graph.relations[ri]
-            labels = graph.edge_labels[ri]
-            for s, t, c, sp in zip(labels.src.tolist(), labels.dst.tolist(),
-                                   labels.class_ids.tolist(), labels.splits.tolist()):
-                fh.write(f"{rel.src_type}\t{s}\t{rel.name}\t{rel.dst_type}\t{t}"
-                         f"\t{c}\t{SPLIT_NAMES[sp]}\n")
+    _write_tsv(d / "nodes.tsv", [
+        f"{tname}\t{i}\t{text}\n"
+        for tname, rows in zip(graph.node_types, graph.texts)
+        for i, text in enumerate(rows)])
+    _write_tsv(d / "edges.tsv", [
+        f"{rel.src_type}\t{s}\t{rel.name}\t{rel.dst_type}\t{t}\n"
+        for rel, (src, dst) in zip(graph.relations, graph.edges)
+        for s, t in zip(src.tolist(), dst.tolist())])
+    _write_tsv(d / "node_labels.tsv", [
+        f"{tname}\t{i}\t{c}\t{SPLIT_NAMES[sp]}\n"
+        for tname, classes, splits in zip(graph.node_types, graph.node_class_ids,
+                                          graph.node_splits)
+        for i, (c, sp) in enumerate(zip(classes.tolist(), splits.tolist()))
+        if c >= 0])
+    _write_tsv(d / "edge_labels.tsv", [
+        f"{rel.src_type}\t{s}\t{rel.name}\t{rel.dst_type}\t{t}\t{c}\t{SPLIT_NAMES[sp]}\n"
+        for ri, labels in sorted(graph.edge_labels.items())
+        for rel in [graph.relations[ri]]
+        for s, t, c, sp in zip(labels.src.tolist(), labels.dst.tolist(),
+                               labels.class_ids.tolist(), labels.splits.tolist())])
 
 
 # ------------------------------------------------------------ synthetic data
@@ -744,7 +739,7 @@ def sample_neighbors(graph: HeteroGraph, targets, fanouts, num_layers: int,
                 adj.targets[s:s + degree[c]], size=int(taken[c]), replace=False)
         rels = np.repeat(np.tile(np.arange(num_rels), frontier.size), taken)
         dst = np.repeat(np.arange(seen.size - frontier.size, seen.size),
-                        taken.reshape(-1, num_rels).sum(axis=1))
+                        taken.reshape(frontier.size, num_rels).sum(axis=1))
         frontier = _first_occurrences(nbrs[local_of[nbrs] < 0])
         local_of[frontier] = seen.size + np.arange(frontier.size)
         src = local_of[nbrs]

@@ -571,11 +571,12 @@ def full_graph_embeddings(models: ModelBundle, graph: HeteroGraph, *,
     """Embeddings for every node, rows in global-index order, computed with
     no grad; the one encode policy of evals and dump-embeddings.  The GNN
     representation samples every node's neighborhood at rng 0 with the given
-    fanouts; None means a saturating fanout, so message passing sees every
-    edge.  Rows are encoded at most EVAL_CHUNK per call, and reused from the
-    last call on this graph while the encoder's weights are unchanged."""
+    fanouts; None means a saturating fanout, the largest (node, message
+    relation) degree, so message passing sees every edge, repeats too.
+    Rows are encoded at most EVAL_CHUNK per call, and reused from the last
+    call on this graph while the encoder's weights are unchanged."""
     if fanouts is None:
-        fanouts = max(graph.node_counts)
+        fanouts = int(np.diff(graph.message_adjacency().offsets).max(initial=1))
     with tg.no_grad():
         emb, _ = embed_nodes(
             models, graph, node_refs(graph), representation=representation,

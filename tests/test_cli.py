@@ -354,6 +354,31 @@ def test_train_writes_stage_checkpoints_and_report(trained):
     assert report["split"] == "test" and "mrr" in report["metrics"]
 
 
+def test_graph_without_edges_trains_evals_and_dumps(tmp_path, capsys):
+    """edges.tsv may hold only its header: the GNN then has no message
+    relation, and every command still runs."""
+    gdir = tmp_path / "g"
+    gdir.mkdir()
+    (gdir / "nodes.tsv").write_text(
+        "node_type\tlocal_id\ttext\n"
+        + "".join(f"q\t{i}\tw{i} w{i + 1}\n" for i in range(4)))
+    (gdir / "edges.tsv").write_text("src_type\tsrc_id\trelation\tdst_type\tdst_id\n")
+    (gdir / "node_labels.tsv").write_text(
+        "node_type\tlocal_id\tclass_id\tsplit\n"
+        "q\t0\t0\ttrain\nq\t1\t1\ttrain\nq\t2\t0\tvalid\nq\t3\t1\ttest\n")
+    cfg = _write_config(tmp_path / "c.txt", str(gdir), task="node",
+                        batch_size="2")
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    ckpt = str(out / "stage0_WarmStartGNN")
+    assert cli.main(["eval", ckpt, str(gdir), "--task", "node"]) == 0
+    assert capsys.readouterr().out == (out / "report.json").read_text()
+    emb = tmp_path / "emb.tsv"
+    assert cli.main(["dump-embeddings", ckpt, str(gdir), "--out", str(emb)]) == 0
+    assert len(emb.read_text().splitlines()) == 4
+
+
 def test_train_reproducible_excluding_elapsed(tmp_path, trained):
     out2 = tmp_path / "out2"
     rc = cli.main(["train", "--config", trained["cfg"], "--out", str(out2)])

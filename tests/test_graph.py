@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -206,6 +209,64 @@ def test_loader_rejects_missing_or_wrong_header(tmp_path, name):
         with pytest.raises(LoadError, match=rf"{name}:1: expected the header"):
             gr.load_graph(tmp_path)
 
+
+
+def test_save_graph_writes_nothing_when_a_text_is_bad(tmp_path):
+    """A tab in one text used to leave nodes.tsv cut short over a saved graph."""
+    graph = gr.generate_synthetic(gr.SyntheticSpec(nodes_per_type=20))
+    gr.save_graph(graph, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    graph.texts[1][4] += "\tx"
+    with pytest.raises(ContractError, match="node product/4: text contains tab"):
+        gr.save_graph(graph, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+# a valid graph: A has nodes 0 and 1, B has node 0, one edge A/0 -r-> A/1
+VALID_ROWS = {
+    "nodes.tsv": ["A\t0\ta", "A\t1\tb", "B\t0\t"],
+    "edges.tsv": ["A\t0\tr\tA\t1"],
+    "node_labels.tsv": ["A\t0\t1\ttrain"],
+    "edge_labels.tsv": ["A\t0\tr\tA\t1\t0\ttest"],
+}
+
+
+@pytest.mark.parametrize("name, rows, line, phrase", [
+    ("edges.tsv", ["A\tx\tr\tA\t1"], 2, "src_id is not an integer: 'x'"),
+    ("edges.tsv", ["A\t0\tr\tA\t1.5"], 2, "dst_id is not an integer: '1.5'"),
+    ("node_labels.tsv", ["A\t0\tone\ttrain"], 2, "class_id is not an integer"),
+    ("edge_labels.tsv", ["A\t0\tr\tA\t1\t-\ttest"], 2,
+     "class_id is not an integer"),
+    ("node_labels.tsv", ["A\t0\t-1\ttrain"], 2,
+     r"class_id must be >= 0 and < 2\*\*63, got -1"),
+    ("node_labels.tsv", ["C\t0\t1\ttrain"], 2, "unknown node type 'C'"),
+    ("node_labels.tsv", ["B\t7\t1\ttrain"], 2, "7 out of range"),
+    ("nodes.tsv", ["A\t0\ta", "A\t0\tb"], 3, "duplicate node A/0"),
+    ("node_labels.tsv", ["A\t1\t1\ttrain", "A\t1\t0\ttest"], 3,
+     "duplicate label for A/1"),
+    ("edge_labels.tsv", ["A\t0\ts\tA\t1\t0\ttest"], 2,
+     r"unknown relation \('A', 's', 'A'\)"),
+    ("edge_labels.tsv", ["A\t0\tr\tA\t1\t0\ttest", "A\t0\tr\tA\t1\t1\ttrain"],
+     3, r"duplicate edge label \(0, 1\)"),
+])
+def test_loader_names_the_line_of_each_rule(tmp_path, name, rows, line, phrase):
+    """One bad line per loader rule, in a graph that is valid without it."""
+    for file, valid in VALID_ROWS.items():
+        lines = rows if file == name else valid
+        (tmp_path / file).write_text(
+            "\n".join(["\t".join(gr.TSV_COLUMNS[file]), *lines]) + "\n")
+    with pytest.raises(LoadError, match=rf"{name}:{line}: .*{phrase}"):
+        gr.load_graph(tmp_path)
+
+
+
+def test_readme_graph_format_lists_each_files_columns():
+    readme = Path(__file__).parent.parent / "README.md"
+    section = readme.read_text().split("## Graph format\n", 1)[1].split("\n## ")[0]
+    listed = {}
+    for bullet in section.split("\n- ")[1:]:
+        m = re.match(r"`(\S+\.tsv)`[^:]*:((?: `\w+`,)* `\w+`)", " ".join(bullet.split()))
+        listed[m.group(1)] = tuple(re.findall(r"`(\w+)`", m.group(2)))
+    assert listed == gr.TSV_COLUMNS
 
 # values a hand-edited or damaged graph file may hold in any field
 FUZZ_VALUES = ("", "0", "1", "7", "-1", "x", "1.5", " 2", "1e3", "query",

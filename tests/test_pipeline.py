@@ -10,8 +10,9 @@ import textgraph.pipeline as pl
 import textgraph.tensor as tg
 import textgraph.text as tx
 from textgraph.errors import ContractError, LoadError, NumericsError
-from textgraph.graph import (TEST, TRAIN, VALID, HeteroGraph, SyntheticSpec,
-                             generate_synthetic)
+from textgraph.graph import (TEST, TRAIN, VALID, HeteroGraph, Relation,
+                             SyntheticSpec, generate_synthetic,
+                             sample_neighbors)
 
 
 SMALL_SPEC = SyntheticSpec(nodes_per_type=40, clusters=2, intra_p=0.15,
@@ -381,6 +382,25 @@ def test_full_graph_embeddings_cls_matches_encoder(small_graph):
     base = small_graph.type_offsets[1]
     assert np.array_equal(emb[base:base + 16], direct)
 
+
+
+def test_saturating_fanout_sees_repeated_edges(monkeypatch):
+    """Query 0 buys product 0 three times, so it hears 4 messages, more than
+    either type has nodes; the saturating eval still passes every message."""
+    graph = HeteroGraph(["q", "p"], [2, 2], [["a b", "b"], ["a", "b a"]],
+                        [Relation("q", "purchase", "p")],
+                        [(np.array([0, 0, 0, 0, 1]), np.array([0, 0, 0, 1, 1]))])
+    batches = []
+
+    def recording(*args, **kwargs):
+        batches.append(sample_neighbors(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(pl, "sample_neighbors", recording)
+    models = pl.build_models(graph, quick_settings(num_layers=1))
+    pl.full_graph_embeddings(models, graph)
+    block, = batches[0].blocks
+    assert sum(src.size for src, _ in block.edges) == 2 * graph.total_edges
 
 def test_evaluate_all_tasks_bounded(small_graph):
     settings = quick_settings()
