@@ -171,9 +171,24 @@ class HeteroGraph:
                 if arr.size and (arr.min() < 0 or arr.max() >= bound):
                     raise ContractError(
                         f"relation {r.key()}: {side} id out of range [0, {bound})")
+        for t, c, classes, splits in zip(self.node_types, self.node_counts,
+                                         self.node_class_ids, self.node_splits):
+            if len(classes) != c or len(splits) != c:
+                raise ContractError(f"type '{t}': {len(classes)} class ids and "
+                                    f"{len(splits)} splits for {c} nodes")
+            bad = np.flatnonzero((classes >= 0) & ((splits < 0) | (splits > TEST)))
+            if bad.size:
+                raise ContractError(f"node {t}/{bad[0]}: labeled, but split "
+                                    f"{splits[bad[0]]} is not 0, 1 or 2")
         for ri, labels in self.edge_labels.items():
             if not 0 <= ri < len(self.relations):
                 raise ContractError(f"edge labels for unknown relation index {ri}")
+            bad = np.flatnonzero((labels.splits < 0) | (labels.splits > TEST))
+            if bad.size:
+                i = bad[0]
+                raise ContractError(
+                    f"edge label {self.relations[ri].key()} ({labels.src[i]}, "
+                    f"{labels.dst[i]}): split {labels.splits[i]} is not 0, 1 or 2")
 
     def type_index(self, name: str) -> int:
         try:
@@ -279,15 +294,26 @@ TSV_COLUMNS = {
 }
 
 
+def _int(value: str) -> int:
+    """An optional "-" and ASCII digits, nothing else: int() alone would
+    also take spaces, a "+", "_" between digits and non-ASCII digits."""
+    if value.isascii() and value.isdigit():
+        return int(value)
+    digits = value[1:] if value[:1] == "-" else ""
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(value)
+    return int(value)
+
+
 def _class_id(value: str) -> int:
-    cls = int(value)
+    cls = _int(value)
     if not 0 <= cls < 2 ** 63:  # stored as int64
         raise ValueError(value)
     return cls
 
 
 # a parser raises ValueError on a field it rejects; _field_error says why
-_COLUMN_PARSERS = {"local_id": int, "src_id": int, "dst_id": int,
+_COLUMN_PARSERS = {"local_id": _int, "src_id": _int, "dst_id": _int,
                    "class_id": _class_id, "split": SPLIT_NAMES.index}
 
 
@@ -295,7 +321,7 @@ def _field_error(column: str, value: str) -> str:
     if column == "split":
         return f"split must be one of {SPLIT_NAMES}, got {value!r}"
     try:
-        number = int(value)
+        number = _int(value)
     except ValueError:
         return f"{column} is not an integer: {value!r}"
     return f"{column} must be >= 0 and < 2**63, got {number}"
@@ -430,7 +456,9 @@ def _write_tsv(path: Path, lines) -> None:
 
 def save_graph(graph: HeteroGraph, directory) -> None:
     """Write the four TSV files; label files are written even when empty.
-    Every text is checked before any file is opened."""
+    The graph (HeteroGraph's checks) and every text are checked before any
+    file is opened."""
+    graph._validate()
     for tname, rows in zip(graph.node_types, graph.texts):
         joined = "".join(rows)
         if "\t" in joined or "\n" in joined:
@@ -682,13 +710,20 @@ def sample_neighbors(graph: HeteroGraph, targets, fanouts, num_layers: int,
     the same sampled neighborhood.  Block sources are ordered targets-first,
     then in order of first appearance among the targets' neighbors.
 
-    RNG contract: the only draws are rng.choice(neighbors, fanout,
-    replace=False), one per (node, message relation) pair whose degree
-    exceeds the fanout.  Nodes are expanded layer by layer, each layer in
-    order of first discovery, and a node's relations in message-relation
-    order; a pair at or under its fanout takes all its neighbors in
-    msg_neighbors order and draws nothing.  A given rng state therefore
-    fixes the batch, and the state it is left in.
+    RNG contract: nodes are expanded layer by layer, each layer in order of
+    first discovery, and a node's relations in message-relation order.  A
+    (node, message relation) pair at or under its fanout takes all its
+    neighbors in msg_neighbors order and draws nothing.  Each layer whose
+    pairs include some over their fanout makes one rng.random(n) call: the
+    keys of those pairs' neighbors, pair after pair in that order, each
+    pair's neighbors in msg_neighbors order.  A pair keeps its fanout
+    neighbors with the smallest keys, in ascending key order, ties going to
+    the earlier neighbor.  Uniform keys make this a uniform sample without
+    replacement (Efraimidis & Spirakis, 2006, with equal weights).  Since
+    rng.random(a) then rng.random(b) gives the keys of rng.random(a + b), a
+    per-pair loop drawing rng.random(degree) and keeping
+    argsort(keys, kind="stable")[:fanout] makes the same batch.  A given rng
+    state therefore fixes the batch, and the state it is left in.
     """
     rng = _as_rng(rng)
     refs = _as_ref_array(targets)
@@ -731,12 +766,18 @@ def sample_neighbors(graph: HeteroGraph, targets, fanouts, num_layers: int,
         cell_fan = np.tile(fan, frontier.size)
         taken = np.minimum(degree, cell_fan)
         nbrs = adj.targets[_ranges(starts, taken)]
-        ends = np.cumsum(taken)
-        # the RNG contract: one draw per over-fanout cell, row-major
-        for c in np.flatnonzero(degree > cell_fan).tolist():
-            s = starts[c]
-            nbrs[ends[c] - taken[c]:ends[c]] = rng.choice(
-                adj.targets[s:s + degree[c]], size=int(taken[c]), replace=False)
+        over = np.flatnonzero(degree > cell_fan)
+        if over.size:
+            # the RNG contract: one key per candidate of every over-fanout
+            # cell; each keeps its `taken` smallest keys, ascending
+            deg, keep = degree[over], taken[over]
+            cand = _ranges(starts[over], deg)
+            cell = np.repeat(np.arange(over.size), deg)
+            order = np.lexsort((rng.random(cand.size), cell))
+            rank = np.arange(cand.size) - np.repeat(np.cumsum(deg) - deg, deg)
+            ends = np.cumsum(taken)[over]
+            nbrs[_ranges(ends - keep, keep)] = adj.targets[
+                cand[order[rank < keep[cell]]]]
         rels = np.repeat(np.tile(np.arange(num_rels), frontier.size), taken)
         dst = np.repeat(np.arange(seen.size - frontier.size, seen.size),
                         taken.reshape(frontier.size, num_rels).sum(axis=1))

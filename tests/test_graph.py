@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,42 @@ def test_loader_names_the_line_of_each_rule(tmp_path, name, rows, line, phrase):
 
 
 
+@pytest.mark.parametrize("value", [" 1", "+0", "1_0", "\u0661"])
+def test_loader_integers_are_a_sign_and_ascii_digits(tmp_path, value):
+    """int() takes each of these; an id or class_id field takes none."""
+    for name, row in (("edges.tsv", f"A\t0\tr\tA\t{value}"),
+                      ("node_labels.tsv", f"A\t0\t{value}\ttrain")):
+        for file, valid in VALID_ROWS.items():
+            lines = [row] if file == name else valid
+            (tmp_path / file).write_text(
+                "\n".join(["\t".join(gr.TSV_COLUMNS[file]), *lines]) + "\n")
+        with pytest.raises(LoadError, match=rf"{name}:2: .*is not an integer: "
+                                            + re.escape(repr(value))):
+            gr.load_graph(tmp_path)
+
+
+def test_labeled_rows_need_a_split(tmp_path):
+    """A labeled node with split -1 used to be saved as 'test'."""
+    with pytest.raises(ContractError, match="node q/0: labeled, but split -1"):
+        gr.HeteroGraph(["q"], [2], [["a b", "c"]], [], [],
+                       node_class_ids=[np.array([3, -1])])
+    with pytest.raises(ContractError, match="type 'q': 1 class ids and 2 splits"):
+        gr.HeteroGraph(["q"], [2], [["a b", "c"]], [], [],
+                       node_class_ids=[np.array([3])])
+    graph = gr.generate_synthetic(gr.SyntheticSpec(nodes_per_type=20))
+    labels = graph.edge_labels[0]
+    with pytest.raises(ContractError, match=r"edge label \('query', 'purchase', "
+                                            r"'product'\) \(\d+, \d+\): split 3"):
+        gr.HeteroGraph(graph.node_types, graph.node_counts, graph.texts,
+                       graph.relations, graph.edges, graph.node_class_ids,
+                       graph.node_splits,
+                       {0: replace(labels, splits=np.full_like(labels.splits, 3))})
+    graph.node_splits[1][4] = -1
+    with pytest.raises(ContractError, match="node product/4: labeled, but split -1"):
+        gr.save_graph(graph, tmp_path / "g")
+    assert not (tmp_path / "g").exists()
+
+
 def test_readme_graph_format_lists_each_files_columns():
     readme = Path(__file__).parent.parent / "README.md"
     section = readme.read_text().split("## Graph format\n", 1)[1].split("\n## ")[0]
@@ -495,7 +532,8 @@ def _reference_sample(graph, refs, fanouts, num_layers, rng):
             for mi, mr in enumerate(mrels):
                 nbrs = graph.msg_neighbors(mi, l) if mr.dst_type == t else gr._EMPTY
                 if nbrs.size > fan[mi]:
-                    nbrs = rng.choice(nbrs, size=fan[mi], replace=False)
+                    keys = rng.random(nbrs.size)
+                    nbrs = nbrs[np.argsort(keys, kind="stable")[:fan[mi]]]
                 slots += int(nbrs.size)
                 per_rel.append([intern(mr.src_type, x) for x in nbrs.tolist()])
                 discovered.extend(per_rel[-1])
@@ -562,6 +600,38 @@ def test_sampler_matches_per_node_reference(synth, fanouts, num_layers):
                 np.testing.assert_array_equal(d_got, d_ref)
         # the same draws were made, in the same order
         assert rng_new.random() == rng_ref.random()
+
+
+def test_sampler_draws_uniform_subsets():
+    """20,000 centers share the same 6 leaves, fanout 3: each of the 20
+    leaf subsets is equally likely (chi-square, 19 degrees of freedom).  One
+    call draws the keys of 20,000 one-center calls on the same rng."""
+    n = 20_000
+    g = gr.HeteroGraph(["C", "L"], [n, 6], [[""] * n, [""] * 6],
+                       [gr.Relation("L", "r", "C")],
+                       [(np.tile(np.arange(6), n), np.repeat(np.arange(n), 6))])
+    batch = gr.sample_neighbors(g, np.stack([np.zeros(n, dtype=np.int64),
+                                             np.arange(n)], axis=1),
+                                fanouts=3, num_layers=1, rng=0)
+    block = batch.blocks[0]
+    src, dst = block.edges[0]
+    np.testing.assert_array_equal(dst, np.repeat(np.arange(n), 3))
+    leaves = block.src_refs[src, 1].reshape(n, 3)
+    _, counts = np.unique((1 << leaves).sum(axis=1), return_counts=True)
+    assert counts.size == 20
+    expected = n / 20
+    assert ((counts - expected) ** 2 / expected).sum() < 50
+
+
+def test_saturating_sample_draws_nothing(synth):
+    """Fanout at the largest degree takes every neighbor and leaves the rng
+    untouched, so a forward-only eval repeats its batches exactly."""
+    adj = synth.message_adjacency()
+    fanout = int(np.diff(adj.offsets).max())
+    rng = np.random.default_rng(5)
+    gr.sample_neighbors(synth, [(0, 0), (1, 3), (0, 7)], fanouts=fanout,
+                        num_layers=2, rng=rng)
+    assert rng.random() == np.random.default_rng(5).random()
 
 
 def test_ego_rejects_bad_input():
