@@ -60,7 +60,7 @@ class NodeClassifierHead:
 
 
 def node_logits(head: NodeClassifierHead, h: Tensor) -> Tensor:
-    return tg.add(tg.matmul(h, head.proj), head.bias)
+    return tg.linear(h, head.proj, head.bias)
 
 
 def node_loss(head: NodeClassifierHead, h: Tensor, labels) -> Tensor:
@@ -87,7 +87,7 @@ def edge_logits(head: EdgeClassifierHead, h_heads: Tensor, h_tails: Tensor) -> T
             f"expected matching (n, {head.dim}) endpoint embeddings, got "
             f"{h_heads.shape} and {h_tails.shape}")
     pair = tg.concat([h_heads, h_tails], axis=1)
-    return tg.add(tg.matmul(pair, head.w_ec), head.bias)
+    return tg.linear(pair, head.w_ec, head.bias)
 
 
 def edge_loss(head: EdgeClassifierHead, h_heads: Tensor, h_tails: Tensor,

@@ -8,9 +8,16 @@ gradients into the `.grad` buffer of every tensor built with
 
 An op computes an operand's gradient only when backward can read it: the
 operand is a grad-enabled leaf, or an op output recorded on a tape.  The
-binary ops (add, sub, mul, matmul) decide this per operand when they run and
-hand backward None for a constant operand, such as frozen input features, a
-mask or a scale, so no gradient is computed only to be dropped.
+binary ops (add, sub, mul, matmul) and linear decide this per operand when
+they run and hand backward None for a constant operand, such as frozen input
+features, a mask or a scale, so no gradient is computed only to be dropped.
+
+linear, add_tiled and take_strided are one-node forms of add(matmul(...))
+and of take_rows over a tiled or strided index, and give their bytes, signed
+zeros included: take_rows's backward scatters into zeros, which turns a -0.0
+in g into 0.0, and theirs add g to 0.0 as well.  relu gives the bytes of
+np.where(a > 0, a, 0.0): every other input, -0.0 and NaN included, maps to
+0.0, never to -0.0.
 """
 
 from __future__ import annotations
@@ -265,9 +272,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), out, back)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """add(matmul(x, w), b) for 2-D x and w and 1-D b, as one tape node with
+    one output buffer; the bias is added in place."""
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or b.data.shape != (wd.shape[1],) \
+            or xd.shape[1] != wd.shape[0]:
+        raise ShapeError(f"linear needs (n, k) @ (k, m) + (m,), got "
+                         f"{xd.shape} @ {wd.shape} + {b.data.shape}")
+    out = np.matmul(xd, wd)
+    out += b.data
+    wx, ww, wb = _wants_grad(x), _wants_grad(w), _wants_grad(b)
+
+    def back(g):
+        return (np.matmul(g, wd.T) if wx else None,
+                np.matmul(xd.T, g) if ww else None,
+                g.sum(axis=0) if wb else None)
+
+    return _record("linear", (x, w, b), out, back)
+
+
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return _record("relu", (a,), np.where(mask, a.data, 0.0), lambda g: (g * mask,))
+    # np.fmax(-0.0, 0.0) is -0.0 in numpy's scalar loops and 0.0 in its
+    # vector loops; adding 0.0 makes it 0.0 in both, as np.where gives.
+    # fmax maps NaN to 0.0.
+    ad = a.data
+    out = np.fmax(ad, 0.0)
+    out += 0.0
+    return _record("relu", (a,), out, lambda g: (g * (ad > 0.0),))
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -278,9 +310,9 @@ def softplus(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def back(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -426,6 +458,46 @@ def take_prefix(a: Tensor, n: int) -> Tensor:
     return _record("take_prefix", (a,), out, back)
 
 
+def take_strided(a: Tensor, step: int) -> Tensor:
+    """Rows 0, step, 2*step, ... of a: take_rows(a, np.arange(0, n, step)),
+    as a strided copy whose backward writes g + 0.0 into those rows of a
+    zero array instead of scattering."""
+    if step < 1:
+        raise ContractError(f"row step must be >= 1, got {step}")
+    out = a.data[::step].copy()
+
+    def back(g):
+        grad = np.zeros_like(a.data)
+        np.add(g, 0.0, out=grad[::step])
+        return (grad,)
+
+    return _record("take_strided", (a,), out, back)
+
+
+def add_tiled(a: Tensor, table: Tensor, period: int) -> Tensor:
+    """a + take_rows(table, np.tile(np.arange(period), n)) for a of n*period
+    rows, as one broadcast add of table[:period] over a viewed as
+    (n, period, ...).  table's gradient sums g over the n tiles in order,
+    starting from 0.0 as the scatter into zeros does."""
+    rows = a.data.shape[0]
+    if not 0 < period <= table.data.shape[0] or rows % period \
+            or a.data.shape[1:] != table.data.shape[1:]:
+        raise ShapeError(f"cannot tile rows [:{period}] of {table.data.shape} "
+                         f"over {a.data.shape}")
+    tiled = (rows // period, period) + a.data.shape[1:]
+    out = (a.data.reshape(tiled) + table.data[:period]).reshape(a.data.shape)
+    wa, wt = _wants_grad(a), _wants_grad(table)
+
+    def back(g):
+        gt = None
+        if wt:
+            gt = np.zeros_like(table.data)
+            np.add.reduce(g.reshape(tiled), axis=0, initial=0.0, out=gt[:period])
+        return (g if wa else None, gt)
+
+    return _record("add_tiled", (a, table), out, back)
+
+
 def segment_sum(a: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Sum rows of a into num_segments buckets given per-row bucket ids."""
     seg = _check_indices(segment_ids, num_segments, "segment id")
@@ -468,11 +540,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"got {gain.data.shape} and {bias.data.shape}"
         )
     mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = a.data - mu
+    out = xhat * xhat
+    var = out.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
     reduce_axes = tuple(range(a.data.ndim - 1))
 
     def back(g):

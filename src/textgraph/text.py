@@ -154,33 +154,32 @@ def _forward_hidden(model: TextEncoderModel, ids: np.ndarray,
     h = model.num_heads
     dh = f // h
 
-    x = tg.take_rows(p["tok_emb"], ids.ravel())
-    pos = tg.take_rows(p["pos_emb"], np.tile(np.arange(t), b))
-    hid = tg.add(x, pos)
+    hid = tg.add_tiled(tg.take_rows(p["tok_emb"], ids.ravel()), p["pos_emb"], t)
 
     # additive attention mask: 0 on real keys, -1e30 on padding
     mask = Tensor(np.where(ids == PAD_ID, -1e30, 0.0)[:, None, None, :])
     scale = 1.0 / np.sqrt(dh)
     for i in range(model.num_blocks):
-        def heads(x, name, rows):
-            lin = tg.add(tg.matmul(x, p[f"blk{i}_w{name}"]), p[f"blk{i}_b{name}"])
-            return tg.transpose(tg.reshape(lin, (b, rows, h, dh)), (0, 2, 1, 3))
+        def heads(x, name, rows, axes=(0, 2, 1, 3)):
+            lin = tg.linear(x, p[f"blk{i}_w{name}"], p[f"blk{i}_b{name}"])
+            return tg.transpose(tg.reshape(lin, (b, rows, h, dh)), axes)
 
-        k, v = heads(hid, "k", t), heads(hid, "v", t)
+        k_t = heads(hid, "k", t, axes=(0, 2, 3, 1))  # (b, h, dh, t)
+        v = heads(hid, "v", t)
         rows = t
         if cls_only and i == model.num_blocks - 1:
-            hid = tg.take_rows(hid, np.arange(b) * t)
+            hid = tg.take_strided(hid, t)
             rows = 1
         q = heads(hid, "q", rows)
-        scores = tg.mul(tg.matmul(q, tg.transpose(k, (0, 1, 3, 2))), Tensor(scale))
+        scores = tg.mul(tg.matmul(q, k_t), Tensor(scale))
         att = tg.softmax(tg.add(scores, mask), axis=-1)
         ctx = tg.transpose(tg.matmul(att, v), (0, 2, 1, 3))
         ctx = tg.reshape(ctx, (b * rows, f))
-        out = tg.add(tg.matmul(ctx, p[f"blk{i}_wo"]), p[f"blk{i}_bo"])
+        out = tg.linear(ctx, p[f"blk{i}_wo"], p[f"blk{i}_bo"])
         hid = tg.layer_norm(tg.add(hid, out),
                             p[f"blk{i}_ln1_gain"], p[f"blk{i}_ln1_bias"])
-        ff = tg.relu(tg.add(tg.matmul(hid, p[f"blk{i}_ff_w1"]), p[f"blk{i}_ff_b1"]))
-        ff = tg.add(tg.matmul(ff, p[f"blk{i}_ff_w2"]), p[f"blk{i}_ff_b2"])
+        ff = tg.relu(tg.linear(hid, p[f"blk{i}_ff_w1"], p[f"blk{i}_ff_b1"]))
+        ff = tg.linear(ff, p[f"blk{i}_ff_w2"], p[f"blk{i}_ff_b2"])
         hid = tg.layer_norm(tg.add(hid, ff),
                             p[f"blk{i}_ln2_gain"], p[f"blk{i}_ln2_bias"])
     return hid
@@ -229,6 +228,6 @@ def mlm_pretrain_step(model: TextEncoderModel, token_batch: np.ndarray,
     corrupted[chosen] = MASK_ID
     hid = _forward_hidden(model, corrupted)
     rows = np.nonzero(chosen.ravel())[0]
-    logits = tg.add(tg.matmul(tg.take_rows(hid, rows), model.params["mlm_w"]),
-                    model.params["mlm_b"])
+    logits = tg.linear(tg.take_rows(hid, rows), model.params["mlm_w"],
+                       model.params["mlm_b"])
     return tg.softmax_cross_entropy(logits, ids.ravel()[rows]), count

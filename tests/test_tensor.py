@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -244,6 +245,19 @@ def test_gather_segment_sum_checks_indices():
         tg.gather_segment_sum(a, [0, 1], [0], 2)
 
 
+def test_add_tiled_and_take_strided_check_their_arguments():
+    a = tg.Tensor(np.zeros((6, 2)))
+    table = tg.Tensor(np.zeros((4, 2)))
+    for period in (0, 4, 5):  # empty, 6 rows not whole tiles, past the table
+        with pytest.raises(ShapeError):
+            tg.add_tiled(a, table, period)
+    with pytest.raises(ShapeError):
+        tg.add_tiled(a, tg.Tensor(np.zeros((4, 3))), 3)
+    for step in (0, -1):
+        with pytest.raises(ContractError):
+            tg.take_strided(a, step)
+
+
 def test_take_prefix_is_bitwise_take_rows_of_arange():
     draw = np.random.default_rng(9)
     a = tg.Tensor(draw.normal(size=(12, 5)) * 10.0 ** draw.integers(-6, 6, size=(12, 5)),
@@ -274,6 +288,126 @@ def test_concat_reshape_transpose_round_trip(rng):
     np.testing.assert_array_equal(tg.reshape(tg.reshape(t, (6,)), (2, 3)).data, x)
     both = tg.concat([t, t], axis=0)
     assert both.shape == (4, 3)
+
+
+def _taped(build, operands, g):
+    """Forward value, the recorded node's per-operand gradients for upstream g,
+    and every operand's .grad after backward of sum(out * g)."""
+    with tg.Tape() as tape:
+        out = build(*operands)
+        node_grads = tape.nodes[-1].backward_fn(g) if len(tape) else None
+        loss = tg.tensor_sum(tg.mul(out, tg.Tensor(g)))
+    if len(tape):
+        tg.backward(loss, tape)
+    return out.data, node_grads, [t.grad for t in operands]
+
+
+def _same_bytes(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.dtype == b.dtype
+        and a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def test_linear_is_bitwise_add_of_matmul_for_every_operand_mix():
+    draw = np.random.default_rng(12)
+    x = draw.normal(size=(7, 5)) * 10.0 ** draw.integers(-6, 6, size=(7, 5))
+    w = draw.normal(size=(5, 3))
+    b = draw.normal(size=3)
+    g = draw.normal(size=(7, 3))
+    g[::2] = -0.0
+    for wants in itertools.product((False, True), repeat=3):
+        runs = []
+        for build in (tg.linear, lambda x, w, b: tg.add(tg.matmul(x, w), b)):
+            operands = [tg.Tensor(v, grad_enabled=want) for v, want in zip((x, w, b), wants)]
+            runs.append(_taped(build, operands, g))
+        (out, node_grads, grads), (ref_out, _, ref_grads) = runs
+        assert _same_bytes(out, ref_out), wants
+        for want, grad, ref in zip(wants, grads, ref_grads):
+            assert _same_bytes(grad, ref), wants
+            assert (grad is not None) == want
+        if any(wants):
+            # a constant operand's gradient is never computed
+            for want, node_grad, v in zip(wants, node_grads, (x, w, b)):
+                assert (node_grad is None) if not want else node_grad.shape == v.shape
+        else:
+            assert node_grads is None
+    with pytest.raises(ShapeError):
+        tg.linear(tg.Tensor(x), tg.Tensor(w), tg.Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        tg.linear(tg.Tensor(x), tg.Tensor(w.T), tg.Tensor(b))
+
+
+def _special_values(n, offset, seed):
+    """n values drawn from +-0, +-NaN, +-inf, +-subnormal and +-1, as a view
+    starting offset elements into its buffer (so numpy's vector loops meet
+    every alignment and leave a scalar tail)."""
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                         5e-324, -5e-324, 1.0, -1.0])
+    buf = np.resize(specials, n + offset)
+    np.random.default_rng(seed).shuffle(buf)
+    return buf[offset:]
+
+
+def test_relu_is_bitwise_where_over_special_values():
+    """relu(a) == np.where(a > 0, a, 0.0) byte for byte: -0.0 and NaN map to
+    0.0, whichever of numpy's loops handles the element.  Its backward is
+    g * (a > 0)."""
+    for n in range(1, 301):
+        for offset in range(3):
+            a = _special_values(n, offset, seed=n)
+            g = _special_values(n, 2 - offset, seed=n + 1000)
+            x = tg.Tensor(a, grad_enabled=True)
+            with tg.Tape() as tape:
+                out = tg.relu(x)
+            assert out.data.tobytes() == np.where(a > 0, a, 0.0).tobytes(), (n, offset)
+            with np.errstate(invalid="ignore"):  # inf * False
+                (grad,) = tape.nodes[-1].backward_fn(g)
+                assert grad.tobytes() == (g * (a > 0.0)).tobytes(), (n, offset)
+
+
+def _layer_norm_reference(a, gain, bias, g, eps=1e-5):
+    """layer_norm's forward and backward written with a fresh array per step."""
+    mu = a.mean(axis=-1, keepdims=True)
+    xc = a - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gain + bias
+    gx_hat = g * gain
+    term = gx_hat - gx_hat.mean(axis=-1, keepdims=True) \
+        - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
+    axes = tuple(range(a.ndim - 1))
+    return out, [inv * term, (g * xhat).sum(axis=axes), g.sum(axis=axes)]
+
+
+def _softmax_reference(a, g, axis=-1):
+    shifted = a - a.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return y, [y * (g - dot)]
+
+
+def test_layer_norm_and_softmax_are_bitwise_their_reference_formulas():
+    draw = np.random.default_rng(13)
+    for shape in ((1, 1), (5, 16), (3, 7, 64), (2, 4, 9, 33)):
+        a = draw.normal(size=shape) * 10.0 ** draw.integers(-4, 4, size=shape)
+        g = draw.normal(size=shape)
+        g[..., ::5] = -0.0
+        gain, bias = draw.normal(size=shape[-1]), draw.normal(size=shape[-1])
+        operands = [tg.Tensor(v, grad_enabled=True) for v in (a, gain, bias)]
+        out, _, grads = _taped(tg.layer_norm, operands, g)
+        ref_out, ref_grads = _layer_norm_reference(a, gain, bias, g)
+        assert _same_bytes(out, ref_out), shape
+        for grad, ref in zip(grads, ref_grads):
+            assert _same_bytes(grad, ref), shape
+        masked = a.copy()
+        masked[..., shape[-1] // 2 + 1:] += -1e30  # the encoder's padding mask
+        for logits in (a, masked):
+            out, _, grads = _taped(tg.softmax, [tg.Tensor(logits, grad_enabled=True)], g)
+            ref_out, ref_grads = _softmax_reference(logits, g)
+            assert _same_bytes(out, ref_out), shape
+            assert _same_bytes(grads[0], ref_grads[0]), shape
 
 
 # ------------------------------------------------------- backward contracts
@@ -392,6 +526,20 @@ def test_grad_matmul():
             return _project(tg.matmul(a, b), np.random.default_rng(seed + 100))
 
         assert_grads_match(build, {"a": a, "b": b})
+
+
+def test_grad_linear():
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n, k, m = rng.integers(1, 5, size=3)
+        x = _param(rng, n, k)
+        w = _param(rng, k, m)
+        b = _param(rng, m)
+
+        def build():
+            return _project(tg.linear(x, w, b), np.random.default_rng(seed + 100))
+
+        assert_grads_match(build, {"x": x, "w": w, "b": b})
 
 
 def test_grad_matmul_batched():

@@ -206,3 +206,108 @@ def test_encode_cls_gradients_match_all_position_path():
         atol = 1e-12 if k.endswith("_bk") else 0.0
         np.testing.assert_allclose(fast[k], full[k], rtol=1e-9, atol=atol,
                                    err_msg=k)
+
+
+def _reference_forward_hidden(model, ids, cls_only=False):
+    """_forward_hidden composed from the basic ops: a take_rows position
+    gather and [CLS] pick, and add(matmul(...)) projections."""
+    b, t = ids.shape
+    p, f, h = model.params, model.dim, model.num_heads
+    dh = f // h
+    x = tg.take_rows(p["tok_emb"], ids.ravel())
+    hid = tg.add(x, tg.take_rows(p["pos_emb"], np.tile(np.arange(t), b)))
+    mask = tg.Tensor(np.where(ids == tx.PAD_ID, -1e30, 0.0)[:, None, None, :])
+    for i in range(model.num_blocks):
+        def lin(x, w, bias):
+            return tg.add(tg.matmul(x, p[f"blk{i}_{w}"]), p[f"blk{i}_{bias}"])
+
+        def heads(x, name, rows):
+            return tg.transpose(tg.reshape(lin(x, f"w{name}", f"b{name}"),
+                                           (b, rows, h, dh)), (0, 2, 1, 3))
+
+        k, v = heads(hid, "k", t), heads(hid, "v", t)
+        rows = t
+        if cls_only and i == model.num_blocks - 1:
+            hid = tg.take_rows(hid, np.arange(b) * t)
+            rows = 1
+        q = heads(hid, "q", rows)
+        scores = tg.mul(tg.matmul(q, tg.transpose(k, (0, 1, 3, 2))),
+                        tg.Tensor(1.0 / np.sqrt(dh)))
+        att = tg.softmax(tg.add(scores, mask), axis=-1)
+        ctx = tg.reshape(tg.transpose(tg.matmul(att, v), (0, 2, 1, 3)), (b * rows, f))
+        hid = tg.layer_norm(tg.add(hid, lin(ctx, "wo", "bo")),
+                            p[f"blk{i}_ln1_gain"], p[f"blk{i}_ln1_bias"])
+        ff = lin(tg.relu(lin(hid, "ff_w1", "ff_b1")), "ff_w2", "ff_b2")
+        hid = tg.layer_norm(tg.add(hid, ff), p[f"blk{i}_ln2_gain"], p[f"blk{i}_ln2_bias"])
+    return hid
+
+
+def _forward_and_grads(model, forward, g):
+    for p in model.params.values():
+        p.zero_grad()
+    with tg.Tape() as tape:
+        out = forward()
+        loss = tg.tensor_sum(tg.mul(out, tg.Tensor(g)))
+    tg.backward(loss, tape)
+    return out.data, {k: p.grad for k, p in model.params.items()}
+
+
+@pytest.mark.parametrize("cls_only", [True, False])
+def test_encoder_is_bitwise_its_composed_reference(cls_only):
+    """The fused position add, [CLS] pick and projections give the composed
+    form's hidden states and every parameter gradient byte for byte, with
+    -0.0 in the upstream gradient."""
+    v, table = _varied_table(24, seed=3)
+    m = tx.TextEncoderModel(v.size, dim=32, num_heads=4, num_blocks=2,
+                            max_len=32, rng=5)
+    ids = tx.crop_padding(table)
+    rows = ids.shape[0] * (1 if cls_only else ids.shape[1])
+    g = np.random.default_rng(1).normal(size=(rows, 32))
+    g[::3] = -0.0
+    fused = _forward_and_grads(m, lambda: tx._forward_hidden(m, ids, cls_only), g)
+    ref = _forward_and_grads(m, lambda: _reference_forward_hidden(m, ids, cls_only), g)
+    assert fused[0].tobytes() == ref[0].tobytes()
+    assert [k for k, grad in ref[1].items() if grad is None] == ["mlm_w", "mlm_b"]
+    for k, grad in ref[1].items():
+        assert (fused[1][k] is None if grad is None
+                else fused[1][k].tobytes() == grad.tobytes()), k
+
+
+def test_position_add_and_cls_pick_are_bitwise_their_scatter_forms():
+    """pos_emb's gradient and the [CLS] rows' gradient equal the take_rows
+    forms, whose backward scatters into zeros: a -0.0 in g comes out 0.0."""
+    draw = np.random.default_rng(4)
+    b, t, f, max_len = 5, 7, 6, 9
+    x = draw.normal(size=(b * t, f))
+    pos = draw.normal(size=(max_len, f))
+    g = draw.normal(size=(b * t, f))
+    g[draw.random(size=g.shape) < 0.4] = -0.0
+    g[:, 0] = -0.0  # a column whose every tile sums to -0.0 without the 0.0 start
+    cases = [
+        ((x, pos), lambda x, pos: tg.add_tiled(x, pos, t),
+         lambda x, pos: tg.add(x, tg.take_rows(pos, np.tile(np.arange(t), b)))),
+        ((x,), lambda x: tg.take_strided(x, t),
+         lambda x: tg.take_rows(x, np.arange(b) * t)),
+    ]
+    for values, fused, composed in cases:
+        runs = []
+        for op in (fused, composed):
+            operands = [tg.Tensor(v, grad_enabled=True) for v in values]
+            with tg.Tape() as tape:
+                out = op(*operands)
+                upstream = g[:out.shape[0]]
+                loss = tg.tensor_sum(tg.mul(out, tg.Tensor(upstream)))
+            tg.backward(loss, tape)
+            runs.append([out.data.tobytes()] + [t_.grad.tobytes() for t_ in operands])
+        assert runs[0] == runs[1]
+
+
+def test_encode_cls_tape_nodes():
+    """A 64-row, 2-block tape encode records 51 nodes: per block, one linear
+    per projection, one transpose per head split and no bias adds."""
+    v, table = _varied_table(64, seed=5)
+    m = tx.TextEncoderModel(v.size, dim=64, num_heads=4, num_blocks=2,
+                            max_len=32, rng=6)
+    with tg.Tape() as tape:
+        tx.encode_cls(m, table)
+    assert len(tape) == 51
