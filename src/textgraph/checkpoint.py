@@ -50,7 +50,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read back (arrays, meta).  Raises LoadError on missing, malformed or
-    inconsistent files."""
+    inconsistent files, and on an array holding a NaN or an infinity."""
     stem = checkpoint_stem(path)
     manifest_path = Path(f"{stem}.json")
     bin_path = Path(f"{stem}.bin")
@@ -87,6 +87,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         chunk = flat[offset:offset + n]
         if chunk.size != n:
             raise LoadError(f"{bin_path}: array '{name}' truncated")
+        if not np.isfinite(chunk).all():
+            raise LoadError(f"{bin_path}: array '{name}' holds a non-finite value")
         arrays[name] = chunk.astype(np.float64).reshape(shape)
         offset += n
     if flat.size != offset:

@@ -18,7 +18,6 @@ class DistMultParams:
 
     def __init__(self, num_relations: int, dim: int, rng=0):
         rng = _as_rng(rng)
-        self.num_relations = num_relations
         self.dim = dim
         self.rel_vectors = Tensor(rng.normal(size=(num_relations, dim)) * 0.5,
                                   grad_enabled=True)

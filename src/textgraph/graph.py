@@ -908,6 +908,15 @@ class TargetSample:
                   if isinstance(value, np.ndarray)}
         return replace(self, **arrays, **flags)
 
+    def draw(self, batch_size: int, rng, rows=None, **flags) -> "TargetSample":
+        """A batch of batch_size targets drawn uniformly from rows (default:
+        all), without replacement when there are enough of them (as many
+        gives a permutation), otherwise with replacement and flagged."""
+        rows = np.arange(len(self)) if rows is None else rows
+        with_replacement = rows.size < batch_size
+        chosen = rng.choice(rows, size=batch_size, replace=with_replacement)
+        return self.take(chosen, with_replacement=with_replacement, **flags)
+
 
 def task_targets(graph: HeteroGraph, task: str, split: int) -> TargetSample:
     """Every row `task` uses on `split`: the split's labeled nodes (node),
@@ -949,12 +958,10 @@ def require_targets(graph: HeteroGraph, task: str, split: int) -> TargetSample:
 def sample_targets(graph: HeteroGraph, task: str, batch_size: int,
                    mode: str = "global", partition_map: PartitionMap | None = None,
                    rng=0) -> TargetSample:
-    """Draw a training batch of targets.
+    """Draw a training batch of targets with TargetSample.draw.
 
-    global mode samples uniformly over the whole train pool, without
-    replacement whenever the pool is large enough (batch == pool size gives a
-    permutation).  partition_local picks one leaf uniformly, then samples
-    within it; undersized pools fall back to replacement and are flagged.
+    global mode draws from the whole train pool.  partition_local picks one
+    leaf uniformly, then draws within it.
     """
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
@@ -963,7 +970,7 @@ def sample_targets(graph: HeteroGraph, task: str, batch_size: int,
     rng = _as_rng(rng)
     pool = require_targets(graph, task, TRAIN)
 
-    leaf = None
+    leaf = idx = None
     if mode == "partition_local":
         if partition_map is None:
             raise ContractError("partition_local mode needs a partition map")
@@ -979,9 +986,4 @@ def sample_targets(graph: HeteroGraph, task: str, batch_size: int,
             raise ContractError("every partition leaf is empty of train targets")
         leaf = int(order[held.argmax()])
         idx = np.nonzero(leaf_ids == leaf)[0]
-    else:
-        idx = np.arange(len(pool))
-
-    with_replacement = idx.size < batch_size
-    chosen = rng.choice(idx, size=batch_size, replace=with_replacement)
-    return pool.take(chosen, with_replacement=with_replacement, leaf=leaf)
+    return pool.draw(batch_size, rng, idx, leaf=leaf)

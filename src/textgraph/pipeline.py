@@ -381,14 +381,24 @@ def node_refs(graph: HeteroGraph, *, texted_only: bool = False) -> np.ndarray:
     return graph.refs[graph.type_has_text[graph.refs[:, 0]] | (not texted_only)]
 
 
+def _kept(graph: HeteroGraph, key, owner, build):
+    """graph._cache[key] if it was built for an owner equal to owner, else
+    build(), kept there in its place: a graph keeps each entry for the last
+    bundle that asked for it only."""
+    kept = graph._cache.get(key)
+    if kept is not None and kept[0] == owner:
+        return kept[1]
+    value = build()
+    graph._cache[key] = (owner, value)
+    return value
+
+
 def token_table(models: ModelBundle, graph: HeteroGraph, type_index: int) -> np.ndarray:
-    # the key holds the vocab itself, so bundles never share another's table
-    key = ("tokens", type_index, models.max_len, models.vocab)
-    table = graph._cache.get(key)
-    if table is None:
-        table = tx.tokenize_batch(models.vocab, graph.texts[type_index], models.max_len)
-        graph._cache[key] = table
-    return table
+    """A texted type's token ids, one row per node, tokenized with the
+    bundle's vocab and max_len."""
+    return _kept(graph, ("tokens", type_index), (models.vocab, models.max_len),
+                 lambda: tx.tokenize_batch(models.vocab, graph.texts[type_index],
+                                           models.max_len))
 
 
 def _encode_nograd(models, graph, type_index: int, locals_: np.ndarray,
@@ -556,13 +566,8 @@ def _eval_rows(models: ModelBundle, graph: HeteroGraph) -> EmbeddingCache:
     nothing else, so a reused row is exactly what a fresh encode gives."""
     weights = {name: (p.data.shape, p.data.tobytes())
                for name, p in models.encoder.params.items()}
-    if "eval_rows" in graph._cache:
-        encoder, vocab, kept, rows = graph._cache["eval_rows"]
-        if encoder is models.encoder and vocab is models.vocab and kept == weights:
-            return rows
-    rows = EmbeddingCache(graph.total_nodes, 0)
-    graph._cache["eval_rows"] = (models.encoder, models.vocab, weights, rows)
-    return rows
+    return _kept(graph, "eval_rows", (models.encoder, models.vocab, weights),
+                 lambda: EmbeddingCache(graph.total_nodes, 0))
 
 
 def full_graph_embeddings(models: ModelBundle, graph: HeteroGraph, *,
@@ -718,16 +723,6 @@ def _texted_link_pool(graph: HeteroGraph) -> TargetSample:
     return pool
 
 
-def _pool_batch(size: int, batch_size: int, rng) -> np.ndarray:
-    if batch_size >= size:
-        idx = rng.permutation(size)
-        if batch_size > size:
-            extra = rng.integers(size, size=batch_size - size)
-            idx = np.concatenate([idx, extra])
-        return idx
-    return rng.choice(size, size=batch_size, replace=False)
-
-
 def validate_plan(graph: HeteroGraph, settings: TrainSettings,
                   models: ModelBundle):
     """What the plan needs of the graph, checked before the first step: each
@@ -838,7 +833,7 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
         for _ in range(steps_per_epoch):
             if kind == "PreFineTuneLM":
                 # CLS-space contrast always samples globally
-                sample = pool.take(_pool_batch(len(pool), settings.batch_size, rng))
+                sample = pool.draw(settings.batch_size, rng)
             else:
                 sample = sample_targets(graph, task, settings.batch_size,
                                         mode=settings.target_mode,

@@ -12,12 +12,12 @@ binary ops (add, sub, mul, matmul) and linear decide this per operand when
 they run and hand backward None for a constant operand, such as frozen input
 features, a mask or a scale, so no gradient is computed only to be dropped.
 
-linear, add_tiled and take_strided are one-node forms of add(matmul(...))
-and of take_rows over a tiled or strided index, and give their bytes, signed
-zeros included: take_rows's backward scatters into zeros, which turns a -0.0
-in g into 0.0, and theirs add g to 0.0 as well.  relu gives the bytes of
-np.where(a > 0, a, 0.0): every other input, -0.0 and NaN included, maps to
-0.0, never to -0.0.
+linear, add_tiled, take_prefix and take_strided are one-node forms of
+add(matmul(...)) and of take_rows over a tiled, prefix or strided index, and
+give their bytes, signed zeros included: take_rows's backward scatters into
+zeros, which turns a -0.0 in g into 0.0, and theirs add g to 0.0 as well.
+relu gives the bytes of np.where(a > 0, a, 0.0): every other input, -0.0 and
+NaN included, maps to 0.0, never to -0.0.
 """
 
 from __future__ import annotations
@@ -52,14 +52,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return self.data.item()
 
@@ -74,26 +66,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("divide by a python scalar, not a Tensor")
-        return mul(self, _as_tensor(1.0 / float(other)))
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -443,35 +417,32 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return _record("take_rows", (a,), out, back)
 
 
-def take_prefix(a: Tensor, n: int) -> Tensor:
-    """Rows [:n] of a: take_rows(a, np.arange(n)), with a backward that
-    copies g into the leading rows of a zero array instead of scattering."""
-    if not 0 <= n <= a.data.shape[0]:
-        raise IndexError(f"row prefix {n} out of range [0, {a.data.shape[0]}]")
-    out = a.data[:n].copy()
+def _take_slice(name: str, a: Tensor, rows: slice) -> Tensor:
+    """The rows of a basic slice, as take_rows over the same indices gives
+    them: a copy, and a backward that adds g to 0.0 in those rows of a zero
+    array instead of scattering."""
+    out = a.data[rows].copy()
 
     def back(g):
         grad = np.zeros_like(a.data)
-        grad[:n] = g
+        np.add(g, 0.0, out=grad[rows])
         return (grad,)
 
-    return _record("take_prefix", (a,), out, back)
+    return _record(name, (a,), out, back)
+
+
+def take_prefix(a: Tensor, n: int) -> Tensor:
+    """Rows [:n] of a: take_rows(a, np.arange(n))."""
+    if not 0 <= n <= a.data.shape[0]:
+        raise IndexError(f"row prefix {n} out of range [0, {a.data.shape[0]}]")
+    return _take_slice("take_prefix", a, slice(n))
 
 
 def take_strided(a: Tensor, step: int) -> Tensor:
-    """Rows 0, step, 2*step, ... of a: take_rows(a, np.arange(0, n, step)),
-    as a strided copy whose backward writes g + 0.0 into those rows of a
-    zero array instead of scattering."""
+    """Rows 0, step, 2*step, ... of a: take_rows(a, np.arange(0, n, step))."""
     if step < 1:
         raise ContractError(f"row step must be >= 1, got {step}")
-    out = a.data[::step].copy()
-
-    def back(g):
-        grad = np.zeros_like(a.data)
-        np.add(g, 0.0, out=grad[::step])
-        return (grad,)
-
-    return _record("take_strided", (a,), out, back)
+    return _take_slice("take_strided", a, slice(None, None, step))
 
 
 def add_tiled(a: Tensor, table: Tensor, period: int) -> Tensor:

@@ -614,6 +614,25 @@ def test_eval_rejects_overlapping_manifest_offsets(tmp_path, trained, capsys):
     assert "ckpt.json" in err and manifest["arrays"][1]["name"] in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_checkpoint_is_a_load_error(tmp_path, trained, capsys, bad):
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    stem = str(tmp_path / "ckpt")
+    for ext in (".json", ".vocab.txt"):
+        shutil.copyfile(ckpt + ext, stem + ext)
+    with open(ckpt + ".json", encoding="utf-8") as f:
+        entry, = (e for e in json.load(f)["arrays"] if e["name"] == "lm/tok_emb")
+    flat = np.fromfile(ckpt + ".bin", dtype="<f8")
+    flat[entry["offset"] + np.array([0, 7, 40])] = bad
+    flat.tofile(stem + ".bin")
+    for args in (["eval", stem, trained["graph_dir"], "--task", "link"],
+                 ["dump-embeddings", stem, trained["graph_dir"],
+                  "--out", str(tmp_path / "emb.tsv")]):
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "ckpt.bin" in err and "'lm/tok_emb'" in err and "non-finite" in err
+
+
 def test_non_default_architecture_evaluates_from_the_models(tmp_path, capsys):
     """eval and dump-embeddings read the GNN's depth and width from the
     checkpoint alone."""

@@ -682,6 +682,28 @@ def test_partitions_validate_leaf_count(synth):
 # ---------------------------------------------------------- target sampling
 
 
+def test_target_sample_draw_fewer_equal_and_more_rows_than_the_batch():
+    """draw picks what rng.choice picks over the rows: without replacement
+    while there are at least batch_size of them, with replacement and
+    flagged when there are fewer; extra flags pass through."""
+    pool = gr.TargetSample("nodes", node_refs=np.stack([np.zeros(6, np.int64),
+                                                        np.arange(6) * 10], axis=1),
+                           node_classes=np.arange(6) % 2)
+    for rows in (None, np.array([1, 3, 4])):
+        pick = np.arange(6) if rows is None else rows
+        for batch in (pick.size - 1, pick.size, pick.size + 2):
+            out = pool.draw(batch, np.random.default_rng(batch), rows, leaf=2)
+            replaced = pick.size < batch
+            chosen = np.random.default_rng(batch).choice(pick, size=batch,
+                                                         replace=replaced)
+            assert out.with_replacement == replaced and out.leaf == 2
+            assert np.array_equal(out.node_refs, pool.node_refs[chosen])
+            assert np.array_equal(out.node_classes, pool.node_classes[chosen])
+            if not replaced:
+                assert np.unique(out.node_refs[:, 1]).size == batch
+        assert set(out.node_refs[:, 1].tolist()) <= set((pick * 10).tolist())
+
+
 def test_sample_targets_global_permutation(synth):
     refs, _ = synth.node_label_rows(gr.TRAIN)
     out = gr.sample_targets(synth, "node", refs.shape[0], rng=0)

@@ -1,6 +1,8 @@
 """Stage plans, budget split, embedding cache, feature assembly, training."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import textgraph.tensor as tg
 import textgraph.text as tx
 from textgraph.errors import ContractError, LoadError, NumericsError
 from textgraph.graph import (TEST, TRAIN, VALID, HeteroGraph, Relation,
-                             SyntheticSpec, generate_synthetic,
+                             SyntheticSpec, TargetSample, generate_synthetic,
                              sample_neighbors)
 
 
@@ -241,6 +243,32 @@ def test_run_stagewise_each_task(small_graph):
         assert metric in final and 0.0 <= final[metric] <= 1.0
 
 
+def test_pre_fine_tune_lm_draws_a_small_pool_like_every_stage(small_graph,
+                                                              monkeypatch):
+    """A texted train pool smaller than batch_size is drawn by
+    TargetSample.draw, the rule of sample_targets: with replacement, and
+    flagged."""
+    pool = pl._texted_link_pool(small_graph)
+    settings = quick_settings(stages=("PreFineTuneLM",), batch_size=len(pool) + 3)
+    draws = []
+    real_draw = TargetSample.draw
+
+    def spy(self, *args, **kwargs):
+        batch = real_draw(self, *args, **kwargs)
+        draws.append((len(self), batch))
+        return batch
+
+    monkeypatch.setattr(TargetSample, "draw", spy)
+    models = pl.build_models(small_graph, settings, rng=0)
+    pl.train_stage(models, small_graph, "PreFineTuneLM", settings=settings,
+                   epochs=1, cache=pl.EmbeddingCache(256, 5), log=pl.RunLog(),
+                   rng=np.random.default_rng(0))
+    assert len(draws) == 1
+    size, batch = draws[0]
+    assert size == len(pool) and len(batch) == settings.batch_size
+    assert batch.with_replacement
+
+
 def test_run_stagewise_deterministic(small_graph):
     settings = quick_settings(stages=("PreFineTuneLM", "WarmStartGNN"),
                               epochs=(1, 1), mlm_epochs=1)
@@ -369,6 +397,27 @@ def test_token_table_follows_the_bundle_vocab():
     expected = tx.tokenize_batch(b.vocab, graph.texts[0], b.max_len)
     assert not np.array_equal(expected, pl.token_table(a, graph, 0))
     np.testing.assert_array_equal(pl.token_table(b, graph, 0), expected)
+
+
+def test_a_graph_keeps_token_tables_and_eval_rows_for_the_last_bundle_only():
+    """Once a second bundle has been evaluated on the graph, the first one's
+    vocab is held by nothing the graph keeps; repeated runs on one graph
+    leave one token table per texted type."""
+    graph = generate_synthetic(SMALL_SPEC)
+    first = pl.build_models(graph, quick_settings(), rng=0)
+    second = pl.build_models(graph, quick_settings(), rng=1)
+    for models in (first, second):
+        pl.evaluate(models, graph, "link", VALID)
+    vocab = weakref.ref(first.vocab)
+    del first
+    gc.collect()
+    assert vocab() is None
+
+    for _ in range(3):
+        pl.run_stagewise(graph, quick_settings())
+    tables = [key for key in graph._cache
+              if isinstance(key, tuple) and key[0] == "tokens"]
+    assert len(tables) == int(graph.type_has_text.sum())
 
 
 def test_full_graph_embeddings_cls_matches_encoder(small_graph):

@@ -280,6 +280,27 @@ def test_take_prefix_is_bitwise_take_rows_of_arange():
         tg.take_prefix(a, 13)
 
 
+def test_row_slices_are_bitwise_take_rows_under_negative_zero_gradients():
+    """take_prefix and take_strided against take_rows with an upstream
+    gradient of -0.0, everywhere and then in every other row: take_rows's
+    scatter into zeros turns each -0.0 into 0.0, and so must theirs."""
+    draw = np.random.default_rng(21)
+    a = draw.normal(size=(9, 3))
+    cases = [(lambda t, n=n: tg.take_prefix(t, n), np.arange(n)) for n in (0, 4, 9)]
+    cases += [(lambda t, s=s: tg.take_strided(t, s), np.arange(0, 9, s))
+              for s in (1, 2, 4, 10)]
+    for build, rows in cases:
+        mixed = draw.normal(size=(rows.size, 3))
+        mixed[::2] = -0.0
+        for g in (np.full((rows.size, 3), -0.0), mixed):
+            runs = [_taped(fn, [tg.Tensor(a, grad_enabled=True)], g)
+                    for fn in (build, lambda t: tg.take_rows(t, rows))]
+            (out, (node_grad,), (grad,)), (ref_out, (ref_node_grad,), (ref_grad,)) = runs
+            assert _same_bytes(out, ref_out)
+            assert _same_bytes(node_grad, ref_node_grad)
+            assert _same_bytes(grad, ref_grad)
+
+
 def test_concat_reshape_transpose_round_trip(rng):
     x = rng.normal(size=(2, 3))
     t = tg.Tensor(x)
