@@ -58,11 +58,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise LoadError(f"{manifest_path}: not found")
     if not bin_path.exists():
         raise LoadError(f"{bin_path}: not found")
-    with open(manifest_path) as fh:
+    with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError as e:
             raise LoadError(f"{manifest_path}: bad JSON ({e})") from e
+        except UnicodeDecodeError as e:
+            raise LoadError(f"{manifest_path}: not UTF-8 text ({e.reason})") from None
     if not isinstance(manifest, dict):
         raise LoadError(f"{manifest_path}: not a JSON object")
     if manifest.get("format") != FORMAT_TAG:

@@ -16,7 +16,7 @@ import sys
 from . import pipeline as pl
 from .errors import ContractError, LoadError, NumericsError
 from .graph import (SPLIT_NAMES, SyntheticSpec, generate_synthetic, load_graph,
-                    save_graph)
+                    read_text, save_graph)
 
 # TrainSettings fields a config file cannot set: the model's shape beyond the
 # grid below, and per-stage learning rates
@@ -68,10 +68,11 @@ def parse_config(path: str) -> tuple[pl.TrainSettings, dict]:
     checked against _CONFIG_RULES, then TrainSettings checks SETTING_RULES.
     """
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
+        lines = read_text(path).split("\n")
     except OSError as e:
         raise ConfigError(f"cannot read config '{path}': {e}") from None
+    except LoadError as e:  # an undecodable byte
+        raise ConfigError(str(e)) from None
     out: dict = {}
     for ln, line in enumerate(lines, start=1):
         bare = line.split("#", 1)[0].strip()

@@ -17,8 +17,9 @@ pools, batches and evals all read it.
 On-disk format is a directory of TSV files: nodes.tsv, edges.tsv, and the
 optional node_labels.tsv / edge_labels.tsv.  TSV_COLUMNS gives each file's
 columns, which are also its header row, and _COLUMN_PARSERS the parser of
-each id, class and split column; the loader checks every header and parses
-every line by these tables, so each load error names its file and line.
+each id, class and split column.  The loader parses each file a column at a
+time; when a check fails, the line parser reads the files again by these
+tables, so each load error names its file and line.
 Each edges.tsv line is one edge, a repeated line included, and a graph may
 have no edges.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +42,16 @@ TRAIN, VALID, TEST = 0, 1, 2
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+class _NoDraw:
+    """Stands in for a Generator where every drawn value is overwritten
+    next: normal() allocates zeros of the asked shape and draws nothing."""
+
+    def normal(self, size):
+        return np.zeros(size)
+
+
 def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
+    if isinstance(rng, (np.random.Generator, _NoDraw)):
         return rng
     return np.random.default_rng(rng)
 
@@ -139,8 +149,8 @@ class HeteroGraph:
         ]
         self.edge_labels: dict[int, EdgeLabelSet] = edge_labels or {}
         self._validate()
-        self.type_has_text = np.array([any(t != "" for t in rows)
-                                       for rows in self.texts], dtype=bool)
+        self.type_has_text = np.array([any(rows) for rows in self.texts],
+                                      dtype=bool)  # some text is not ""
         self.message_relations: list[MessageRelation] = []
         for ri, (rel, (si, di)) in enumerate(zip(self.relations,
                                                   self.relation_types.tolist())):
@@ -327,6 +337,20 @@ def _field_error(column: str, value: str) -> str:
     return f"{column} must be >= 0 and < 2**63, got {number}"
 
 
+def read_text(path) -> str:
+    """A file's text, decoded as UTF-8 with universal newlines: "\\r\\n" and
+    "\\r" read as "\\n".  An undecodable byte raises LoadError naming its
+    line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise LoadError(f"{path}:{line}: not UTF-8 text ({e.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_tsv(path: Path, add_row) -> None:
     """Check the header line, then call add_row(*fields) on every non-empty
     line, each field parsed by its column's _COLUMN_PARSERS entry (the rest
@@ -336,35 +360,30 @@ def _read_tsv(path: Path, add_row) -> None:
     parsers = [(i, _COLUMN_PARSERS[c]) for i, c in enumerate(columns)
                if c in _COLUMN_PARSERS]
     header = "\t".join(columns)
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != header:
-            raise LoadError(f"{path}:1: expected the header {header!r}")
-        try:
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != len(columns):
-                    raise LoadError(f"expected {len(columns)} tab-separated "
-                                    f"fields, got {len(fields)}")
-                for i, parse in parsers:
-                    try:
-                        fields[i] = parse(fields[i])
-                    except ValueError:
-                        raise LoadError(_field_error(columns[i], fields[i])) from None
-                add_row(*fields)
-        except LoadError as e:
-            raise LoadError(f"{path}:{lineno}: {e}") from None
+    first, *lines = read_text(path).split("\n")
+    if first != header:
+        raise LoadError(f"{path}:1: expected the header {header!r}")
+    try:
+        for lineno, line in enumerate(lines, start=2):
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != len(columns):
+                raise LoadError(f"expected {len(columns)} tab-separated "
+                                f"fields, got {len(fields)}")
+            for i, parse in parsers:
+                try:
+                    fields[i] = parse(fields[i])
+                except ValueError:
+                    raise LoadError(_field_error(columns[i], fields[i])) from None
+            add_row(*fields)
+    except LoadError as e:
+        raise LoadError(f"{path}:{lineno}: {e}") from None
 
 
-def load_graph(directory) -> HeteroGraph:
-    """Load a graph directory written by save_graph (label files optional)."""
-    d = Path(directory)
-    for name in ("nodes.tsv", "edges.tsv"):
-        if not (d / name).exists():
-            raise LoadError(f"{d / name}: not found")
-
+def _load_graph_by_line(d: Path) -> HeteroGraph:
+    """load_graph's result, each file parsed a line at a time: the one source
+    of every LoadError message that names a rule."""
     texts_of: dict[str, dict[int, str]] = {}  # types in order of first use
 
     def add_node(tname, local, text):
@@ -446,6 +465,155 @@ def load_graph(directory) -> HeteroGraph:
     return HeteroGraph(list(texts_of), node_counts, texts,
                        [Relation(*key) for key in edges_of], edges,
                        node_class_ids, node_splits, edge_labels)
+
+
+class _Fault(Exception):
+    """A graph file breaks a loader rule; _load_graph_by_line says which."""
+
+
+_SPLIT_INDEX = {name: i for i, name in enumerate(SPLIT_NAMES)}
+
+
+def _int_column(values: list[str]) -> np.ndarray:
+    """values as int64; each must be ASCII digits below 2**63, else a fault.
+    The line parser also takes a "-" sign, which no valid id or class has
+    besides "-0"."""
+    digits = "".join(values)
+    if values and ("" in values or not (digits.isascii() and digits.isdigit())):
+        raise _Fault
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise _Fault from None
+
+
+def _index_column(index: dict, keys) -> np.ndarray:
+    """index[key] of every key as int64; an unknown key is a fault."""
+    try:
+        return np.fromiter(map(index.__getitem__, keys), np.int64)
+    except KeyError:
+        raise _Fault from None
+
+
+def _column(name: str, values: list[str]):
+    """One column's fields: an id or class column as int64, split as its
+    index, text as is, and a name column with one str per distinct name, so
+    that it costs a pointer per row once the file's fields are freed."""
+    if name == "split":
+        return _index_column(_SPLIT_INDEX, values)
+    if name in _COLUMN_PARSERS:
+        return _int_column(values)
+    if name == "text":
+        return values
+    first = {}
+    return list(map(first.setdefault, values, values))
+
+
+def _tsv_columns(path: Path) -> list:
+    """The _column of each of path's columns over its non-empty lines after
+    the header.  A wrong header, field count or field is a fault."""
+    columns = TSV_COLUMNS[path.name]
+    header, *lines = read_text(path).split("\n")
+    rows = list(filter(None, lines))
+    if (header != "\t".join(columns)
+            or set(map(str.count, rows, repeat("\t"))) - {len(columns) - 1}):
+        raise _Fault
+    fields = "\t".join(rows).split("\t") if rows else []
+    return [_column(name, fields[i::len(columns)])
+            for i, name in enumerate(columns)]
+
+
+def _node_ids(offsets, counts, types, locals_) -> np.ndarray:
+    """Global ids of nodes (types, locals_); a local id out of its type's
+    range is a fault."""
+    if (locals_ >= counts[types]).any():
+        raise _Fault
+    return offsets[types] + locals_
+
+
+def _require_distinct(ids: np.ndarray) -> None:
+    if np.unique(ids).size != ids.size:
+        raise _Fault
+
+
+def _load_graph_by_column(d: Path) -> HeteroGraph:
+    """load_graph's result, each file parsed a column at a time by the line
+    parser's rules.  Any fault raises _Fault."""
+    types, ids, texts = _tsv_columns(d / "nodes.tsv")
+    type_index = {t: i for i, t in enumerate(dict.fromkeys(types))}
+    node_types = _index_column(type_index, types)
+    counts = np.bincount(node_types, minlength=len(type_index))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    nodes = _node_ids(offsets, counts, node_types, ids)
+    _require_distinct(nodes)  # distinct and in range: dense per type
+    order = np.empty(nodes.size, dtype=np.int64)
+    order[nodes] = np.arange(nodes.size)
+    texts = list(map(texts.__getitem__, order.tolist()))  # in global-id order
+
+    src_type, src, rel_name, dst_type, dst = _tsv_columns(d / "edges.tsv")
+    rel_index = {key: ri for ri, key in
+                 enumerate(dict.fromkeys(zip(src_type, rel_name, dst_type)))}
+    rels = _index_column(rel_index, zip(src_type, rel_name, dst_type))
+    rel_src, rel_dst = (_index_column(type_index, [key[i] for key in rel_index])
+                        for i in (0, 2))
+    _node_ids(offsets, counts, rel_src[rels], src)
+    _node_ids(offsets, counts, rel_dst[rels], dst)
+
+    class_ids = np.full(nodes.size, -1, dtype=np.int64)
+    splits = np.full(nodes.size, -1, dtype=np.int64)
+    if (d / "node_labels.tsv").exists():
+        ltypes, lids, lclasses, lsplits = _tsv_columns(d / "node_labels.tsv")
+        labeled = _node_ids(offsets, counts, _index_column(type_index, ltypes),
+                            lids)
+        _require_distinct(labeled)
+        class_ids[labeled] = lclasses
+        splits[labeled] = lsplits
+
+    edge_labels = {}
+    if (d / "edge_labels.tsv").exists():
+        (lsrc_type, lsrc, lrel_name, ldst_type, ldst, lclasses,
+         lsplits) = _tsv_columns(d / "edge_labels.tsv")
+        lrels = _index_column(rel_index, zip(lsrc_type, lrel_name, ldst_type))
+        # one int64 code per (relation, src, dst); ids out of range, which
+        # could collide, and codes past int64 are left to the line parser
+        n = nodes.size
+        if len(rel_index) * n * n >= 2 ** 63:
+            raise _Fault
+        _node_ids(offsets, counts, rel_src[lrels], lsrc)
+        _node_ids(offsets, counts, rel_dst[lrels], ldst)
+        codes = (lrels * n + lsrc) * n + ldst
+        _require_distinct(codes)
+        if not np.isin(codes, (rels * n + src) * n + dst).all():
+            raise _Fault
+        for ri in dict.fromkeys(lrels.tolist()):  # in order of first label
+            of_ri = lrels == ri
+            edge_labels[ri] = EdgeLabelSet(ri, lsrc[of_ri], ldst[of_ri],
+                                           lclasses[of_ri], lsplits[of_ri])
+
+    spans = list(zip(offsets.tolist(), offsets[1:].tolist()))
+    return HeteroGraph(list(type_index), counts.tolist(),
+                       [texts[a:b] for a, b in spans],
+                       [Relation(*key) for key in rel_index],
+                       [(src[rels == ri], dst[rels == ri])
+                        for ri in range(len(rel_index))],
+                       [class_ids[a:b] for a, b in spans],
+                       [splits[a:b] for a, b in spans], edge_labels)
+
+
+def load_graph(directory) -> HeteroGraph:
+    """Load a graph directory written by save_graph (label files optional).
+
+    Each file is parsed a column at a time; on any fault the line parser
+    reads the files again, and its LoadError names the file, line and rule.
+    """
+    d = Path(directory)
+    for name in ("nodes.tsv", "edges.tsv"):
+        if not (d / name).exists():
+            raise LoadError(f"{d / name}: not found")
+    try:
+        return _load_graph_by_column(d)
+    except _Fault:
+        return _load_graph_by_line(d)
 
 
 def _write_tsv(path: Path, lines) -> None:

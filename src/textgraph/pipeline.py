@@ -48,9 +48,9 @@ from . import text as tx
 from .checkpoint import checkpoint_stem, load_checkpoint, save_checkpoint
 from .errors import ContractError, LoadError, NumericsError
 from .graph import (SPLIT_NAMES, TARGET_MODES, TEST, TRAIN, VALID, HeteroGraph,
-                    PartitionMap, TargetSample, _as_rng, assign_partitions,
-                    require_targets, sample_neighbors, sample_targets,
-                    task_targets)
+                    PartitionMap, TargetSample, _as_rng, _NoDraw,
+                    assign_partitions, require_targets, sample_neighbors,
+                    sample_targets, task_targets)
 from .metrics import RankedQuery, accuracy, f1_scores, mrr
 from .tensor import Tensor
 
@@ -451,8 +451,11 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
                                                  rng)
     if train_sel.size:
         rows = texted_idx[train_sel]
-        table_rows = np.stack([token_table(models, graph, int(t))[int(l)]
-                               for t, l in refs[rows]])
+        types, locals_ = refs[rows, 0], refs[rows, 1]
+        table_rows = np.empty((rows.size, models.max_len), dtype=np.int64)
+        for t in np.unique(types).tolist():
+            of_t = types == t
+            table_rows[of_t] = token_table(models, graph, t)[locals_[of_t]]
         pieces.append((rows, tx.encode_cls(models.encoder, table_rows)))
         stats["train_rows"] = int(rows.size)
         stats["encoded_rows"] += int(rows.size)
@@ -975,8 +978,9 @@ def load_bundle(path: str, graph: HeteroGraph) -> ModelBundle:
         raise LoadError(f"{path}: vocab file size {vocab.size} does not match "
                         f"manifest {meta['vocab_size']}")
     arch = TrainSettings(**{key: meta[key] for key in ARCH_KEYS})
+    # every weight is replaced from the checkpoint below, so none is drawn
     models = _new_models(graph, vocab, arch, meta["node_classes"],
-                         meta["edge_classes"], rng=0)
+                         meta["edge_classes"], rng=_NoDraw())
     params = models.all_params()
     if set(params) != set(arrays):
         missing = sorted(set(params) - set(arrays))[:3]
@@ -987,5 +991,5 @@ def load_bundle(path: str, graph: HeteroGraph) -> ModelBundle:
         if p.data.shape != arrays[name].shape:
             raise LoadError(f"{path}: shape mismatch for '{name}': "
                             f"{arrays[name].shape} vs {p.data.shape}")
-        p.data = arrays[name].astype(np.float64)
+        p.data = arrays[name]  # a fresh C-ordered float64 array
     return models

@@ -10,6 +10,7 @@ attention; a node's embedding is the [CLS] row of the final layer.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ class Vocab:
         if len(self._index) != len(self.tokens):
             raise ContractError("duplicate tokens in vocabulary")
         for t in self.tokens:
-            if not t or any(c.isspace() for c in t):
+            if t.split() != [t]:  # empty, or holds whitespace
                 raise ContractError(f"bad vocabulary token {t!r}")
 
     @property
@@ -58,8 +59,12 @@ class Vocab:
         p = Path(path)
         if not p.exists():
             raise LoadError(f"{p}: not found")
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise LoadError(f"{p}: not UTF-8 text ({e.reason})") from None
         tokens = []
-        for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(text.splitlines(), 1):
             tok = line.strip()
             if not tok:
                 raise LoadError(f"{p}:{lineno}: blank vocabulary line")
@@ -71,21 +76,26 @@ class Vocab:
 
 
 def tokenize(vocab: Vocab, text: str, max_len: int) -> np.ndarray:
-    """[CLS] + lowercased whitespace tokens (UNK for OOV), truncated to
-    max_len, right-padded with [PAD]."""
-    if max_len < 1:
-        raise ContractError("max_len must be >= 1")
-    ids = [CLS_ID]
-    for tok in text.lower().split():
-        if len(ids) == max_len:
-            break
-        ids.append(vocab.id_of(tok))
-    ids.extend([PAD_ID] * (max_len - len(ids)))
-    return np.array(ids, dtype=np.int64)
+    """One text's row of tokenize_batch."""
+    return tokenize_batch(vocab, [text], max_len)[0]
 
 
 def tokenize_batch(vocab: Vocab, texts, max_len: int) -> np.ndarray:
-    return np.stack([tokenize(vocab, t, max_len) for t in texts])
+    """(len(texts), max_len) int64 ids: per text, [CLS] + its lowercased
+    whitespace tokens (UNK for OOV), truncated to max_len, right-padded with
+    [PAD]."""
+    if max_len < 1:
+        raise ContractError("max_len must be >= 1")
+    rows = [text.lower().split()[:max_len - 1] for text in texts]
+    tokens = list(chain.from_iterable(rows))
+    table = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
+    table[:, 0] = CLS_ID
+    # row-major order of the mask is the order of tokens
+    filled = np.arange(max_len - 1) < np.fromiter(map(len, rows), np.int64,
+                                                  len(rows))[:, None]
+    table[:, 1:][filled] = np.fromiter(
+        map(vocab._index.get, tokens, repeat(UNK_ID)), np.int64, len(tokens))
+    return table
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:

@@ -8,7 +8,10 @@ example a copy of the parent commit.  Each tree synthesizes a graph and runs
 three training configs (a 3-stage link plan, a 3-layer node plan, and an
 edge plan with MLM, partition_local targets, independent negatives, HeadOnly
 and a small, stale cache), each followed by `eval` of its last checkpoint
-with the gnn and cls representations and by `dump-embeddings`.  Every
+with the gnn and cls representations and by `dump-embeddings`.  Then it
+writes copies of the graph with one fault each (FAULTS) and runs `eval` of
+the link plan's last checkpoint on each, so the load errors are compared
+too; each of those commands must exit 2.  Every
 command is a fresh `python -m textgraph.cli` process with one BLAS thread,
 since the thread count changes a training run's float sums; the two trees
 run under different PYTHONHASHSEED values, so comparing a checkout with
@@ -18,13 +21,15 @@ Every output file is compared byte for byte: the graph files, checkpoints,
 report.json, each command's stdout, stderr and exit code, and metrics.jsonl
 with its wall-clock `elapsed_ms` fields dropped.  Commands run with relative
 paths, so paths printed by the commands match.  Prints each differing file
-and each command that exited non-zero, and exits 1 if there is any.
+and each command that exited with another code than it should, and exits 1
+if there is any.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -56,6 +61,15 @@ CONFIGS = {
     },
 }
 
+# one-fault copies of the graph: name -> (file, line, column, new value).
+# The link plan's last checkpoint is evaluated on each; every one must exit 2
+FAULTS = {
+    "bad_integer": ("edges.tsv", 2, "src_id", "1x"),
+    "unknown_type": ("node_labels.tsv", 2, "node_type", "nosuchtype"),
+    "duplicate_node": ("nodes.tsv", 3, "local_id", "0"),
+    "unknown_labeled_edge": ("edge_labels.tsv", 2, "dst_id", "1000000"),
+}
+
 
 def run(tree: Path, work: Path, name: str, argv: list[str], hash_seed: str):
     """One CLI command of tree, run in work; its stdout, stderr and exit code
@@ -69,6 +83,12 @@ def run(tree: Path, work: Path, name: str, argv: list[str], hash_seed: str):
         (work / f"{name}.{suffix}").write_text(text, encoding="utf-8")
 
 
+def last_checkpoint(name: str) -> str:
+    """The stem of the checkpoint the last stage of config name saves."""
+    stages = CONFIGS[name]["stages"].split(",")
+    return f"{name}/stage{len(stages) - 1}_{stages[-1]}"
+
+
 def run_tree(tree: Path, work: Path, hash_seed: str):
     work.mkdir()
     run(tree, work, "synth", GRAPH, hash_seed)
@@ -78,14 +98,24 @@ def run_tree(tree: Path, work: Path, hash_seed: str):
                                {"graph_dir": "graph", **config}.items()))
         run(tree, work, f"{name}.train", ["train", "--config", cfg.name,
                                           "--out", name], hash_seed)
-        stages = config["stages"].split(",")
-        last = f"{name}/stage{len(stages) - 1}_{stages[-1]}"
+        last = last_checkpoint(name)
         for rep in ("gnn", "cls"):
             run(tree, work, f"{name}.eval_{rep}",
                 ["eval", last, "graph", "--task", config["task"],
                  "--representation", rep], hash_seed)
         run(tree, work, f"{name}.dump",
             ["dump-embeddings", last, "graph", "--out", f"{name}/emb.tsv"],
+            hash_seed)
+    for name, (file, line, column, value) in FAULTS.items():
+        graph = work / f"graph_{name}"
+        shutil.copytree(work / "graph", graph)
+        lines = (graph / file).read_text(encoding="utf-8").split("\n")
+        fields = lines[line - 1].split("\t")
+        fields[lines[0].split("\t").index(column)] = value
+        lines[line - 1] = "\t".join(fields)
+        (graph / file).write_text("\n".join(lines), encoding="utf-8")
+        run(tree, work, f"fault_{name}.eval",
+            ["eval", last_checkpoint("link"), graph.name, "--task", "link"],
             hash_seed)
 
 
@@ -97,6 +127,11 @@ def comparable(path: Path) -> bytes:
     records = [json.loads(line) for line in data.decode().splitlines()]
     return "".join(json.dumps({k: v for k, v in r.items() if k != "elapsed_ms"},
                               sort_keys=True) + "\n" for r in records).encode()
+
+
+def expected_exit(name: str) -> str:
+    """The .exit file content a command's run must leave."""
+    return "2\n" if name.startswith("fault_") else "0\n"
 
 
 def files(root: Path) -> set[str]:
@@ -123,7 +158,7 @@ def main(argv: list[str]) -> int:
                           and comparable(ours / name) == comparable(theirs / name))]
         failed = [f"{side.name}/{name}" for side in (ours, theirs) for name in names
                   if name.endswith(".exit") and (side / name).is_file()
-                  and (side / name).read_text() != "0\n"]
+                  and (side / name).read_text() != expected_exit(name)]
     print(f"compared {len(names)} files of {HERE_TREE} and {other}")
     for name in failed:
         print(f"failed: {name}")
