@@ -17,8 +17,9 @@ otherwise); every other row comes from the cache or, when it missed, from a
 no-grad encode of exactly the rows that missed, at most infer_batch rows per
 encode call.  Those encodes run at the width of the type's whole token
 table, so a row's encoded value never depends on which other rows share its
-call.  The cache keys rows by global node id and keeps its own clock, the
-encoder version: staleness counts encoder updates, not steps, so under a
+call.  Both the no-grad rows and the tape rows encoded at that width go into
+the cache.  The cache keys rows by global node id and keeps its own clock,
+the encoder version: staleness counts encoder updates, not steps, so under a
 frozen encoder a cached row never expires.
 
 Training steps and evals embed nodes through embed_nodes, which reads the
@@ -222,9 +223,11 @@ class EmbeddingCache:
     `version` goes up once per encoder update (advance()) and never resets.
     An entry written at version s is served only while version - s stays
     within staleness_limit; older entries count as misses.  capacity 0
-    disables storage entirely.  Only no-grad encodes of rows that missed are
-    stored, so a cached value is always bit-identical to what a fresh encode
-    would give under unchanged encoder weights.
+    disables storage entirely.  assemble_features stores the no-grad encodes
+    of rows that missed and the detached values of tape rows encoded at
+    their type's encode width, so a cached value is always bit-identical to
+    what a fresh no-grad encode would give under the encoder weights of the
+    version it is stamped with.
     """
 
     def __init__(self, capacity: int, staleness_limit: int):
@@ -393,21 +396,37 @@ def _kept(graph: HeteroGraph, key, owner, build):
     return value
 
 
+def _tokens(models: ModelBundle, graph: HeteroGraph, type_index: int):
+    """(token_table, encode_width) of a texted type, built once per bundle
+    vocab and max_len."""
+    def build():
+        table = tx.tokenize_batch(models.vocab, graph.texts[type_index],
+                                  models.max_len)
+        return table, tx.crop_padding(table).shape[1]
+
+    return _kept(graph, ("tokens", type_index), (models.vocab, models.max_len),
+                 build)
+
+
 def token_table(models: ModelBundle, graph: HeteroGraph, type_index: int) -> np.ndarray:
     """A texted type's token ids, one row per node, tokenized with the
     bundle's vocab and max_len."""
-    return _kept(graph, ("tokens", type_index), (models.vocab, models.max_len),
-                 lambda: tx.tokenize_batch(models.vocab, graph.texts[type_index],
-                                           models.max_len))
+    return _tokens(models, graph, type_index)[0]
+
+
+def encode_width(models: ModelBundle, graph: HeteroGraph, type_index: int) -> int:
+    """The width a texted type's rows are encoded at without grad: its token
+    table's, cropped to its widest text."""
+    return _tokens(models, graph, type_index)[1]
 
 
 def _encode_nograd(models, graph, type_index: int, locals_: np.ndarray,
                    max_rows: int) -> np.ndarray:
     """No-grad [CLS] rows for the given locals of one type, at most max_rows
-    per encode call.  Every call keeps the width of the type's whole table,
-    cropped to its widest text, so a row's value does not depend on which
-    rows share its call."""
-    table = tx.crop_padding(token_table(models, graph, type_index))
+    per encode call.  Every call keeps the type's encode width, so a row's
+    value does not depend on which rows share its call."""
+    table = token_table(models, graph, type_index)[
+        :, :encode_width(models, graph, type_index)]
     with tg.no_grad():
         return np.concatenate([
             tx.encode_cls(models.encoder, table[locals_[lo:lo + max_rows]],
@@ -425,7 +444,10 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
     tape (0 under a frozen encoder and in evals); everything else is served
     from the cache, keyed by global node id, and what missed is encoded
     without grad, once per distinct row, at most infer_batch rows per encode
-    call, and written back to the cache.
+    call, and written to the cache.  Last, after every read and miss write,
+    the detached value of each tape row whose type's encode width is the
+    tape batch's width is written to the cache too: with the same tokens at
+    the same width it is what _encode_nograd gives, bit for bit.
     """
     n = refs.shape[0]
     if n == 0:
@@ -449,16 +471,24 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
 
     train_sel, infer_sel = split_train_inference(texted_idx.size, train_nodes,
                                                  rng)
+    write_back = ()  # (global id, value) of each tape row to cache, put last
     if train_sel.size:
         rows = texted_idx[train_sel]
         types, locals_ = refs[rows, 0], refs[rows, 1]
         table_rows = np.empty((rows.size, models.max_len), dtype=np.int64)
+        widths = np.empty(rows.size, dtype=np.int64)
         for t in np.unique(types).tolist():
             of_t = types == t
             table_rows[of_t] = token_table(models, graph, t)[locals_[of_t]]
-        pieces.append((rows, tx.encode_cls(models.encoder, table_rows)))
+            widths[of_t] = encode_width(models, graph, t)
+        encoded = tx.encode_cls(models.encoder, table_rows)
+        pieces.append((rows, encoded))
         stats["train_rows"] = int(rows.size)
         stats["encoded_rows"] += int(rows.size)
+        # encode_cls crops the batch to its widest row
+        exact = widths == tx.crop_padding(table_rows).shape[1]
+        write_back = zip((graph.type_offsets[types[exact]]
+                          + locals_[exact]).tolist(), encoded.data[exact])
     if infer_sel.size:
         rows = texted_idx[infer_sel]
         types, locals_ = refs[rows, 0], refs[rows, 1]
@@ -483,6 +513,8 @@ def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
             stats["encoded_rows"] += int(uniq.size)
         pieces.append((rows, Tensor(values)))
         stats["infer_rows"] = int(rows.size)
+    for g, row in write_back:
+        cache.put(g, row)
 
     perm = np.empty(n, dtype=np.int64)
     perm[np.concatenate([rows for rows, _ in pieces])] = np.arange(n)
@@ -687,14 +719,17 @@ class RunLog:
 
     def add_step(self, stage: str, step: int, loss: float, cache_hit_rate: float,
                  unique_nodes: int, elapsed_ms: float, *, cache_hits: int = 0,
-                 cache_misses: int = 0, encoded_rows: int = 0):
+                 cache_misses: int = 0, encoded_rows: int = 0,
+                 tape_rows: int = 0):
         """cache_hit_rate is cumulative since the run started; cache_hits,
-        cache_misses and encoded_rows (tape and no-grad) are this step's."""
+        cache_misses, encoded_rows (tape and no-grad) and tape_rows (the
+        encoded rows on the tape) are this step's."""
         self.records.append({
             "kind": "step", "stage": stage, "step": step, "loss": loss,
             "cache_hit_rate": cache_hit_rate, "unique_nodes": unique_nodes,
             "elapsed_ms": elapsed_ms, "cache_hits": cache_hits,
-            "cache_misses": cache_misses, "encoded_rows": encoded_rows})
+            "cache_misses": cache_misses, "encoded_rows": encoded_rows,
+            "tape_rows": tape_rows})
 
     def add_metric(self, stage: str, epoch: int, split: str, metric: str,
                    value: float):
@@ -790,7 +825,7 @@ def mlm_warmup(models: ModelBundle, graph: HeteroGraph,
             loss, _, ms = _update(opt, lambda: forward(tokens),
                                   f"MLM at step {steps}")
             log.add_step("MLM", steps, loss, 0.0, rows.shape[0], ms,
-                         encoded_rows=rows.shape[0])
+                         encoded_rows=rows.shape[0], tape_rows=rows.shape[0])
             steps += 1
     return steps
 
@@ -849,7 +884,8 @@ def train_stage(models: ModelBundle, graph: HeteroGraph, kind: str, *,
             log.add_step(kind, step, loss, cache.hit_rate,
                          stats["unique_nodes"], ms,
                          cache_hits=stats["hits"], cache_misses=stats["misses"],
-                         encoded_rows=stats["encoded_rows"])
+                         encoded_rows=stats["encoded_rows"],
+                         tape_rows=stats["train_rows"])
             step += 1
         metrics = evaluate(models, graph, task, VALID,
                            representation=representation)

@@ -5,13 +5,14 @@ diff everything they write, byte for byte.
 
 Compares the checkout that holds this script with <other checkout>, for
 example a copy of the parent commit.  Each tree synthesizes a graph and runs
-three training configs (a 3-stage link plan, a 3-layer node plan, and an
-edge plan with MLM, partition_local targets, independent negatives, HeadOnly
-and a small, stale cache), each followed by `eval` of its last checkpoint
-with the gnn and cls representations and by `dump-embeddings`.  Then it
-writes copies of the graph with one fault each (FAULTS) and runs `eval` of
-the link plan's last checkpoint on each, so the load errors are compared
-too; each of those commands must exit 2.  Every
+four training configs (a 3-stage link plan, a 3-layer node plan, an edge
+plan with MLM, partition_local targets, independent negatives, HeadOnly and
+a small, stale cache, and a frozen-encoder node plan, WarmStartGNN alone, as
+the node-deep benchmark workload runs it), each followed by `eval` of its
+last checkpoint with the gnn and cls representations and by
+`dump-embeddings`.  Then it writes copies of the graph with one fault each
+(FAULTS) and runs `eval` of the link plan's last checkpoint on each, so the
+load errors are compared too; each of those commands must exit 2.  Every
 command is a fresh `python -m textgraph.cli` process with one BLAS thread,
 since the thread count changes a training run's float sums; the two trees
 run under different PYTHONHASHSEED values, so comparing a checkout with
@@ -58,6 +59,11 @@ CONFIGS = {
         "epochs": "1,1,1,1", "batch_size": 32, "mlm_epochs": 1,
         "target_mode": "partition_local", "negative_mode": "independent",
         "budget_train_nodes": 32, "cache_capacity": 50, "cache_staleness": 2,
+    },
+    # no stage trains the encoder, so no row is encoded on the tape
+    "frozen": {
+        "task": "node", "stages": "WarmStartGNN", "epochs": "1",
+        "batch_size": 16, "num_layers": 3, "fanouts": 8,
     },
 }
 

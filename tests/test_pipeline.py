@@ -883,3 +883,145 @@ def test_step_count_past_memory_is_a_contract_error(small_graph, key):
     model is built, not by a traceback or a signal in the first step."""
     with pytest.raises(ContractError, match=f"key '{key}' must be"):
         pl.run_stagewise(small_graph, quick_settings(**{key: 2 ** 62}))
+
+
+# ----------------------------------------------------------- tape write-back
+
+
+def _spy_tape_rows(monkeypatch, graph, on_assemble=None):
+    """Per assemble_features call from now on, the global ids of its tape
+    rows, in tape order.  on_assemble() runs before each call."""
+    calls = []
+    real_assemble, real_split = pl.assemble_features, pl.split_train_inference
+
+    def assemble(models, graph_, refs, **kwargs):
+        if on_assemble is not None:
+            on_assemble()
+        calls.append(refs)
+        return real_assemble(models, graph_, refs, **kwargs)
+
+    def split(*args, **kwargs):
+        train, infer = real_split(*args, **kwargs)
+        refs = calls[-1]
+        tape = refs[np.nonzero(graph.type_has_text[refs[:, 0]])[0][train]]
+        calls[-1] = graph.type_offsets[tape[:, 0]] + tape[:, 1]
+        return train, infer
+
+    monkeypatch.setattr(pl, "assemble_features", assemble)
+    monkeypatch.setattr(pl, "split_train_inference", split)
+    return calls
+
+
+def _global_to_ref(graph, g):
+    t = int(np.searchsorted(graph.type_offsets, g, side="right") - 1)
+    return t, int(g - graph.type_offsets[t])
+
+
+def test_end_to_end_step_writes_every_tape_row_to_the_cache(small_graph,
+                                                            monkeypatch):
+    """After one EndToEnd step every tape row is cached, stamped with the
+    version before advance(), and holds the no-grad encode under the
+    weights before the update, bit for bit."""
+    settings = quick_settings(stages=("EndToEnd",))
+    models = pl.build_models(small_graph, settings,
+                             rng=np.random.default_rng(0))
+    cache = pl.EmbeddingCache(4096, 5)
+    first = {}
+
+    def before_step():
+        first.setdefault("weights", models.snapshot())
+        first.setdefault("version", cache.version)
+
+    def advance():
+        first.setdefault("store", dict(cache._store))
+        pl.EmbeddingCache.advance(cache)
+
+    tape_rows = _spy_tape_rows(monkeypatch, small_graph, before_step)
+    cache.advance = advance
+    pl.train_stage(models, small_graph, "EndToEnd", settings=settings,
+                   epochs=1, cache=cache, log=pl.RunLog(),
+                   rng=np.random.default_rng(0))
+    written = tape_rows[0]
+    assert written.size == settings.budget_train_nodes
+    assert not all(np.array_equal(p.data, first["weights"][name])
+                   for name, p in models.all_params().items())
+    models.restore(first["weights"])
+    for g in written.tolist():
+        value, stamp = first["store"][g]
+        assert stamp == first["version"] == 0
+        t, local = _global_to_ref(small_graph, g)
+        fresh = pl._encode_nograd(models, small_graph, t, np.array([local]), 16)
+        assert value.tobytes() == fresh[0].tobytes(), g
+
+
+def test_ragged_texts_write_back_only_rows_encoded_at_their_type_width(
+        small_graph):
+    """On ragged texts a tape batch runs at its widest row's width: exactly
+    the tape rows whose type's encode width is that width are cached, each
+    equal to the no-grad encode, one-row batches included."""
+    rng = np.random.default_rng(0)
+    texts = [[" ".join(text.split()[:rng.integers(0, 6 if t == 0 else 3)])
+              for text in rows] for t, rows in enumerate(small_graph.texts)]
+    g = small_graph
+    ragged = HeteroGraph(g.node_types, g.node_counts, texts, g.relations,
+                         g.edges, g.node_class_ids, g.node_splits,
+                         g.edge_labels)
+    models = pl.build_models(ragged, quick_settings(), rng=2)
+    widths = [pl.encode_width(models, ragged, t) for t in (0, 1)]
+    assert widths[0] != widths[1]
+    refs = np.concatenate([_all_refs_of_type(ragged, 0),
+                           _all_refs_of_type(ragged, 1)])
+    outcomes = set()
+    for size in (1, 1, 2, 5, 17, 33, 33, 80):
+        pick = refs[rng.choice(refs.shape[0], size=size, replace=False)]
+        cache = pl.EmbeddingCache(256, 5)
+        pl.assemble_features(models, ragged, pick, cache=cache,
+                             train_nodes=size, infer_batch=16, rng=0)
+        tape_width = max(tx.crop_padding(
+            pl.token_table(models, ragged, t)[[l]]).shape[1] for t, l in pick)
+        expected = {int(ragged.type_offsets[t] + l) for t, l in pick
+                    if widths[t] == tape_width}
+        assert set(cache._store) == expected, size
+        outcomes.add((len(expected) > 0, len(expected) < size))
+        for key, (value, stamp) in cache._store.items():
+            t, local = _global_to_ref(ragged, key)
+            fresh = pl._encode_nograd(models, ragged, t, np.array([local]), 16)
+            assert value.tobytes() == fresh[0].tobytes(), (size, key)
+    # some batches write every row back, some a part, some none
+    assert outcomes == {(True, False), (True, True), (False, True)}
+
+
+def test_written_back_rows_are_served_within_the_staleness_limit(small_graph,
+                                                                 monkeypatch):
+    """Over EndToEnd steps at staleness 2, hits come from tape rows written
+    back by earlier steps, and no hit is more than 2 versions past its
+    stamp."""
+    settings = quick_settings(stages=("EndToEnd",), epochs=(2,),
+                              cache_staleness=2)
+    models = pl.build_models(small_graph, settings,
+                             rng=np.random.default_rng(0))
+    cache = pl.EmbeddingCache(4096, 2)
+    tape_rows = _spy_tape_rows(monkeypatch, small_graph)
+    written = {}  # global id -> version its tape value was cached at
+    ages = {"tape": [], "nograd": []}
+
+    def get(key):
+        entry = cache._store.get(key)
+        value = pl.EmbeddingCache.get(cache, key)
+        if value is not None:
+            assert value is entry[0]
+            source = "tape" if written.get(key) == entry[1] else "nograd"
+            ages[source].append(cache.version - entry[1])
+        return value
+
+    def advance():
+        for g in tape_rows[-1].tolist():
+            written[g] = cache.version
+        pl.EmbeddingCache.advance(cache)
+
+    cache.get, cache.advance = get, advance
+    pl.train_stage(models, small_graph, "EndToEnd", settings=settings,
+                   epochs=2, cache=cache, log=pl.RunLog(),
+                   rng=np.random.default_rng(0))
+    assert len(tape_rows) > 3 and ages["tape"]
+    assert max(ages["tape"] + ages["nograd"]) == 2
