@@ -11,16 +11,7 @@ train fixed sets of groups:
   EndToEnd       trains lm + gnn + the task head
   HeadOnly       trains only the task head
 
-Back-prop-on-samples: per step, at most train_nodes texted rows are encoded
-on the tape (settings.budget_train_nodes while the encoder trains, none
-otherwise); every other row comes from the cache or, when it missed, from a
-no-grad encode of exactly the rows that missed, at most infer_batch rows per
-encode call.  Those encodes run at the width of the type's whole token
-table, so a row's encoded value never depends on which other rows share its
-call.  Both the no-grad rows and the tape rows encoded at that width go into
-the cache.  The cache keys rows by global node id and keeps its own clock,
-the encoder version: staleness counts encoder updates, not steps, so under a
-frozen encoder a cached row never expires.
+Feature assembly and the embedding cache live in features.
 
 Training steps and evals embed nodes through embed_nodes, which reads the
 GNN's depth from the models; full_graph_embeddings alone holds the eval
@@ -36,7 +27,6 @@ checks every row set a plan reads before the first step.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -48,6 +38,11 @@ from . import tensor as tg
 from . import text as tx
 from .checkpoint import checkpoint_stem, load_checkpoint, save_checkpoint
 from .errors import ContractError, LoadError, NumericsError
+# _encode_nograd, assemble_features, encode_width, split_train_inference and
+# sample_neighbors are re-exported for callers that import them from here
+from .features import (EmbeddingCache, _encode_nograd, _kept,  # noqa: F401
+                       assemble_features, embed_nodes, encode_width,
+                       node_refs, split_train_inference, token_table)
 from .graph import (SPLIT_NAMES, TARGET_MODES, TEST, TRAIN, VALID, HeteroGraph,
                     PartitionMap, TargetSample, _as_rng, _NoDraw,
                     assign_partitions, require_targets, sample_neighbors,
@@ -197,94 +192,6 @@ SETTING_RULES = {
 }
 
 
-def split_train_inference(num_rows: int, budget: int, rng):
-    """Uniform subset of at most budget row indices for on-tape encoding; the
-    complement, in original order, goes through the no-grad path.  The two
-    index sets partition range(num_rows) exactly.  Budget 0 puts every row on
-    the no-grad path and draws nothing."""
-    if budget < 0:
-        raise ContractError("train budget must be >= 0")
-    everything = np.arange(num_rows, dtype=np.int64)
-    if num_rows <= budget:
-        return everything, np.empty(0, dtype=np.int64)
-    if budget == 0:
-        return np.empty(0, dtype=np.int64), everything
-    rng = _as_rng(rng)
-    train = np.sort(rng.choice(num_rows, size=budget, replace=False))
-    mask = np.ones(num_rows, dtype=bool)
-    mask[train] = False
-    return train, everything[mask]
-
-
-class EmbeddingCache:
-    """LRU of global node id -> embedding, each entry stamped with the
-    encoder version it was written under.
-
-    `version` goes up once per encoder update (advance()) and never resets.
-    An entry written at version s is served only while version - s stays
-    within staleness_limit; older entries count as misses.  capacity 0
-    disables storage entirely.  assemble_features stores the no-grad encodes
-    of rows that missed and the detached values of tape rows encoded at
-    their type's encode width, so a cached value is always bit-identical to
-    what a fresh no-grad encode would give under the encoder weights of the
-    version it is stamped with.
-    """
-
-    def __init__(self, capacity: int, staleness_limit: int):
-        if capacity < 0:
-            raise ContractError("cache capacity must be >= 0")
-        if staleness_limit < 0:
-            raise ContractError("cache staleness_limit must be >= 0")
-        self.capacity = capacity
-        self.staleness_limit = staleness_limit
-        self._store: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.stale_drops = 0
-        self.version = 0
-
-    def __len__(self):
-        return len(self._store)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def get(self, key):
-        entry = self._store.get(key)
-        if entry is not None:
-            value, stamp = entry
-            if self.version - stamp <= self.staleness_limit:
-                self._store.move_to_end(key)
-                self.hits += 1
-                return value
-            del self._store[key]
-            self.stale_drops += 1
-        self.misses += 1
-        return None
-
-    def put(self, key, value: np.ndarray):
-        if self.capacity == 0:
-            return
-        self._store[key] = (value, self.version)
-        self._store.move_to_end(key)
-        while len(self._store) > self.capacity:
-            self._store.popitem(last=False)
-            self.evictions += 1
-
-    def advance(self):
-        """Count one encoder update: every entry ages by one."""
-        self.version += 1
-
-    def clear(self):
-        """Drop every entry; counters and the version survive.  Called at
-        the end of a stage that trained the encoder, whose best epoch's
-        weights may differ from the ones cached rows came from."""
-        self._store.clear()
-
-
 @dataclass
 class ModelBundle:
     vocab: tx.Vocab
@@ -375,175 +282,7 @@ def build_models(graph: HeteroGraph, settings: TrainSettings, rng=0) -> ModelBun
     return _new_models(graph, vocab, settings, node_classes, edge_classes, rng)
 
 
-# ----------------------------------------------------------------- features
-
-
-def node_refs(graph: HeteroGraph, *, texted_only: bool = False) -> np.ndarray:
-    """(type, local) rows for every node, in global-index order; with
-    texted_only, for every node of a texted type."""
-    return graph.refs[graph.type_has_text[graph.refs[:, 0]] | (not texted_only)]
-
-
-def _kept(graph: HeteroGraph, key, owner, build):
-    """graph._cache[key] if it was built for an owner equal to owner, else
-    build(), kept there in its place: a graph keeps each entry for the last
-    bundle that asked for it only."""
-    kept = graph._cache.get(key)
-    if kept is not None and kept[0] == owner:
-        return kept[1]
-    value = build()
-    graph._cache[key] = (owner, value)
-    return value
-
-
-def _tokens(models: ModelBundle, graph: HeteroGraph, type_index: int):
-    """(token_table, encode_width) of a texted type, built once per bundle
-    vocab and max_len."""
-    def build():
-        table = tx.tokenize_batch(models.vocab, graph.texts[type_index],
-                                  models.max_len)
-        return table, tx.crop_padding(table).shape[1]
-
-    return _kept(graph, ("tokens", type_index), (models.vocab, models.max_len),
-                 build)
-
-
-def token_table(models: ModelBundle, graph: HeteroGraph, type_index: int) -> np.ndarray:
-    """A texted type's token ids, one row per node, tokenized with the
-    bundle's vocab and max_len."""
-    return _tokens(models, graph, type_index)[0]
-
-
-def encode_width(models: ModelBundle, graph: HeteroGraph, type_index: int) -> int:
-    """The width a texted type's rows are encoded at without grad: its token
-    table's, cropped to its widest text."""
-    return _tokens(models, graph, type_index)[1]
-
-
-def _encode_nograd(models, graph, type_index: int, locals_: np.ndarray,
-                   max_rows: int) -> np.ndarray:
-    """No-grad [CLS] rows for the given locals of one type, at most max_rows
-    per encode call.  Every call keeps the type's encode width, so a row's
-    value does not depend on which rows share its call."""
-    table = token_table(models, graph, type_index)[
-        :, :encode_width(models, graph, type_index)]
-    with tg.no_grad():
-        return np.concatenate([
-            tx.encode_cls(models.encoder, table[locals_[lo:lo + max_rows]],
-                          crop=False).data
-            for lo in range(0, locals_.size, max_rows)])
-
-
-def assemble_features(models: ModelBundle, graph: HeteroGraph, refs: np.ndarray,
-                      *, cache: EmbeddingCache, train_nodes: int,
-                      infer_batch: int, rng):
-    """Feature rows for refs, mixing tape-encoded text, cached text, and
-    textless type embeddings.  Returns (features, stats).
-
-    A uniform sample of at most train_nodes texted rows is encoded on the
-    tape (0 under a frozen encoder and in evals); everything else is served
-    from the cache, keyed by global node id, and what missed is encoded
-    without grad, once per distinct row, at most infer_batch rows per encode
-    call, and written to the cache.  Last, after every read and miss write,
-    the detached value of each tape row whose type's encode width is the
-    tape batch's width is written to the cache too: with the same tokens at
-    the same width it is what _encode_nograd gives, bit for bit.
-    """
-    n = refs.shape[0]
-    if n == 0:
-        raise ContractError("assemble_features needs at least one ref")
-    texted = graph.type_has_text[refs[:, 0]]
-    texted_idx = np.nonzero(texted)[0]
-    plain_idx = np.nonzero(~texted)[0]
-
-    pieces: list[tuple[np.ndarray, Tensor]] = []  # (rows of refs, features)
-    stats = {"train_rows": 0, "infer_rows": 0, "hits": 0, "misses": 0,
-             "encoded_rows": 0}
-
-    # textless types read straight from their embedding tables
-    for t in np.unique(refs[plain_idx, 0]).tolist():
-        rows = plain_idx[refs[plain_idx, 0] == t]
-        emb = models.gnn.type_embeddings.get(t)
-        if emb is None:
-            raise ContractError(f"type '{graph.node_types[t]}' has neither text "
-                                "nor an embedding table")
-        pieces.append((rows, tg.take_rows(emb, refs[rows, 1])))
-
-    train_sel, infer_sel = split_train_inference(texted_idx.size, train_nodes,
-                                                 rng)
-    write_back = ()  # (global id, value) of each tape row to cache, put last
-    if train_sel.size:
-        rows = texted_idx[train_sel]
-        types, locals_ = refs[rows, 0], refs[rows, 1]
-        table_rows = np.empty((rows.size, models.max_len), dtype=np.int64)
-        widths = np.empty(rows.size, dtype=np.int64)
-        for t in np.unique(types).tolist():
-            of_t = types == t
-            table_rows[of_t] = token_table(models, graph, t)[locals_[of_t]]
-            widths[of_t] = encode_width(models, graph, t)
-        encoded = tx.encode_cls(models.encoder, table_rows)
-        pieces.append((rows, encoded))
-        stats["train_rows"] = int(rows.size)
-        stats["encoded_rows"] += int(rows.size)
-        # encode_cls crops the batch to its widest row
-        exact = widths == tx.crop_padding(table_rows).shape[1]
-        write_back = zip((graph.type_offsets[types[exact]]
-                          + locals_[exact]).tolist(), encoded.data[exact])
-    if infer_sel.size:
-        rows = texted_idx[infer_sel]
-        types, locals_ = refs[rows, 0], refs[rows, 1]
-        values = np.empty((rows.size, models.dim))
-        missed = []
-        for i, g in enumerate((graph.type_offsets[types] + locals_).tolist()):
-            hit = cache.get(g)
-            if hit is None:
-                missed.append(i)
-            else:
-                values[i] = hit
-        missed = np.asarray(missed, dtype=np.int64)
-        stats["hits"] = int(rows.size - missed.size)
-        stats["misses"] = int(missed.size)
-        for t in np.unique(types[missed]).tolist():
-            waiting = missed[types[missed] == t]
-            uniq, inverse = np.unique(locals_[waiting], return_inverse=True)
-            block = _encode_nograd(models, graph, t, uniq, infer_batch)
-            for g, row in zip((graph.type_offsets[t] + uniq).tolist(), block):
-                cache.put(g, row)
-            values[waiting] = block[inverse]
-            stats["encoded_rows"] += int(uniq.size)
-        pieces.append((rows, Tensor(values)))
-        stats["infer_rows"] = int(rows.size)
-    for g, row in write_back:
-        cache.put(g, row)
-
-    perm = np.empty(n, dtype=np.int64)
-    perm[np.concatenate([rows for rows, _ in pieces])] = np.arange(n)
-    feats = [f for _, f in pieces]
-    cat = feats[0] if len(feats) == 1 else tg.concat(feats, axis=0)
-    return tg.take_rows(cat, perm), stats
-
 # -------------------------------------------------------------- step builders
-
-
-def embed_nodes(models, graph, refs, *, representation, fanouts, cache,
-                train_nodes, infer_batch, rng):
-    """Embeddings for the given node refs, in order: their [CLS] rows ("cls"),
-    or the GNN run over their sampled ego graph ("gnn"), as deep as the
-    models' GNN.  cache, train_nodes and infer_batch go to assemble_features.
-    Returns (embeddings, stats)."""
-    if representation == "cls":
-        return assemble_features(models, graph, refs, cache=cache,
-                                 train_nodes=train_nodes,
-                                 infer_batch=infer_batch, rng=rng)
-    if representation != "gnn":
-        raise ContractError(f"unknown representation '{representation}'")
-    batch = sample_neighbors(graph, refs, fanouts=fanouts,
-                             num_layers=len(models.gnn.layers), rng=rng)
-    feats, stats = assemble_features(models, graph, batch.source_refs,
-                                     cache=cache, train_nodes=train_nodes,
-                                     infer_batch=infer_batch, rng=rng)
-    h = rgcn.gnn_forward(models.gnn, batch, feats)
-    return tg.take_rows(h, batch.target_index(refs)), stats
 
 
 def _pair_embeddings(models, graph, rels, heads, tails, **kwargs):
@@ -814,7 +553,7 @@ def mlm_warmup(models: ModelBundle, graph: HeteroGraph,
     def forward(tokens):
         loss, masked = tx.mlm_pretrain_step(
             models.encoder, tokens, settings.mlm_mask_prob, rng)
-        return (loss if masked else None), None
+        return (loss if masked else None), (tokens.shape[0] if masked else 0)
 
     steps = 0
     for epoch in range(settings.mlm_epochs):
@@ -822,10 +561,10 @@ def mlm_warmup(models: ModelBundle, graph: HeteroGraph,
         for lo in range(0, order.size, settings.batch_size):
             rows = refs[order[lo:lo + settings.batch_size]]
             tokens = np.stack([tables[int(t)][int(l)] for t, l in rows])
-            loss, _, ms = _update(opt, lambda: forward(tokens),
-                                  f"MLM at step {steps}")
+            loss, encoded, ms = _update(opt, lambda: forward(tokens),
+                                        f"MLM at step {steps}")
             log.add_step("MLM", steps, loss, 0.0, rows.shape[0], ms,
-                         encoded_rows=rows.shape[0], tape_rows=rows.shape[0])
+                         encoded_rows=encoded, tape_rows=encoded)
             steps += 1
     return steps
 

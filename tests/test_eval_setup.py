@@ -80,6 +80,26 @@ def test_set_up_calls_do_not_grow_with_rows(tmp_path):
         assert counts[400][name] <= small + SLACK, (name, counts)
 
 
+def test_cached_rows_cost_no_calls_per_row():
+    """A frozen-encoder assemble_features whose rows are all cached makes as
+    many textgraph calls for N rows as for 2N."""
+    graph = gr.generate_synthetic(gr.SyntheticSpec(nodes_per_type=200, seed=3))
+    models = pl.build_models(graph, pl.TrainSettings(), rng=0)
+    cache = pl.EmbeddingCache(graph.total_nodes, 0)
+    calls = {}
+    for n in (100, 200):
+        refs = pl.node_refs(graph)[:n]
+        pl.assemble_features(models, graph, refs, cache=cache, train_nodes=0,
+                             infer_batch=64, rng=0)
+        hits = cache.hits
+        calls[n] = textgraph_calls(lambda: pl.assemble_features(
+            models, graph, refs, cache=cache, train_nodes=0, infer_batch=64,
+            rng=0))
+        assert cache.hits - hits == n
+    assert calls[100] > 0
+    assert calls[200] <= calls[100] + SLACK, calls
+
+
 # ------------------------------------------------------------ tokenization
 
 

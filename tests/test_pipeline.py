@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import textgraph.decoders as dec
+import textgraph.features as ft
 import textgraph.pipeline as pl
 import textgraph.tensor as tg
 import textgraph.text as tx
@@ -64,39 +65,49 @@ def test_split_train_inference_deterministic():
 # ------------------------------------------------------------------- cache
 
 
+def _get(cache, key, width=1):
+    """The cached row for key, or None on a miss."""
+    out = np.empty((1, width))
+    return None if cache.get_many(np.array([key]), out).size else out[0]
+
+
+def _put(cache, key, value):
+    cache.put_many(np.array([key]), value[None])
+
+
 def test_cache_hit_then_staleness_expiry():
     cache = pl.EmbeddingCache(capacity=4, staleness_limit=2)
     v = np.ones(3)
     cache.version = 10
-    cache.put(("a", 0), v)
+    _put(cache, 0, v)
     cache.version = 12
-    assert cache.get(("a", 0)) is v                # age 2 == limit
+    assert _get(cache, 0, 3).tobytes() == v.tobytes()  # age 2 == limit
     cache.advance()
-    assert cache.get(("a", 0)) is None             # age 3 expired
+    assert _get(cache, 0, 3) is None                   # age 3 expired
     assert cache.hits == 1 and cache.misses == 1 and cache.stale_drops == 1
 
 
 def test_cache_lru_eviction_order():
     cache = pl.EmbeddingCache(capacity=2, staleness_limit=100)
-    cache.put("a", np.zeros(1))
-    cache.put("b", np.zeros(1))
-    assert cache.get("a") is not None              # refresh a
-    cache.put("c", np.zeros(1))                    # evicts b
-    assert cache.get("b") is None
-    assert cache.get("a") is not None and cache.get("c") is not None
+    _put(cache, 0, np.zeros(1))
+    _put(cache, 1, np.zeros(1))
+    assert _get(cache, 0) is not None              # refresh 0
+    _put(cache, 2, np.zeros(1))                    # evicts 1
+    assert _get(cache, 1) is None
+    assert _get(cache, 0) is not None and _get(cache, 2) is not None
     assert cache.evictions == 1
 
 
 def test_cache_capacity_zero_stores_nothing():
     cache = pl.EmbeddingCache(capacity=0, staleness_limit=5)
-    cache.put("a", np.zeros(1))
-    assert len(cache) == 0 and cache.get("a") is None
+    _put(cache, 0, np.zeros(1))
+    assert len(cache) == 0 and _get(cache, 0) is None
 
 
 def test_cache_clear_keeps_counters():
     cache = pl.EmbeddingCache(capacity=4, staleness_limit=5)
-    cache.put("a", np.zeros(1))
-    cache.get("a")
+    _put(cache, 0, np.zeros(1))
+    _get(cache, 0)
     cache.clear()
     assert len(cache) == 0 and cache.hits == 1
 
@@ -445,7 +456,7 @@ def test_saturating_fanout_sees_repeated_edges(monkeypatch):
         batches.append(sample_neighbors(*args, **kwargs))
         return batches[-1]
 
-    monkeypatch.setattr(pl, "sample_neighbors", recording)
+    monkeypatch.setattr(ft, "sample_neighbors", recording)
     models = pl.build_models(graph, quick_settings(num_layers=1))
     pl.full_graph_embeddings(models, graph)
     block, = batches[0].blocks
@@ -846,9 +857,12 @@ def test_mlm_that_masks_nothing_logs_zero_and_updates_nothing(small_graph,
     log = pl.RunLog()
     steps = pl.mlm_warmup(models, small_graph, settings, log,
                           np.random.default_rng(1))
-    losses = [r["loss"] for r in log.records if r["stage"] == "MLM"]
-    assert steps == len(losses) == 2 * -(-80 // settings.batch_size)
-    assert losses == [0.0] * steps and calls == []
+    records = [r for r in log.records if r["stage"] == "MLM"]
+    assert steps == len(records) == 2 * -(-80 // settings.batch_size)
+    assert calls == []
+    # no draw masked a token, so no step ran the encoder
+    for key in ("loss", "encoded_rows", "tape_rows"):
+        assert [r[key] for r in records] == [0] * steps, key
     assert {k: p.data.tobytes()
             for k, p in models.encoder.params.items()} == before
 
@@ -892,7 +906,7 @@ def _spy_tape_rows(monkeypatch, graph, on_assemble=None):
     """Per assemble_features call from now on, the global ids of its tape
     rows, in tape order.  on_assemble() runs before each call."""
     calls = []
-    real_assemble, real_split = pl.assemble_features, pl.split_train_inference
+    real_assemble, real_split = ft.assemble_features, ft.split_train_inference
 
     def assemble(models, graph_, refs, **kwargs):
         if on_assemble is not None:
@@ -907,14 +921,20 @@ def _spy_tape_rows(monkeypatch, graph, on_assemble=None):
         calls[-1] = graph.type_offsets[tape[:, 0]] + tape[:, 1]
         return train, infer
 
-    monkeypatch.setattr(pl, "assemble_features", assemble)
-    monkeypatch.setattr(pl, "split_train_inference", split)
+    monkeypatch.setattr(ft, "assemble_features", assemble)
+    monkeypatch.setattr(ft, "split_train_inference", split)
     return calls
 
 
 def _global_to_ref(graph, g):
     t = int(np.searchsorted(graph.type_offsets, g, side="right") - 1)
     return t, int(g - graph.type_offsets[t])
+
+
+def _entries(cache):
+    """{global id: (value, version stamp)} of every cached row."""
+    return {int(key): (cache._values[slot].copy(), int(stamp))
+            for slot, (key, stamp, _) in enumerate(cache._meta) if key >= 0}
 
 
 def test_end_to_end_step_writes_every_tape_row_to_the_cache(small_graph,
@@ -933,7 +953,7 @@ def test_end_to_end_step_writes_every_tape_row_to_the_cache(small_graph,
         first.setdefault("version", cache.version)
 
     def advance():
-        first.setdefault("store", dict(cache._store))
+        first.setdefault("store", _entries(cache))
         pl.EmbeddingCache.advance(cache)
 
     tape_rows = _spy_tape_rows(monkeypatch, small_graph, before_step)
@@ -981,9 +1001,9 @@ def test_ragged_texts_write_back_only_rows_encoded_at_their_type_width(
             pl.token_table(models, ragged, t)[[l]]).shape[1] for t, l in pick)
         expected = {int(ragged.type_offsets[t] + l) for t, l in pick
                     if widths[t] == tape_width}
-        assert set(cache._store) == expected, size
+        assert set(_entries(cache)) == expected, size
         outcomes.add((len(expected) > 0, len(expected) < size))
-        for key, (value, stamp) in cache._store.items():
+        for key, (value, stamp) in _entries(cache).items():
             t, local = _global_to_ref(ragged, key)
             fresh = pl._encode_nograd(models, ragged, t, np.array([local]), 16)
             assert value.tobytes() == fresh[0].tobytes(), (size, key)
@@ -1005,21 +1025,22 @@ def test_written_back_rows_are_served_within_the_staleness_limit(small_graph,
     written = {}  # global id -> version its tape value was cached at
     ages = {"tape": [], "nograd": []}
 
-    def get(key):
-        entry = cache._store.get(key)
-        value = pl.EmbeddingCache.get(cache, key)
-        if value is not None:
-            assert value is entry[0]
-            source = "tape" if written.get(key) == entry[1] else "nograd"
-            ages[source].append(cache.version - entry[1])
-        return value
+    def get_many(keys, out):
+        entries = _entries(cache)
+        missed = pl.EmbeddingCache.get_many(cache, keys, out)
+        for i in np.setdiff1d(np.arange(keys.size), missed).tolist():
+            value, stamp = entries[int(keys[i])]
+            assert out[i].tobytes() == value.tobytes()
+            source = "tape" if written.get(int(keys[i])) == stamp else "nograd"
+            ages[source].append(cache.version - stamp)
+        return missed
 
     def advance():
         for g in tape_rows[-1].tolist():
             written[g] = cache.version
         pl.EmbeddingCache.advance(cache)
 
-    cache.get, cache.advance = get, advance
+    cache.get_many, cache.advance = get_many, advance
     pl.train_stage(models, small_graph, "EndToEnd", settings=settings,
                    epochs=2, cache=cache, log=pl.RunLog(),
                    rng=np.random.default_rng(0))

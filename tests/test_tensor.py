@@ -164,6 +164,31 @@ def test_scatter_add_is_bitwise_add_at(ids, buckets, width):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("ids,buckets", [
+    pytest.param(65530 + np.arange(300) % 6, 65536, id="ids-under-2**16"),
+    # ids k and 65536 + k would share a bucket if narrowed to 16 bits
+    pytest.param(np.r_[np.arange(300) % 6, 65536 + np.arange(300) % 6], 65542,
+                 id="ids-over-2**16"),
+    pytest.param(np.zeros(300, dtype=np.int64), 1, id="one-bucket"),
+    # size keys (largest size - size) of 65535 and 69999 narrowed to 16 bits
+    # would put the eight 1-row buckets before the eight 4465-row ones
+    pytest.param(np.repeat(np.arange(17), [70000] + [4465] * 8 + [1] * 8), 17,
+                 id="sizes-over-2**16")])
+def test_scatter_add_sorts_every_key_range_as_add_at(ids, buckets):
+    """Sort keys narrow to uint16 only when all of them fit; the sums of
+    negative rows and -0.0 keep add.at's bytes on either side."""
+    draw = np.random.default_rng(buckets)
+    ids = draw.permutation(ids)
+    rows = -np.abs(draw.normal(size=(ids.size, 8))) * 10.0 ** draw.integers(
+        -9, 9, size=(ids.size, 8))
+    rows[draw.random(rows.shape) < 0.3] = -0.0
+    want = np.zeros((buckets, 8))
+    np.add.at(want, ids, rows)
+    got = tg.scatter_add(np.zeros((buckets, 8)), ids, rows)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _indexed_scatter_cases():
     draw = np.random.default_rng(6)
     light = draw.integers(1, 300, size=500)
