@@ -1,7 +1,8 @@
 """Command-line entry point: synth, train, eval, dump-embeddings.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Every
-command is deterministic given its flags and seed.
+command is deterministic given its flags and seed, at a fixed BLAS thread
+count.
 """
 
 from __future__ import annotations

@@ -64,8 +64,10 @@ class EmbeddingCache:
 
     Rows live in a pool of at most capacity slots, grown with use, each with
     its owner id, stamp and last-use tick.  Ticks go out per access in row
-    order, so a call serves, expires and evicts as one lookup or store per
-    key in that order would.
+    order, so get_many serves and expires as one lookup per key in that order
+    would.  put_many writes its whole block, each row as the most recent
+    entry, then evicts the least recent entries while more than capacity are
+    held.  evictions counts the entries that left the cache.
     """
 
     def __init__(self, capacity: int, staleness_limit: int):
@@ -128,31 +130,25 @@ class EmbeddingCache:
         return np.flatnonzero(missed)
 
     def put_many(self, keys: np.ndarray, values: np.ndarray):
-        """Stores values[i] under keys[i] in row order, each as the most
-        recent entry, evicting the least recent while more than capacity are
-        held."""
+        """Stores the whole block, values[i] under keys[i] as the most recent
+        entry in row order, then evicts the least recent entries while more
+        than capacity are held: entries outside the block first, then the
+        block's own first rows."""
         if self.capacity == 0 or keys.size == 0:
             return
         slots = self._slots_of(keys)
-        new = np.flatnonzero(slots < 0)
         held = np.flatnonzero(self._meta[:, 0] >= 0)
-        ticks = self._meta[held, 2]
-        overflow = held.size + new.size - self.capacity
+        overflow = held.size + np.count_nonzero(slots < 0) - self.capacity
         if overflow > 0:
-            # evictions take held entries oldest first, then new keys in row
-            # order; one that reaches a key refreshed here brings that key
-            # back as a new one, so such a block goes one row at a time
-            refreshed = self._meta[slots[slots >= 0], 2]
-            if refreshed.size and np.count_nonzero(
-                    ticks < refreshed.min()) < overflow:
-                for i in range(keys.size):
-                    self.put_many(keys[i:i + 1], values[i:i + 1])
-                return
-            self.evictions += overflow
-            self._drop(held[np.argsort(ticks)[:overflow]])
-            skip = max(overflow - held.size, 0)  # new keys evicted in turn
+            mine = np.zeros(len(self._meta), dtype=bool)
+            mine[slots[slots >= 0]] = True
+            others = held[~mine[held]]
+            gone = others[np.argsort(self._meta[others, 2])[:overflow]]
+            skip = overflow - gone.size  # the block's own rows evicted
+            self._drop(np.concatenate([gone, slots[:skip][slots[:skip] >= 0]]))
+            self.evictions += int(overflow)
             keys, values, slots = keys[skip:], values[skip:], slots[skip:]
-            new = new[:new.size - skip]
+        new = np.flatnonzero(slots < 0)
         free = np.flatnonzero(self._meta[:, 0] < 0)
         if free.size < new.size:
             size = len(self._meta)

@@ -82,14 +82,12 @@ class RgcnStack:
 
     def __init__(self, num_layers: int, dim: int, hidden_dim: int,
                  num_message_relations: int, aggregation: str = "mean",
-                 type_embedding_counts: dict[int, int] | None = None,
-                 activate_last: bool = False, rng=0):
+                 type_embedding_counts: dict[int, int] | None = None, rng=0):
         if num_layers < 1:
             raise ContractError("num_layers must be >= 1")
         rng = _as_rng(rng)
         dims = [dim] + [hidden_dim] * (num_layers - 1) + [dim]
         self.dim = dim
-        self.activate_last = activate_last
         self.layers = [RgcnLayer(dims[i], dims[i + 1], num_message_relations,
                                  aggregation, rng)
                        for i in range(num_layers)]
@@ -122,6 +120,5 @@ def gnn_forward(stack: RgcnStack, batch: EgoBatch, features: Tensor) -> Tensor:
     h = features
     last = len(stack.layers) - 1
     for i, (layer, block) in enumerate(zip(stack.layers, batch.blocks)):
-        h = rgcn_layer_forward(layer, block, h,
-                               activate=(i < last) or stack.activate_last)
+        h = rgcn_layer_forward(layer, block, h, activate=i < last)
     return h

@@ -5,12 +5,13 @@ diff everything they write, byte for byte.
 
 Compares the checkout that holds this script with <other checkout>, for
 example a copy of the parent commit.  Each tree synthesizes a graph and runs
-four training configs (a 3-stage link plan, a 3-layer node plan, an edge
+five training configs (a 3-stage link plan, a 3-layer node plan, an edge
 plan with MLM, partition_local targets, independent negatives, HeadOnly and
-a small, stale cache, and a frozen-encoder node plan, WarmStartGNN alone, as
-the node-deep benchmark workload runs it), each followed by `eval` of its
-last checkpoint with the gnn and cls representations and by
-`dump-embeddings`.  Then it writes copies of the graph with one fault each
+a small, stale cache, the same edge plan at capacity 300, where blocks that
+refresh cached keys are stored on a full cache, and a frozen-encoder node
+plan, WarmStartGNN alone, as the node-deep benchmark workload runs it), each
+followed by `eval` of its last checkpoint with the gnn and cls
+representations and by `dump-embeddings`.  Then it writes copies of the graph with one fault each
 (FAULTS) and runs `eval` of the link plan's last checkpoint on each, so the
 load errors are compared too; each of those commands must exit 2.  Every
 command is a fresh `python -m textgraph.cli` process with one BLAS thread,
@@ -66,6 +67,9 @@ CONFIGS = {
         "batch_size": 16, "num_layers": 3, "fanouts": 8,
     },
 }
+# the edge plan at a capacity where the cache is full while blocks that
+# refresh keys it holds are stored: 83 such blocks evict at seed 0
+CONFIGS["edge300"] = {**CONFIGS["edge"], "cache_capacity": 300}
 
 # one-fault copies of the graph: name -> (file, line, column, new value).
 # The link plan's last checkpoint is evaluated on each; every one must exit 2

@@ -1,5 +1,5 @@
 """The array-backed embedding cache against the OrderedDict store it
-replaced."""
+replaced, and against that store writing a whole block before it evicts."""
 
 from collections import OrderedDict
 
@@ -8,11 +8,12 @@ import pytest
 
 import textgraph.features as ft
 from textgraph.errors import ContractError
+from tests.test_eval_setup import SLACK, textgraph_calls
 
 
 class DictCache:
-    """The reference store: one OrderedDict entry per key, served and
-    written one key at a time."""
+    """The reference store: one OrderedDict entry per key, served one key at
+    a time and written one key (put) or one block (put_many) at a time."""
 
     def __init__(self, capacity: int, staleness_limit: int):
         self.capacity = capacity
@@ -41,10 +42,14 @@ class DictCache:
         return None
 
     def put(self, key, value: np.ndarray):
+        self.put_many([key], [value])
+
+    def put_many(self, keys, values):
         if self.capacity == 0:
             return
-        self._store[key] = (value, self.version)
-        self._store.move_to_end(key)
+        for key, value in zip(keys, values):
+            self._store[key] = (value, self.version)
+            self._store.move_to_end(key)
         while len(self._store) > self.capacity:
             self._store.popitem(last=False)
             self.evictions += 1
@@ -65,6 +70,23 @@ def lru_order(cache) -> list:
     return meta[np.argsort(meta[:, 2]), 0].tolist()
 
 
+def served_bytes(ref: DictCache, keys) -> list:
+    """What ref serves for each key, as bytes, None where it misses."""
+    return [None if v is None else v.tobytes()
+            for v in (ref.get(int(k)) for k in keys)]
+
+
+def evicts_own_key(ref: DictCache, keys) -> bool:
+    """Whether the block's overflow, taken from the least recent entries
+    before any row of the block is written, would reach one of its cached
+    keys: the case in which one put per key may evict such a key and then
+    put it back, counting two evictions for it."""
+    order = list(ref._store)
+    cached = [order.index(k) for k in keys if k in ref._store]
+    overflow = len(order) + len(keys) - len(cached) - ref.capacity
+    return ref.capacity > 0 and bool(cached) and min(cached) < overflow
+
+
 # (capacity, staleness_limit, ids drawn from range(ids)); capacity 40 over
 # 60 ids grows the pool several times before it evicts
 @pytest.mark.parametrize("capacity,staleness,ids", [
@@ -73,9 +95,13 @@ def lru_order(cache) -> list:
 @pytest.mark.parametrize("seed", range(3))
 def test_pool_serves_counts_and_evicts_as_the_dict_store(capacity, staleness,
                                                          ids, seed):
+    """The pool against the block store on everything, and against one put
+    per key on everything but evictions."""
     draw = np.random.default_rng([capacity, staleness, seed])
     pool = ft.EmbeddingCache(capacity, staleness)
-    ref = DictCache(capacity, staleness)
+    block = DictCache(capacity, staleness)
+    per_key = DictCache(capacity, staleness)
+    reached = 0
     for _ in range(400):
         op = draw.choice(["get", "put", "advance", "clear"],
                          p=[0.45, 0.35, 0.15, 0.05])
@@ -84,26 +110,32 @@ def test_pool_serves_counts_and_evicts_as_the_dict_store(capacity, staleness,
         if op == "get":
             out = np.full((keys.size, 4), np.nan)
             missed = pool.get_many(keys, out)
-            served = [ref.get(int(k)) for k in keys]
+            served = served_bytes(block, keys)
+            assert served_bytes(per_key, keys) == served
             assert missed.tolist() == [i for i, v in enumerate(served)
                                        if v is None]
-            for i, v in enumerate(served):
-                if v is not None:
-                    assert out[i].tobytes() == v.tobytes()
+            assert [row.tobytes() for row in np.delete(out, missed, 0)] == \
+                [v for v in served if v is not None]
         elif op == "put":
             values = draw.normal(size=(keys.size, 4))
             values[draw.random(values.shape) < 0.1] = -0.0
+            reached += evicts_own_key(per_key, keys.tolist())
             pool.put_many(keys, values)
+            block.put_many(keys.tolist(), values.copy())
             for k, v in zip(keys.tolist(), values.copy()):
-                ref.put(k, v)
+                per_key.put(k, v)
         else:
-            getattr(pool, op)()
-            getattr(ref, op)()
+            for cache in (pool, block, per_key):
+                getattr(cache, op)()
         assert [getattr(pool, c) for c in COUNTERS] == \
-            [getattr(ref, c) for c in COUNTERS]
-        assert len(pool) == len(ref)
-        assert lru_order(pool) == list(ref._store)
+            [getattr(block, c) for c in COUNTERS]
+        assert [getattr(pool, c) for c in COUNTERS[:3]] == \
+            [getattr(per_key, c) for c in COUNTERS[:3]]
+        assert len(pool) == len(block) == len(per_key)
+        assert lru_order(pool) == list(block._store) == list(per_key._store)
     assert len(pool._meta) <= capacity
+    # every case that evicts stores blocks that reach one of their own keys
+    assert (reached > 0) == (0 < capacity < ids), reached
 
 
 def test_keys_of_one_call_must_be_distinct_ids():
@@ -113,3 +145,18 @@ def test_keys_of_one_call_must_be_distinct_ids():
             cache.put_many(np.array(keys), np.zeros((len(keys), 2)))
         with pytest.raises(ContractError):
             cache.get_many(np.array(keys), np.zeros((len(keys), 2)))
+
+
+def test_a_block_that_refreshes_the_least_recent_key_is_stored_whole():
+    """On a full pool, a block whose one cached key is the least recent entry
+    costs as many textgraph calls as a block of new keys: no row goes alone."""
+    calls = {}
+    for name, first in (("refreshes", 0), ("new", 4096)):
+        pool = ft.EmbeddingCache(4096, 0)
+        pool.put_many(np.arange(4096), np.zeros((4096, 4)))
+        keys = np.concatenate([[first], np.arange(4097, 4160)])
+        calls[name] = textgraph_calls(
+            lambda: pool.put_many(keys, np.ones((64, 4))))
+        assert len(pool) == 4096 and pool.evictions == 63 + (first > 0)
+    assert calls["new"] > 0
+    assert calls["refreshes"] <= calls["new"] + SLACK, calls

@@ -63,11 +63,11 @@ def test_single_layer_matches_dense(aggregation):
         f = 6
         feats = {t: rng.normal(size=(g.node_counts[t], f)) for t in range(2)}
         stack = rgcn.RgcnStack(1, f, 16, len(g.message_relations),
-                               aggregation, rng=seed, activate_last=True)
+                               aggregation, rng=seed)
         targets = [(t, l) for t in range(2) for l in range(g.node_counts[t])]
         batch = gr.sample_neighbors(g, targets, fanouts=10_000, num_layers=1, rng=0)
         out = rgcn.gnn_forward(stack, batch, batch_features(g, batch, feats))
-        ref = dense_reference(g, feats, stack.layers, aggregation, [True])
+        ref = dense_reference(g, feats, stack.layers, aggregation, [False])
         for i, (t, l) in enumerate(batch.target_refs.tolist()):
             np.testing.assert_allclose(out.data[i], ref[t][l], atol=1e-10)
 
@@ -102,7 +102,7 @@ def test_mean_divides_by_sampled_count():
     feats = {0: np.array([[1.0, 0.0], [0.0, 1.0]]), 1: np.zeros((1, 2))}
     batch = gr.sample_neighbors(g, [(1, 0)], fanouts=5, num_layers=1, rng=0)
     for agg, expected_scale in (("sum", 1.0), ("mean", 0.5)):
-        stack = rgcn.RgcnStack(1, 2, 2, 2, agg, rng=1, activate_last=False)
+        stack = rgcn.RgcnStack(1, 2, 2, 2, agg, rng=1)
         stack.layers[0].w_self.data[:] = 0.0
         stack.layers[0].w_rel[0].data[:] = np.eye(2)
         out = rgcn.gnn_forward(stack, batch, batch_features(g, batch, feats))
