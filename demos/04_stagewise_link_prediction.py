@@ -34,7 +34,9 @@ settings = pl.TrainSettings(
 models, log, final = pl.run_stagewise(graph, settings)
 
 for stage in settings.stages:
-    curve = [f"{v:.3f}" for v in log.metric_values(stage, "mrr")]
+    curve = [f"{r['value']:.3f}" for r in log.records
+             if r["kind"] == "metric" and r["stage"] == stage
+             and r["metric"] == "mrr" and r["split"] == "valid"]
     print(f"{stage:14s} valid MRR per epoch: {curve}")
 
 steps = [r for r in log.records if r["kind"] == "step"]

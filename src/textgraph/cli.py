@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -178,7 +179,9 @@ def cmd_dump_embeddings(args) -> int:
 # -------------------------------------------------------------- entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: main may run many times per process."""
     parser = argparse.ArgumentParser(
         prog="textgraph",
         description="Stage-wise text-encoder + graph network training")
@@ -249,8 +252,7 @@ def _keep_freed_heap() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, ContractError, LoadError, OSError, MemoryError) as e:

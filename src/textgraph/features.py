@@ -181,18 +181,6 @@ def node_refs(graph: HeteroGraph, *, texted_only: bool = False) -> np.ndarray:
     return graph.refs[graph.type_has_text[graph.refs[:, 0]] | (not texted_only)]
 
 
-def _kept(graph: HeteroGraph, key, owner, build):
-    """graph._cache[key] if it was built for an owner equal to owner, else
-    build(), kept there in its place: a graph keeps each entry for the last
-    bundle that asked for it only."""
-    kept = graph._cache.get(key)
-    if kept is not None and kept[0] == owner:
-        return kept[1]
-    value = build()
-    graph._cache[key] = (owner, value)
-    return value
-
-
 def _tokens(models: ModelBundle, graph: HeteroGraph, type_index: int):
     """(token_table, encode_width) of a texted type, built once per bundle
     vocab and max_len."""
@@ -201,8 +189,8 @@ def _tokens(models: ModelBundle, graph: HeteroGraph, type_index: int):
                                   models.max_len)
         return table, tx.crop_padding(table).shape[1]
 
-    return _kept(graph, ("tokens", type_index), (models.vocab, models.max_len),
-                 build)
+    return graph.kept(("tokens", type_index), build,
+                      owner=(models.vocab, models.max_len))
 
 
 def token_table(models: ModelBundle, graph: HeteroGraph, type_index: int) -> np.ndarray:

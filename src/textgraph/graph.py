@@ -164,7 +164,7 @@ class HeteroGraph:
         self.refs = np.stack([types, np.arange(types.size, dtype=np.int64)
                               - self.type_offsets[types]], axis=1)
         self.refs.flags.writeable = False
-        self._cache: dict = {}
+        self._cache: dict = {}  # key -> (owner, value), see kept()
 
     # ------------------------------------------------------------ structure
 
@@ -193,12 +193,42 @@ class HeteroGraph:
         for ri, labels in self.edge_labels.items():
             if not 0 <= ri < len(self.relations):
                 raise ContractError(f"edge labels for unknown relation index {ri}")
-            bad = np.flatnonzero((labels.splits < 0) | (labels.splits > TEST))
-            if bad.size:
-                i = bad[0]
-                raise ContractError(
-                    f"edge label {self.relations[ri].key()} ({labels.src[i]}, "
-                    f"{labels.dst[i]}): split {labels.splits[i]} is not 0, 1 or 2")
+            self._validate_edge_labels(ri, labels)
+
+    def _validate_edge_labels(self, ri: int, labels: EdgeLabelSet):
+        """Each row of one relation's edge labels names an edge of that
+        relation, no row repeats another, and each has a split of 0, 1 or 2."""
+        key = self.relations[ri].key()
+        columns = (labels.src, labels.dst, labels.class_ids, labels.splits)
+        if {c.shape for c in columns} != {(labels.src.size,)}:
+            raise ContractError(f"edge labels {key}: src, dst, class_ids and "
+                                f"splits must be 1-D of one length, got shapes "
+                                f"{[c.shape for c in columns]}")
+
+        def fail(i, why):
+            raise ContractError(f"edge label {key} ({labels.src[i]}, "
+                                f"{labels.dst[i]}): {why}")
+
+        ns, nd = (self.node_counts[t] for t in self.relation_types[ri].tolist())
+        src, dst = self.edges[ri]
+        # one int64 code per (src, dst) pair, distinct while ns * nd < 2**63
+        # (unless both types hold over 3e9 nodes); -1 for ids out of range
+        codes = labels.src.astype(np.int64) * nd + labels.dst
+        codes[(labels.src < 0) | (labels.src >= ns)
+              | (labels.dst < 0) | (labels.dst >= nd)] = -1
+        edges = np.sort(src * nd + dst)
+        at = np.searchsorted(edges, codes)
+        found = at < edges.size
+        found[found] = edges[at[found]] == codes[found]
+        if not found.all():
+            fail(found.argmin(), "not an edge of the relation")
+        order = np.argsort(codes, kind="stable")
+        repeats = order[1:][np.diff(codes[order]) == 0]
+        if repeats.size:
+            fail(repeats.min(), "repeated")
+        bad = np.flatnonzero((labels.splits < 0) | (labels.splits > TEST))
+        if bad.size:
+            fail(bad[0], f"split {labels.splits[bad[0]]} is not 0, 1 or 2")
 
     def type_index(self, name: str) -> int:
         try:
@@ -229,25 +259,35 @@ class HeteroGraph:
         """Tail ids of relation `relation_index`'s edges from `head`, in edge order."""
         return self.msg_neighbors(2 * relation_index + 1, head)
 
+    def kept(self, key, build, owner=None):
+        """build(), kept under key for the owner that asked: a call with an
+        equal owner gets the kept value, any other owner a fresh build() kept
+        in its place.  What derives from the graph alone has owner None."""
+        entry = self._cache.get(key)
+        if entry is not None and entry[0] == owner:
+            return entry[1]
+        value = build()
+        self._cache[key] = (owner, value)
+        return value
+
     def message_adjacency(self) -> Csr:
         """Every message relation in one CSR over global ids: the senders to
         global node g under message relation mi are neighbors(g * M + mi),
         M = len(message_relations), in edge order."""
-        cached = self._cache.get("messages")
-        if cached is None:
-            m = len(self.message_relations)
-            keys, vals = [], []
-            for mi, mr in enumerate(self.message_relations):
-                src, dst = self.edges[mr.relation_index]
-                if mr.reverse:
-                    src, dst = dst, src
-                keys.append((dst + self.type_offsets[mr.dst_type]) * m + mi)
-                vals.append(src + self.type_offsets[mr.src_type])
-            cached = Csr.from_edges(np.concatenate(keys) if keys else _EMPTY,
-                                    np.concatenate(vals) if vals else _EMPTY,
-                                    self.total_nodes * m)
-            self._cache["messages"] = cached
-        return cached
+        return self.kept("messages", self._message_csr)
+
+    def _message_csr(self) -> Csr:
+        m = len(self.message_relations)
+        keys, vals = [], []
+        for mi, mr in enumerate(self.message_relations):
+            src, dst = self.edges[mr.relation_index]
+            if mr.reverse:
+                src, dst = dst, src
+            keys.append((dst + self.type_offsets[mr.dst_type]) * m + mi)
+            vals.append(src + self.type_offsets[mr.src_type])
+        return Csr.from_edges(np.concatenate(keys) if keys else _EMPTY,
+                              np.concatenate(vals) if vals else _EMPTY,
+                              self.total_nodes * m)
 
     # --------------------------------------------------------------- labels
 
@@ -554,10 +594,6 @@ def _load_graph_by_column(d: Path) -> HeteroGraph:
     rel_index = {key: ri for ri, key in
                  enumerate(dict.fromkeys(zip(src_type, rel_name, dst_type)))}
     rels = _index_column(rel_index, zip(src_type, rel_name, dst_type))
-    rel_src, rel_dst = (_index_column(type_index, [key[i] for key in rel_index])
-                        for i in (0, 2))
-    _node_ids(offsets, counts, rel_src[rels], src)
-    _node_ids(offsets, counts, rel_dst[rels], dst)
 
     class_ids = np.full(nodes.size, -1, dtype=np.int64)
     splits = np.full(nodes.size, -1, dtype=np.int64)
@@ -574,30 +610,22 @@ def _load_graph_by_column(d: Path) -> HeteroGraph:
         (lsrc_type, lsrc, lrel_name, ldst_type, ldst, lclasses,
          lsplits) = _tsv_columns(d / "edge_labels.tsv")
         lrels = _index_column(rel_index, zip(lsrc_type, lrel_name, ldst_type))
-        # one int64 code per (relation, src, dst); ids out of range, which
-        # could collide, and codes past int64 are left to the line parser
-        n = nodes.size
-        if len(rel_index) * n * n >= 2 ** 63:
-            raise _Fault
-        _node_ids(offsets, counts, rel_src[lrels], lsrc)
-        _node_ids(offsets, counts, rel_dst[lrels], ldst)
-        codes = (lrels * n + lsrc) * n + ldst
-        _require_distinct(codes)
-        if not np.isin(codes, (rels * n + src) * n + dst).all():
-            raise _Fault
         for ri in dict.fromkeys(lrels.tolist()):  # in order of first label
             of_ri = lrels == ri
             edge_labels[ri] = EdgeLabelSet(ri, lsrc[of_ri], ldst[of_ri],
                                            lclasses[of_ri], lsplits[of_ri])
 
     spans = list(zip(offsets.tolist(), offsets[1:].tolist()))
-    return HeteroGraph(list(type_index), counts.tolist(),
-                       [texts[a:b] for a, b in spans],
-                       [Relation(*key) for key in rel_index],
-                       [(src[rels == ri], dst[rels == ri])
-                        for ri in range(len(rel_index))],
-                       [class_ids[a:b] for a, b in spans],
-                       [splits[a:b] for a, b in spans], edge_labels)
+    try:  # HeteroGraph checks the edges and their labels
+        return HeteroGraph(list(type_index), counts.tolist(),
+                           [texts[a:b] for a, b in spans],
+                           [Relation(*key) for key in rel_index],
+                           [(src[rels == ri], dst[rels == ri])
+                            for ri in range(len(rel_index))],
+                           [class_ids[a:b] for a, b in spans],
+                           [splits[a:b] for a, b in spans], edge_labels)
+    except ContractError:
+        raise _Fault from None
 
 
 def load_graph(directory) -> HeteroGraph:
@@ -622,16 +650,27 @@ def _write_tsv(path: Path, lines) -> None:
         fh.write("\t".join(TSV_COLUMNS[path.name]) + "\n" + "".join(lines))
 
 
+def _breaks_a_line(value: str) -> bool:
+    return "\t" in value or "\n" in value or "\r" in value
+
+
 def save_graph(graph: HeteroGraph, directory) -> None:
     """Write the four TSV files; label files are written even when empty.
-    The graph (HeteroGraph's checks) and every text are checked before any
-    file is opened."""
+    The graph (HeteroGraph's checks), every type and relation name and
+    every text are checked before any file is opened: none may hold a tab,
+    a newline or a carriage return, which the loader reads as field and
+    line ends."""
     graph._validate()
+    for what, name in [*(("node type", t) for t in graph.node_types),
+                       *(("relation", r.name) for r in graph.relations)]:
+        if _breaks_a_line(name):
+            raise ContractError(f"{what} name {name!r} contains a tab, "
+                                f"newline or carriage return")
     for tname, rows in zip(graph.node_types, graph.texts):
-        joined = "".join(rows)
-        if "\t" in joined or "\n" in joined:
-            i = next(i for i, text in enumerate(rows) if "\t" in text or "\n" in text)
-            raise ContractError(f"node {tname}/{i}: text contains tab or newline")
+        if _breaks_a_line("".join(rows)):
+            i = next(i for i, text in enumerate(rows) if _breaks_a_line(text))
+            raise ContractError(f"node {tname}/{i}: text contains tab, "
+                                f"newline or carriage return")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     _write_tsv(d / "nodes.tsv", [
@@ -1090,29 +1129,25 @@ def task_targets(graph: HeteroGraph, task: str, split: int) -> TargetSample:
     """Every row `task` uses on `split`: the split's labeled nodes (node),
     the designated relation's labeled edges (edge), or link_edges (link).
 
-    Kept in graph._cache, so labels are treated as fixed once the graph is
+    Kept with the graph, so labels are treated as fixed once the graph is
     built: train pools and eval rows alike are read once per graph."""
-    key = ("targets", task, split)
-    cached = graph._cache.get(key)
-    if cached is not None:
-        return cached
-    if task == "node":
-        refs, classes = graph.node_label_rows(split)
-        cached = TargetSample("nodes", node_refs=refs, node_classes=classes)
-    elif task == "edge":
-        ri = graph.designated_relation
-        if ri is None:
-            raise ContractError("edge task needs edge labels")
-        s, d, c = graph.edge_labels[ri].rows_for_split(split)
-        cached = TargetSample("edges", edge_rels=np.full(s.size, ri, dtype=np.int64),
-                              edge_srcs=s, edge_dsts=d, edge_classes=c)
-    elif task == "link":
-        rels, s, d = graph.link_edges(split)
-        cached = TargetSample("edges", edge_rels=rels, edge_srcs=s, edge_dsts=d)
-    else:
+    def build():
+        if task == "node":
+            refs, classes = graph.node_label_rows(split)
+            return TargetSample("nodes", node_refs=refs, node_classes=classes)
+        if task == "edge":
+            ri = graph.designated_relation
+            if ri is None:
+                raise ContractError("edge task needs edge labels")
+            s, d, c = graph.edge_labels[ri].rows_for_split(split)
+            return TargetSample("edges", edge_rels=np.full(s.size, ri, dtype=np.int64),
+                                edge_srcs=s, edge_dsts=d, edge_classes=c)
+        if task == "link":
+            rels, s, d = graph.link_edges(split)
+            return TargetSample("edges", edge_rels=rels, edge_srcs=s, edge_dsts=d)
         raise ContractError(f"unknown task '{task}'")
-    graph._cache[key] = cached
-    return cached
+
+    return graph.kept(("targets", task, split), build)
 
 
 def require_targets(graph: HeteroGraph, task: str, split: int) -> TargetSample:

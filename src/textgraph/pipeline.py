@@ -38,11 +38,10 @@ from . import tensor as tg
 from . import text as tx
 from .checkpoint import checkpoint_stem, load_checkpoint, save_checkpoint
 from .errors import ContractError, LoadError, NumericsError
-# _encode_nograd, assemble_features, encode_width, split_train_inference and
-# sample_neighbors are re-exported for callers that import them from here
-from .features import (EmbeddingCache, _encode_nograd, _kept,  # noqa: F401
-                       assemble_features, embed_nodes, encode_width,
-                       node_refs, split_train_inference, token_table)
+# assemble_features and sample_neighbors are re-exported: the benchmark's
+# spans trace them by their pipeline names
+from .features import (EmbeddingCache, assemble_features,  # noqa: F401
+                       embed_nodes, node_refs, token_table)
 from .graph import (SPLIT_NAMES, TARGET_MODES, TEST, TRAIN, VALID, HeteroGraph,
                     PartitionMap, TargetSample, _as_rng, _NoDraw,
                     assign_partitions, require_targets, sample_neighbors,
@@ -340,8 +339,8 @@ def _eval_rows(models: ModelBundle, graph: HeteroGraph) -> EmbeddingCache:
     nothing else, so a reused row is exactly what a fresh encode gives."""
     weights = {name: (p.data.shape, p.data.tobytes())
                for name, p in models.encoder.params.items()}
-    return _kept(graph, "eval_rows", (models.encoder, models.vocab, weights),
-                 lambda: EmbeddingCache(graph.total_nodes, 0))
+    return graph.kept("eval_rows", lambda: EmbeddingCache(graph.total_nodes, 0),
+                      owner=(models.encoder, models.vocab, weights))
 
 
 def full_graph_embeddings(models: ModelBundle, graph: HeteroGraph, *,
@@ -475,11 +474,6 @@ class RunLog:
         self.records.append({
             "kind": "metric", "stage": stage, "epoch": epoch, "split": split,
             "metric": metric, "value": value})
-
-    def metric_values(self, stage: str, metric: str, split: str = "valid"):
-        return [r["value"] for r in self.records
-                if r["kind"] == "metric" and r["stage"] == stage
-                and r["metric"] == metric and r["split"] == split]
 
     def dump_jsonl(self, path: str):
         import json

@@ -8,7 +8,7 @@ gradients into the `.grad` buffer of every tensor built with
 
 An op computes an operand's gradient only when backward can read it: the
 operand is a grad-enabled leaf, or an op output recorded on a tape.  The
-binary ops (add, sub, mul, matmul) and linear decide this per operand when
+binary ops (add, mul, matmul) and linear decide this per operand when
 they run and hand backward None for a constant operand, such as frozen input
 features, a mask or a scale, so no gradient is computed only to be dropped.
 
@@ -55,9 +55,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", grad_enabled=True" if self.grad_enabled else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -65,9 +62,6 @@ class Tensor:
     # operator sugar; scalars are wrapped as constant tensors
     def __add__(self, other):
         return add(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -197,16 +191,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         "add", (a, b), out,
         lambda g: (_unbroadcast(g, a.data.shape) if wa else None,
                    _unbroadcast(g, b.data.shape) if wb else None),
-    )
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    wa, wb = _wants_grad(a), _wants_grad(b)
-    return _record(
-        "sub", (a, b), out,
-        lambda g: (_unbroadcast(g, a.data.shape) if wa else None,
-                   _unbroadcast(-g, b.data.shape) if wb else None),
     )
 
 
@@ -565,17 +549,18 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------- optimizer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam over a dict of parameters; it holds its own step count and moment
     estimates.  step() updates the parameters in place from their .grad,
     skipping any without one (a frozen group); a zero gradient leaves its
     parameter bit-identical."""
 
-    def __init__(self, params: dict[str, Tensor], learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.steps = 0
         # first and second moment estimates, keyed like params
         self.m: dict[str, np.ndarray] = {}
@@ -595,13 +580,13 @@ class Adam:
                 m = self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
     def zero_grad(self):
         for p in self.params.values():

@@ -41,9 +41,6 @@ class Vocab:
     def size(self) -> int:
         return NUM_SPECIALS + len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        return self._index.get(token, UNK_ID)
-
     @classmethod
     def from_texts(cls, texts) -> "Vocab":
         counts = Counter()
@@ -73,11 +70,6 @@ class Vocab:
             return cls(tokens)
         except ContractError as e:
             raise LoadError(f"{p}: {e}") from None
-
-
-def tokenize(vocab: Vocab, text: str, max_len: int) -> np.ndarray:
-    """One text's row of tokenize_batch."""
-    return tokenize_batch(vocab, [text], max_len)[0]
 
 
 def tokenize_batch(vocab: Vocab, texts, max_len: int) -> np.ndarray:

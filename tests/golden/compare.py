@@ -5,11 +5,12 @@ diff everything they write, byte for byte.
 
 Compares the checkout that holds this script with <other checkout>, for
 example a copy of the parent commit.  Each tree synthesizes a graph and runs
-five training configs (a 3-stage link plan, a 3-layer node plan, an edge
+six training configs (a 3-stage link plan, a 3-layer node plan, an edge
 plan with MLM, partition_local targets, independent negatives, HeadOnly and
 a small, stale cache, the same edge plan at capacity 300, where blocks that
-refresh cached keys are stored on a full cache, and a frozen-encoder node
-plan, WarmStartGNN alone, as the node-deep benchmark workload runs it), each
+refresh cached keys are stored on a full cache, a frozen-encoder node plan,
+WarmStartGNN alone, as the node-deep benchmark workload runs it, and the
+link plan on a copy of the graph with texts of 0 to 6 tokens), each
 followed by `eval` of its last checkpoint with the gnn and cls
 representations and by `dump-embeddings`.  Then it writes copies of the graph with one fault each
 (FAULTS) and runs `eval` of the link plan's last checkpoint on each, so the
@@ -70,6 +71,14 @@ CONFIGS = {
 # the edge plan at a capacity where the cache is full while blocks that
 # refresh keys it holds are stored: 83 such blocks evict at seed 0
 CONFIGS["edge300"] = {**CONFIGS["edge"], "cache_capacity": 300}
+# the link plan on graph_ragged, whose texts hold 0 to 6 tokens: it reaches
+# padding masks, cropped tape batches and tape rows narrower than their
+# type's encode width, which every other config's 12-token texts miss
+CONFIGS["ragged"] = {**CONFIGS["link"], "graph_dir": "graph_ragged"}
+
+# node type -> n: graph_ragged is the graph with the text of node (type,
+# local) cut to its first local % n tokens
+RAGGED = {"query": 7, "product": 4}
 
 # one-fault copies of the graph: name -> (file, line, column, new value).
 # The link plan's last checkpoint is evaluated on each; every one must exit 2
@@ -99,23 +108,37 @@ def last_checkpoint(name: str) -> str:
     return f"{name}/stage{len(stages) - 1}_{stages[-1]}"
 
 
+def write_ragged(work: Path):
+    """graph_ragged: graph with each text cut by RAGGED."""
+    shutil.copytree(work / "graph", work / "graph_ragged")
+    path = work / "graph_ragged" / "nodes.tsv"
+    header, *rows = path.read_text(encoding="utf-8").split("\n")
+    for i, row in enumerate(rows):
+        if row:
+            tname, local, text = row.split("\t")
+            kept = text.split()[:int(local) % RAGGED[tname]]
+            rows[i] = "\t".join([tname, local, " ".join(kept)])
+    path.write_text("\n".join([header, *rows]), encoding="utf-8")
+
+
 def run_tree(tree: Path, work: Path, hash_seed: str):
     work.mkdir()
     run(tree, work, "synth", GRAPH, hash_seed)
+    write_ragged(work)
     for name, config in CONFIGS.items():
+        config = {"graph_dir": "graph", **config}
         cfg = work / f"{name}.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in
-                               {"graph_dir": "graph", **config}.items()))
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
         run(tree, work, f"{name}.train", ["train", "--config", cfg.name,
                                           "--out", name], hash_seed)
         last = last_checkpoint(name)
         for rep in ("gnn", "cls"):
             run(tree, work, f"{name}.eval_{rep}",
-                ["eval", last, "graph", "--task", config["task"],
+                ["eval", last, config["graph_dir"], "--task", config["task"],
                  "--representation", rep], hash_seed)
         run(tree, work, f"{name}.dump",
-            ["dump-embeddings", last, "graph", "--out", f"{name}/emb.tsv"],
-            hash_seed)
+            ["dump-embeddings", last, config["graph_dir"], "--out",
+             f"{name}/emb.tsv"], hash_seed)
     for name, (file, line, column, value) in FAULTS.items():
         graph = work / f"graph_{name}"
         shutil.copytree(work / "graph", graph)

@@ -226,6 +226,21 @@ def test_synth_flags_default_to_the_spec():
         == SyntheticSpec()
 
 
+def test_one_parser_parses_each_call_afresh():
+    """main builds its parser once per process; calls of different
+    subcommands in turn still get their own flags and defaults only."""
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    synth = parser.parse_args(["synth", "--out", "a", "--seed", "5"])
+    ev = parser.parse_args(["eval", "ck", "g", "--task", "node"])
+    again = parser.parse_args(["synth", "--out", "b"])
+    assert (synth.fn, synth.out, synth.seed) == (cli.cmd_synth, "a", 5)
+    assert vars(ev) == {"command": "eval", "checkpoint": "ck", "graph_dir": "g",
+                        "task": "node", "split": "test",
+                        "representation": "gnn", "fn": cli.cmd_eval}
+    assert (again.out, again.seed) == ("b", SyntheticSpec().seed)
+
+
 def test_integer_flags_past_int64_exit_2(tmp_path, trained, capsys):
     huge = "99999999999999999999"
     out = tmp_path / "g"

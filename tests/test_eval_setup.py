@@ -104,12 +104,14 @@ def test_cached_rows_cost_no_calls_per_row():
 
 
 def _reference_tokenize(vocab, text, max_len):
-    """The per-text, per-token rule tokenize_batch replaced."""
+    """The per-text, per-token rule tokenize_batch replaced, with ids read
+    from the vocab's token list rather than its index."""
     ids = [tx.CLS_ID]
     for tok in text.lower().split():
         if len(ids) == max_len:
             break
-        ids.append(vocab.id_of(tok))
+        ids.append(tx.NUM_SPECIALS + vocab.tokens.index(tok)
+                   if tok in vocab.tokens else tx.UNK_ID)
     ids.extend([tx.PAD_ID] * (max_len - len(ids)))
     return np.array(ids, dtype=np.int64)
 
@@ -133,7 +135,8 @@ def test_tokenize_batch_matches_the_per_text_rule():
         expected = np.stack([_reference_tokenize(vocab, t, max_len) for t in texts])
         assert table.dtype == np.int64
         assert table.tobytes() == expected.tobytes(), max_len
-        assert tx.tokenize(vocab, texts[5], max_len).tobytes() == expected[5].tobytes()
+        one = tx.tokenize_batch(vocab, [texts[5]], max_len)[0]
+        assert one.tobytes() == expected[5].tobytes()
     with pytest.raises(ContractError, match="max_len must be >= 1"):
         tx.tokenize_batch(vocab, texts, 0)
 

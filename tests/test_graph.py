@@ -222,6 +222,61 @@ def test_save_graph_writes_nothing_when_a_text_is_bad(tmp_path):
         gr.save_graph(graph, tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+
+def _refuses_to_save(graph, directory, phrase):
+    """save_graph raises a ContractError matching phrase and leaves the
+    directory, which holds a saved graph, byte for byte as it was."""
+    gr.save_graph(tiny_graph(), directory)
+    before = {p.name: p.read_bytes() for p in directory.iterdir()}
+    with pytest.raises(ContractError, match=phrase):
+        gr.save_graph(graph, directory)
+    assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
+
+def test_save_graph_refuses_a_carriage_return_in_a_text(tmp_path):
+    """The loader reads "\r" as a line end, so the file would not load."""
+    graph = tiny_graph()
+    graph.texts[1][1] = "b\rone"
+    _refuses_to_save(graph, tmp_path,
+                     "node B/1: text contains tab, newline or carriage return")
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+@pytest.mark.parametrize("what", ["node type", "relation"])
+def test_save_graph_refuses_a_line_break_in_a_name(tmp_path, char, what):
+    name = f"r{char}z"
+    graph = tiny_graph()
+    if what == "node type":
+        graph = gr.HeteroGraph(["A", name], graph.node_counts, graph.texts,
+                               [gr.Relation("A", "r", name)], graph.edges[:1])
+    else:
+        graph.relations[1] = gr.Relation("B", name, "B")
+    _refuses_to_save(graph, tmp_path,
+                     f"{what} name {re.escape(repr(name))} contains a tab")
+
+
+@pytest.mark.parametrize("src, dst, phrase", [
+    ([7], [0], r" \(7, 0\): not an edge of the relation"),
+    ([0, 1, 0], [1, 0, 1], r" \(0, 1\): repeated"),
+    ([0, 1], [1, 1], r" \(1, 1\): not an edge of the relation"),
+    ([0, 1], [1], r": src, dst, class_ids and splits must be 1-D of one length"),
+], ids=["out_of_range", "repeated", "not_an_edge", "column_lengths"])
+def test_edge_labels_name_edges_of_their_relation_once(tmp_path, src, dst, phrase):
+    """An edge-label row the loader would refuse is refused when the graph is
+    built, and by save_graph before it opens a file; so are label columns
+    of different lengths."""
+    graph = tiny_graph()
+    n = len(src)
+    labels = gr.EdgeLabelSet(0, np.array(src), np.array(dst),
+                             np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    bad = r"^edge labels? \('A', 'r', 'B'\)" + phrase
+    with pytest.raises(ContractError, match=bad):
+        gr.HeteroGraph(graph.node_types, graph.node_counts, graph.texts,
+                       graph.relations, graph.edges, edge_labels={0: labels})
+    graph.edge_labels[0] = labels
+    _refuses_to_save(graph, tmp_path, bad)
+
+
 # a valid graph: A has nodes 0 and 1, B has node 0, one edge A/0 -r-> A/1
 VALID_ROWS = {
     "nodes.tsv": ["A\t0\ta", "A\t1\tb", "B\t0\t"],

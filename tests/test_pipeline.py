@@ -42,24 +42,24 @@ def quick_settings(**kw):
 
 def test_split_train_inference_partitions_rows():
     rng = np.random.default_rng(0)
-    train, infer = pl.split_train_inference(100, 30, rng)
+    train, infer = ft.split_train_inference(100, 30, rng)
     assert train.size == 30 and infer.size == 70
     combined = np.sort(np.concatenate([train, infer]))
     assert np.array_equal(combined, np.arange(100))
 
 
 def test_split_train_inference_small_pool_all_train():
-    train, infer = pl.split_train_inference(5, 10, np.random.default_rng(0))
+    train, infer = ft.split_train_inference(5, 10, np.random.default_rng(0))
     assert np.array_equal(train, np.arange(5))
     assert infer.size == 0
 
 
 def test_split_train_inference_deterministic():
-    a = pl.split_train_inference(50, 10, np.random.default_rng(3))
-    b = pl.split_train_inference(50, 10, np.random.default_rng(3))
+    a = ft.split_train_inference(50, 10, np.random.default_rng(3))
+    b = ft.split_train_inference(50, 10, np.random.default_rng(3))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     with pytest.raises(ContractError):
-        pl.split_train_inference(10, -1, np.random.default_rng(0))
+        ft.split_train_inference(10, -1, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------------- cache
@@ -212,7 +212,7 @@ def test_assemble_features_tape_rows_get_gradients(small_graph):
         feats, stats = pl.assemble_features(
             models, small_graph, refs, cache=pl.EmbeddingCache(64, 5),
             train_nodes=4, infer_batch=8, rng=np.random.default_rng(0))
-        loss = tg.tensor_sum(feats * feats)
+        loss = tg.tensor_sum(tg.mul(feats, feats))
         tg.backward(loss, tape)
     emb_grad = models.encoder.params["tok_emb"].grad
     assert emb_grad is not None and np.abs(emb_grad).sum() > 0
@@ -970,7 +970,7 @@ def test_end_to_end_step_writes_every_tape_row_to_the_cache(small_graph,
         value, stamp = first["store"][g]
         assert stamp == first["version"] == 0
         t, local = _global_to_ref(small_graph, g)
-        fresh = pl._encode_nograd(models, small_graph, t, np.array([local]), 16)
+        fresh = ft._encode_nograd(models, small_graph, t, np.array([local]), 16)
         assert value.tobytes() == fresh[0].tobytes(), g
 
 
@@ -987,7 +987,7 @@ def test_ragged_texts_write_back_only_rows_encoded_at_their_type_width(
                          g.edges, g.node_class_ids, g.node_splits,
                          g.edge_labels)
     models = pl.build_models(ragged, quick_settings(), rng=2)
-    widths = [pl.encode_width(models, ragged, t) for t in (0, 1)]
+    widths = [ft.encode_width(models, ragged, t) for t in (0, 1)]
     assert widths[0] != widths[1]
     refs = np.concatenate([_all_refs_of_type(ragged, 0),
                            _all_refs_of_type(ragged, 1)])
@@ -1005,7 +1005,7 @@ def test_ragged_texts_write_back_only_rows_encoded_at_their_type_width(
         outcomes.add((len(expected) > 0, len(expected) < size))
         for key, (value, stamp) in _entries(cache).items():
             t, local = _global_to_ref(ragged, key)
-            fresh = pl._encode_nograd(models, ragged, t, np.array([local]), 16)
+            fresh = ft._encode_nograd(models, ragged, t, np.array([local]), 16)
             assert value.tobytes() == fresh[0].tobytes(), (size, key)
     # some batches write every row back, some a part, some none
     assert outcomes == {(True, False), (True, True), (False, True)}

@@ -14,9 +14,8 @@ def small_vocab():
 def test_vocab_ids_and_unk():
     v = small_vocab()
     assert v.size == 15
-    assert v.id_of("tok0") == 5
-    assert v.id_of("tok9") == 14
-    assert v.id_of("missing") == tx.UNK_ID
+    ids = tx.tokenize_batch(v, ["tok0 tok9 missing"], max_len=4)[0]
+    np.testing.assert_array_equal(ids, [tx.CLS_ID, 5, 14, tx.UNK_ID])
 
 
 def test_vocab_file_round_trip(tmp_path):
@@ -27,8 +26,8 @@ def test_vocab_file_round_trip(tmp_path):
     # id = 5 + line index, by construction of the file
     lines = path.read_text().splitlines()
     v2 = tx.Vocab.load(path)
-    for i, tok in enumerate(lines):
-        assert v2.id_of(tok) == 5 + i
+    ids = tx.tokenize_batch(v2, [" ".join(lines)], max_len=len(lines) + 1)[0]
+    np.testing.assert_array_equal(ids[1:], 5 + np.arange(len(lines)))
     assert v2.tokens == v.tokens
 
 
@@ -44,11 +43,11 @@ def test_vocab_load_rejects_blank_and_duplicates(tmp_path):
 
 def test_tokenize_cls_padding_truncation():
     v = small_vocab()
-    ids = tx.tokenize(v, "TOK0 tok1 missing", max_len=6)
+    ids = tx.tokenize_batch(v, ["TOK0 tok1 missing"], max_len=6)[0]
     np.testing.assert_array_equal(ids, [tx.CLS_ID, 5, 6, tx.UNK_ID, tx.PAD_ID, tx.PAD_ID])
-    trunc = tx.tokenize(v, " ".join(["tok0"] * 50), max_len=4)
+    trunc = tx.tokenize_batch(v, [" ".join(["tok0"] * 50)], max_len=4)[0]
     np.testing.assert_array_equal(trunc, [tx.CLS_ID, 5, 5, 5])
-    empty = tx.tokenize(v, "", max_len=3)
+    empty = tx.tokenize_batch(v, [""], max_len=3)[0]
     np.testing.assert_array_equal(empty, [tx.CLS_ID, tx.PAD_ID, tx.PAD_ID])
 
 
@@ -190,7 +189,7 @@ def test_encode_cls_gradients_match_all_position_path():
 
     def grads(cls_rows):
         for p in m.params.values():
-            p.zero_grad()
+            p.grad = None
         with tg.Tape() as tape:
             loss = tg.tensor_sum(tg.mul(cls_rows(), tg.Tensor(proj)))
             tg.backward(loss, tape)
@@ -244,7 +243,7 @@ def _reference_forward_hidden(model, ids, cls_only=False):
 
 def _forward_and_grads(model, forward, g):
     for p in model.params.values():
-        p.zero_grad()
+        p.grad = None
     with tg.Tape() as tape:
         out = forward()
         loss = tg.tensor_sum(tg.mul(out, tg.Tensor(g)))
