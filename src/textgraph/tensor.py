@@ -17,7 +17,10 @@ add(matmul(...)) and of take_rows over a tiled, prefix or strided index, and
 give their bytes, signed zeros included: take_rows's backward scatters into
 zeros, which turns a -0.0 in g into 0.0, and theirs add g to 0.0 as well.
 relu gives the bytes of np.where(a > 0, a, 0.0): every other input, -0.0 and
-NaN included, maps to 0.0, never to -0.0.
+NaN included, maps to 0.0, never to -0.0; linear(..., relu=True) gives the
+bytes of relu(linear(...)), forward and backward.  attention_weights is
+softmax(add(mul(matmul(q, k_t), scale), mask)) as one node in one buffer and
+gives the composed form's bytes, forward and backward.
 """
 
 from __future__ import annotations
@@ -230,9 +233,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), out, back)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """add(matmul(x, w), b) for 2-D x and w and 1-D b, as one tape node with
-    one output buffer; the bias is added in place."""
+    one output buffer; the bias is added in place.  With relu, relu of that,
+    also in place."""
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2 or b.data.shape != (wd.shape[1],) \
             or xd.shape[1] != wd.shape[0]:
@@ -240,9 +244,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                          f"{xd.shape} @ {wd.shape} + {b.data.shape}")
     out = np.matmul(xd, wd)
     out += b.data
+    if relu:  # as relu() does it; out > 0.0 exactly where its input was
+        np.fmax(out, 0.0, out=out)
+        out += 0.0  # a -0.0 from a BLAS that keeps it, as relu() maps it
     wx, ww, wb = _wants_grad(x), _wants_grad(w), _wants_grad(b)
 
     def back(g):
+        if relu:
+            g = g * (out > 0.0)
         return (np.matmul(g, wd.T) if wx else None,
                 np.matmul(xd.T, g) if ww else None,
                 g.sum(axis=0) if wb else None)
@@ -277,6 +286,44 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (y * (g - dot),)
 
     return _record("softmax", (a,), y, back)
+
+
+# Up to this last-axis width, a column pass (np.maximum over the columns)
+# takes the row max faster than a.max: 4-6x at (64, 4, t, t) for t in 8..24,
+# 5x slower at (64, 4, 64, 64) (timeit, numpy 2.4.6, 2-core x86-64 Xeon).
+_COLUMN_MAX_WIDTH = 24
+
+
+def attention_weights(q: Tensor, k_t: Tensor, scale: float, mask: np.ndarray) -> Tensor:
+    """softmax(add(mul(matmul(q, k_t), Tensor(scale)), Tensor(mask))) as one
+    node, its steps done in place in one buffer.  The row max may hold a
+    signed zero the composed form's does not; exp(-0.0) and exp(0.0) are both
+    1.0, so the output keeps its bytes.  mask is a constant."""
+    qd, kd = q.data, k_t.data
+    y = np.matmul(qd, kd)
+    y *= scale
+    y += mask
+    if y.shape[-1] > _COLUMN_MAX_WIDTH:
+        y -= y.max(axis=-1, keepdims=True)
+    else:
+        m = y[..., :1].copy()
+        for j in range(1, y.shape[-1]):
+            np.maximum(m, y[..., j:j + 1], out=m)
+        y -= m
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    wq, wk = _wants_grad(q), _wants_grad(k_t)
+
+    def back(g):
+        gs = g * y
+        dot = gs.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gs)
+        np.multiply(y, gs, out=gs)
+        gs *= scale
+        return (np.matmul(gs, kd.swapaxes(-1, -2)) if wq else None,
+                np.matmul(qd.swapaxes(-1, -2), gs) if wk else None)
+
+    return _record("attention_weights", (q, k_t), y, back)
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -512,12 +559,19 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     reduce_axes = tuple(range(a.data.ndim - 1))
 
     def back(g):
-        gx_hat = g * gain.data
-        term = gx_hat - gx_hat.mean(axis=-1, keepdims=True) \
-            - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        ggain = (g * xhat).sum(axis=reduce_axes) if reduce_axes else (g * xhat)
+        # inv * (gx - mean(gx) - xhat * mean(gx * xhat)) for gx = g * gain,
+        # step by step in two buffers
+        gx = g * gain.data
+        tmp = gx * xhat
+        m = tmp.mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m, out=tmp)
+        gx -= tmp
+        np.multiply(inv, gx, out=gx)
+        np.multiply(g, xhat, out=tmp)
+        ggain = tmp.sum(axis=reduce_axes) if reduce_axes else tmp
         gbias = g.sum(axis=reduce_axes) if reduce_axes else g
-        return inv * term, ggain, gbias
+        return gx, ggain, gbias
 
     return _record("layer_norm", (a, gain, bias), out, back)
 

@@ -135,6 +135,33 @@ def crop_padding(ids: np.ndarray) -> np.ndarray:
     return ids[:, :width]
 
 
+def _attention(model: TextEncoderModel, i: int, hid: Tensor, mask: np.ndarray,
+               cls_only: bool) -> tuple[Tensor, Tensor]:
+    """Block i's residual input and attention output, each (b * rows, dim).
+
+    Keys and values span all t positions of hid; with cls_only the queries
+    and the residual are the [CLS] rows alone.  Under no_grad the heads, the
+    weights and the context die on return, before the block's MLP runs.
+    """
+    p, h, f = model.params, model.num_heads, model.dim
+    b, t, dh = mask.shape[0], mask.shape[-1], f // h
+
+    def heads(x, name, rows, axes=(0, 2, 1, 3)):
+        lin = tg.linear(x, p[f"blk{i}_w{name}"], p[f"blk{i}_b{name}"])
+        return tg.transpose(tg.reshape(lin, (b, rows, h, dh)), axes)
+
+    k_t = heads(hid, "k", t, axes=(0, 2, 3, 1))  # (b, h, dh, t)
+    v = heads(hid, "v", t)
+    rows = t
+    if cls_only:
+        hid = tg.take_strided(hid, t)
+        rows = 1
+    q = heads(hid, "q", rows)
+    att = tg.attention_weights(q, k_t, 1.0 / np.sqrt(dh), mask)
+    ctx = tg.reshape(tg.transpose(tg.matmul(att, v), (0, 2, 1, 3)), (b * rows, f))
+    return hid, tg.linear(ctx, p[f"blk{i}_wo"], p[f"blk{i}_bo"])
+
+
 def _forward_hidden(model: TextEncoderModel, ids: np.ndarray,
                     cls_only: bool = False) -> Tensor:
     """All-position hidden states, flattened to (B*T, dim).
@@ -148,39 +175,20 @@ def _forward_hidden(model: TextEncoderModel, ids: np.ndarray,
     """
     if ids.ndim != 2:
         raise ContractError(f"token batch must be 2-D, got shape {ids.shape}")
-    b, t = ids.shape
+    t = ids.shape[1]
     if t > model.max_len:
         raise ContractError(f"sequence length {t} exceeds max_len {model.max_len}")
     p = model.params
-    f = model.dim
-    h = model.num_heads
-    dh = f // h
 
     hid = tg.add_tiled(tg.take_rows(p["tok_emb"], ids.ravel()), p["pos_emb"], t)
 
     # additive attention mask: 0 on real keys, -1e30 on padding
-    mask = Tensor(np.where(ids == PAD_ID, -1e30, 0.0)[:, None, None, :])
-    scale = 1.0 / np.sqrt(dh)
+    mask = np.where(ids == PAD_ID, -1e30, 0.0)[:, None, None, :]
     for i in range(model.num_blocks):
-        def heads(x, name, rows, axes=(0, 2, 1, 3)):
-            lin = tg.linear(x, p[f"blk{i}_w{name}"], p[f"blk{i}_b{name}"])
-            return tg.transpose(tg.reshape(lin, (b, rows, h, dh)), axes)
-
-        k_t = heads(hid, "k", t, axes=(0, 2, 3, 1))  # (b, h, dh, t)
-        v = heads(hid, "v", t)
-        rows = t
-        if cls_only and i == model.num_blocks - 1:
-            hid = tg.take_strided(hid, t)
-            rows = 1
-        q = heads(hid, "q", rows)
-        scores = tg.mul(tg.matmul(q, k_t), Tensor(scale))
-        att = tg.softmax(tg.add(scores, mask), axis=-1)
-        ctx = tg.transpose(tg.matmul(att, v), (0, 2, 1, 3))
-        ctx = tg.reshape(ctx, (b * rows, f))
-        out = tg.linear(ctx, p[f"blk{i}_wo"], p[f"blk{i}_bo"])
-        hid = tg.layer_norm(tg.add(hid, out),
+        last_cls = cls_only and i == model.num_blocks - 1
+        hid = tg.layer_norm(tg.add(*_attention(model, i, hid, mask, last_cls)),
                             p[f"blk{i}_ln1_gain"], p[f"blk{i}_ln1_bias"])
-        ff = tg.relu(tg.linear(hid, p[f"blk{i}_ff_w1"], p[f"blk{i}_ff_b1"]))
+        ff = tg.linear(hid, p[f"blk{i}_ff_w1"], p[f"blk{i}_ff_b1"], relu=True)
         ff = tg.linear(ff, p[f"blk{i}_ff_w2"], p[f"blk{i}_ff_b2"])
         hid = tg.layer_norm(tg.add(hid, ff),
                             p[f"blk{i}_ln2_gain"], p[f"blk{i}_ln2_bias"])

@@ -383,6 +383,15 @@ def test_linear_is_bitwise_add_of_matmul_for_every_operand_mix():
         tg.linear(tg.Tensor(x), tg.Tensor(w.T), tg.Tensor(b))
 
 
+def _taped_leaving_inputs(build, operands, g):
+    """_taped, checking that build and its backward leave every operand's
+    data and g as they were."""
+    before = [t.data.tobytes() for t in operands] + [g.tobytes()]
+    run = _taped(build, operands, g)
+    assert [t.data.tobytes() for t in operands] + [g.tobytes()] == before
+    return run
+
+
 def _special_values(n, offset, seed):
     """n values drawn from +-0, +-NaN, +-inf, +-subnormal and +-1, as a view
     starting offset elements into its buffer (so numpy's vector loops meet
@@ -442,7 +451,7 @@ def test_layer_norm_and_softmax_are_bitwise_their_reference_formulas():
         g[..., ::5] = -0.0
         gain, bias = draw.normal(size=shape[-1]), draw.normal(size=shape[-1])
         operands = [tg.Tensor(v, grad_enabled=True) for v in (a, gain, bias)]
-        out, _, grads = _taped(tg.layer_norm, operands, g)
+        out, _, grads = _taped_leaving_inputs(tg.layer_norm, operands, g)
         ref_out, ref_grads = _layer_norm_reference(a, gain, bias, g)
         assert _same_bytes(out, ref_out), shape
         for grad, ref in zip(grads, ref_grads):
@@ -454,6 +463,92 @@ def test_layer_norm_and_softmax_are_bitwise_their_reference_formulas():
             ref_out, ref_grads = _softmax_reference(logits, g)
             assert _same_bytes(out, ref_out), shape
             assert _same_bytes(grads[0], ref_grads[0]), shape
+
+
+def _composed_attention(scale, mask):
+    return lambda q, k_t: tg.softmax(
+        tg.add(tg.mul(tg.matmul(q, k_t), tg.Tensor(scale)), tg.Tensor(mask)), axis=-1)
+
+
+@pytest.mark.parametrize("width", [1, 5, tg._COLUMN_MAX_WIDTH, tg._COLUMN_MAX_WIDTH + 1, 41])
+@pytest.mark.parametrize("rows", ["all", 1])
+def test_attention_weights_is_bitwise_its_composed_ops(width, rows):
+    """attention_weights gives softmax(add(mul(matmul))) byte for byte, its
+    output and every operand's gradient, with masked keys and -0.0 in the
+    upstream gradient, on both sides of the row-max width rule and for a
+    1-row query; it leaves q, k_t, the mask and g unchanged."""
+    draw = np.random.default_rng(width)
+    b, h, dh = 3, 2, 4
+    rows = width if rows == "all" else rows
+    q = draw.normal(size=(b, h, rows, dh)) * 10.0 ** draw.integers(-3, 3, size=(b, h, rows, dh))
+    k_t = draw.normal(size=(b, h, dh, width))
+    mask = np.zeros((b, 1, 1, width))
+    mask[1, ..., width // 2 + 1:] = -1e30  # padded keys; row 0 has none
+    mask[2, ..., 1:] = -1e30  # only the [CLS] key is real
+    g = draw.normal(size=(b, h, rows, width))
+    g[..., ::3] = -0.0
+    scale = 1.0 / np.sqrt(dh)
+    composed = _composed_attention(scale, mask)
+    for wants in itertools.product((False, True), repeat=2):
+        runs = []
+        for build in (lambda q, k_t: tg.attention_weights(q, k_t, scale, mask), composed):
+            operands = [tg.Tensor(v, grad_enabled=want) for v, want in zip((q, k_t), wants)]
+            mask_before = mask.tobytes()
+            runs.append(_taped_leaving_inputs(build, operands, g))
+            assert mask.tobytes() == mask_before
+        (out, _, grads), (ref_out, _, ref_grads) = runs
+        assert _same_bytes(out, ref_out), wants
+        for grad, ref in zip(grads, ref_grads):
+            assert _same_bytes(grad, ref), wants
+
+
+def test_attention_weights_row_max_of_signed_zeros():
+    """A row whose scores are 0.0 and -0.0 in either order: the row max may
+    be either zero, and the weights keep the composed form's bytes."""
+    q = np.array([1.0, -1.0]).reshape(1, 1, 2, 1)
+    k_t = np.zeros((1, 1, 1, 2))
+    g = np.array([[-0.0, 1.0], [2.0, -0.0]]).reshape(1, 1, 2, 2)
+    for mask in (np.array([0.0, -0.0]), np.array([-0.0, 0.0])):
+        mask = mask.reshape(1, 1, 1, 2)
+        runs = [_taped(build, [tg.Tensor(q, grad_enabled=True), tg.Tensor(k_t, grad_enabled=True)], g)
+                for build in (lambda q, k_t: tg.attention_weights(q, k_t, 0.5, mask),
+                              _composed_attention(0.5, mask))]
+        (out, _, grads), (ref_out, _, ref_grads) = runs
+        assert _same_bytes(out, ref_out)
+        assert all(_same_bytes(a, r) for a, r in zip(grads, ref_grads))
+
+
+def test_linear_relu_is_bitwise_relu_of_linear_over_special_values():
+    """linear(..., relu=True) gives relu(linear(...)) byte for byte, output
+    and gradients, for pre-activations of 0.0, +-inf, NaN, +-subnormal and
+    +-1 at every tail length of numpy's loops; it leaves x, w, b and g
+    unchanged.  x and b hold -0.0 too, but a matmul whose sums start at
+    0.0, as numpy's and OpenBLAS's do, never returns -0.0, so no
+    pre-activation is -0.0 where that holds."""
+    reached = set()
+    for n in range(1, 40):
+        for m in (1, 2, 3, 5, 8):
+            # pre-activation [i, j] is x[i] * w[j] + b[j]: x[i] or -x[i]
+            x = _special_values(n, 0, seed=n)[:, None]
+            w = np.resize([1.0, -1.0], m)[None, :]
+            b = np.full(m, -0.0)
+            g = _special_values(n * m, 1, seed=n + 1000).reshape(n, m)
+            with np.errstate(invalid="ignore"):
+                pre = np.matmul(x, w) + b
+            reached.update(map(float.hex, pre.ravel().tolist()))
+            runs = []
+            for build in (lambda x, w, b: tg.linear(x, w, b, relu=True),
+                          lambda x, w, b: tg.relu(tg.linear(x, w, b))):
+                operands = [tg.Tensor(v, grad_enabled=True) for v in (x, w, b)]
+                with np.errstate(invalid="ignore"):  # inf * 0.0 and inf - inf
+                    runs.append(_taped_leaving_inputs(build, operands, g))
+            (out, _, grads), (ref_out, _, ref_grads) = runs
+            assert _same_bytes(out, ref_out), (n, m)
+            assert out.tobytes() == np.where(ref_out > 0, ref_out, 0.0).tobytes()
+            for grad, ref in zip(grads, ref_grads):
+                assert _same_bytes(grad, ref), (n, m)
+    assert {"0x0.0p+0", "inf", "-inf", "nan", "0x0.0000000000001p-1022",
+            "-0x0.0000000000001p-1022", "0x1.0000000000000p+0"} <= reached
 
 
 # ------------------------------------------------------- backward contracts

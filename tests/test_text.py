@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -302,11 +304,37 @@ def test_position_add_and_cls_pick_are_bitwise_their_scatter_forms():
 
 
 def test_encode_cls_tape_nodes():
-    """A 64-row, 2-block tape encode records 51 nodes: per block, one linear
-    per projection, one transpose per head split and no bias adds."""
+    """A 64-row, 2-block tape encode records 43 nodes: per block, one linear
+    per projection (the first feed-forward one with its relu), one transpose
+    per head split, one attention_weights node and no bias adds."""
     v, table = _varied_table(64, seed=5)
     m = tx.TextEncoderModel(v.size, dim=64, num_heads=4, num_blocks=2,
                             max_len=32, rng=6)
     with tg.Tape() as tape:
         tx.encode_cls(m, table)
-    assert len(tape) == 51
+    assert len(tape) == 43
+
+
+def test_nograd_encode_peak_memory():
+    """A no-grad encode of 200 rows x 13 tokens at dim 64 holds at most 3
+    feed-forward hiddens' worth of numpy memory at its peak (tracemalloc):
+    the attention buffers die before the MLP runs and the relu works in
+    place on the first projection."""
+    rows, width, dim = 200, 13, 64
+    v = tx.Vocab([f"t{i}" for i in range(50)])
+    draw = np.random.default_rng(0)
+    texts = [" ".join(f"t{j}" for j in draw.integers(50, size=width - 1))
+             for _ in range(rows)]
+    table = tx.tokenize_batch(v, texts, width)
+    m = tx.TextEncoderModel(v.size, dim=dim, num_heads=4, num_blocks=2,
+                            max_len=32, rng=0)
+    with tg.no_grad():
+        tx.encode_cls(m, table, crop=False)  # first-call allocations
+        tracemalloc.start()
+        try:
+            tx.encode_cls(m, table, crop=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    ff_hidden = rows * width * 4 * dim * 8  # one (rows * t, 4 * dim) float64
+    assert peak / ff_hidden <= 3.0
