@@ -288,28 +288,26 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record("softmax", (a,), y, back)
 
 
-# Up to this last-axis width, a column pass (np.maximum over the columns)
-# takes the row max faster than a.max: 4-6x at (64, 4, t, t) for t in 8..24,
-# 5x slower at (64, 4, 64, 64) (timeit, numpy 2.4.6, 2-core x86-64 Xeon).
-_COLUMN_MAX_WIDTH = 24
-
-
 def attention_weights(q: Tensor, k_t: Tensor, scale: float, mask: np.ndarray) -> Tensor:
     """softmax(add(mul(matmul(q, k_t), Tensor(scale)), Tensor(mask))) as one
-    node, its steps done in place in one buffer.  The row max may hold a
-    signed zero the composed form's does not; exp(-0.0) and exp(0.0) are both
-    1.0, so the output keeps its bytes.  mask is a constant."""
+    node, its steps done in place in one buffer; q and k_t follow matmul's
+    shape rules.  The row max is a pass over the key columns, which beats
+    a.max on the encoder's short rows (5.9x at (200, 4, 13, 13), 3.2x at
+    (64, 4, 24, 24), 0.6x at (64, 4, 32, 32); timeit, numpy 2.4.6, 2-core
+    x86-64 Xeon).  It may hold a signed zero the composed form's does not;
+    exp(-0.0) and exp(0.0) are both 1.0, so the output keeps its bytes.
+    mask is a constant."""
     qd, kd = q.data, k_t.data
+    if qd.ndim < 2 or qd.ndim != kd.ndim or qd.shape[-1] != kd.shape[-2] \
+            or qd.shape[:-2] != kd.shape[:-2]:
+        raise ShapeError(f"attention_weights shape mismatch: {qd.shape} @ {kd.shape}")
     y = np.matmul(qd, kd)
     y *= scale
     y += mask
-    if y.shape[-1] > _COLUMN_MAX_WIDTH:
-        y -= y.max(axis=-1, keepdims=True)
-    else:
-        m = y[..., :1].copy()
-        for j in range(1, y.shape[-1]):
-            np.maximum(m, y[..., j:j + 1], out=m)
-        y -= m
+    m = y[..., :1].copy()
+    for j in range(1, y.shape[-1]):
+        np.maximum(m, y[..., j:j + 1], out=m)
+    y -= m
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     wq, wk = _wants_grad(q), _wants_grad(k_t)

@@ -4,20 +4,18 @@ diff everything they write, byte for byte.
     python tests/golden/compare.py <other checkout>
 
 Compares the checkout that holds this script with <other checkout>, for
-example a copy of the parent commit.  Each tree synthesizes two graphs and runs
-seven training configs (a 3-stage link plan, a 3-layer node plan, an edge
+example a copy of the parent commit.  Each tree synthesizes a graph and runs
+six training configs (a 3-stage link plan, a 3-layer node plan, an edge
 plan with MLM, partition_local targets, independent negatives, HeadOnly and
 a small, stale cache, the same edge plan at capacity 300, where blocks that
 refresh cached keys are stored on a full cache, a frozen-encoder node plan,
-WarmStartGNN alone, as the node-deep benchmark workload runs it, the
-link plan on a copy of the graph with texts of 0 to 6 tokens, and a small
-link plan at max_len 48 on a smaller graph with texts of up to 40 tokens),
-each followed by `eval` of its last checkpoint with the gnn and cls
+WarmStartGNN alone, as the node-deep benchmark workload runs it, and the
+link plan on a copy of the graph with texts of 0 to 6 tokens), each
+followed by `eval` of its last checkpoint with the gnn and cls
 representations and by `dump-embeddings`.  Then it writes copies of the graph with one fault each
 (FAULTS) and runs `eval` of the link plan's last checkpoint on each, so the
 load errors are compared too; each of those commands must exit 2.  Every
-command is a fresh `python -m textgraph.cli` process with one BLAS thread
-(the max_len 48 train runs the same `main` through LAUNCH_MAX_LEN),
+command is a fresh `python -m textgraph.cli` process with one BLAS thread,
 since the thread count changes a training run's float sums; the two trees
 run under different PYTHONHASHSEED values, so comparing a checkout with
 itself (`compare.py .`) checks that no output depends on the hash seed.
@@ -44,9 +42,6 @@ from pathlib import Path
 HERE_TREE = Path(__file__).resolve().parents[2]
 
 GRAPH = ["synth", "--out", "graph", "--seed", "0", "--nodes-per-type", "500"]
-# graph_long's source: 40 tokens per text
-GRAPH_LONG = ["synth", "--out", "graph_long_full", "--seed", "0",
-              "--nodes-per-type", "80", "--tokens-per-node", "40"]
 
 # name -> train config; its last checkpoint is evaluated on its task
 CONFIGS = {
@@ -81,28 +76,9 @@ CONFIGS["edge300"] = {**CONFIGS["edge"], "cache_capacity": 300}
 # type's encode width, which every other config's 12-token texts miss
 CONFIGS["ragged"] = {**CONFIGS["link"], "graph_dir": "graph_ragged"}
 
-# the link plan's stages on graph_long, whose texts hold up to 40 tokens, at
-# max_len 48: encodes over 24 keys wide take attention_weights' other row-max
-# rule, which every other config's 13-key attention misses
-CONFIGS["long"] = {
-    "task": "link", "stages": "PreFineTuneLM,WarmStartGNN,EndToEnd",
-    "epochs": "1,1,1", "batch_size": 16, "fanouts": 4, "num_layers": 1,
-    "negatives_k": 2, "budget_train_nodes": 32, "max_len": 48,
-    "graph_dir": "graph_long",
-}
-
-# max_len is not a config file key; a train whose config sets it runs
-# textgraph.cli's main with the key allowed
-LAUNCH_MAX_LEN = ("import sys, textgraph.cli as cli; "
-                  "cli._CONFIG_DEFAULTS['max_len'] = 32; "
-                  "sys.exit(cli.main(sys.argv[1:]))")
-
-# cut graph name -> (source graph, node type -> n): the text of node (type,
-# local) is cut to its first local % n tokens
-CUTS = {
-    "graph_ragged": ("graph", {"query": 7, "product": 4}),
-    "graph_long": ("graph_long_full", {"query": 41, "product": 29}),
-}
+# node type -> n: graph_ragged is the graph with the text of node (type,
+# local) cut to its first local % n tokens
+RAGGED = {"query": 7, "product": 4}
 
 # one-fault copies of the graph: name -> (file, line, column, new value).
 # The link plan's last checkpoint is evaluated on each; every one must exit 2
@@ -114,13 +90,12 @@ FAULTS = {
 }
 
 
-def run(tree: Path, work: Path, name: str, argv: list[str], hash_seed: str,
-        launch: tuple[str, str] = ("-m", "textgraph.cli")):
+def run(tree: Path, work: Path, name: str, argv: list[str], hash_seed: str):
     """One CLI command of tree, run in work; its stdout, stderr and exit code
     are kept as output files <name>.stdout, .stderr and .exit."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED=hash_seed,
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, *launch, *argv], cwd=work,
+    done = subprocess.run([sys.executable, "-m", "textgraph.cli", *argv], cwd=work,
                           env=env, capture_output=True, text=True)
     for suffix, text in (("stdout", done.stdout), ("stderr", done.stderr),
                          ("exit", f"{done.returncode}\n")):
@@ -133,16 +108,15 @@ def last_checkpoint(name: str) -> str:
     return f"{name}/stage{len(stages) - 1}_{stages[-1]}"
 
 
-def write_cut(work: Path, name: str):
-    """The graph CUTS[name]: its source graph with each text cut."""
-    source, cuts = CUTS[name]
-    shutil.copytree(work / source, work / name)
-    path = work / name / "nodes.tsv"
+def write_ragged(work: Path):
+    """graph_ragged: graph with each text cut by RAGGED."""
+    shutil.copytree(work / "graph", work / "graph_ragged")
+    path = work / "graph_ragged" / "nodes.tsv"
     header, *rows = path.read_text(encoding="utf-8").split("\n")
     for i, row in enumerate(rows):
         if row:
             tname, local, text = row.split("\t")
-            kept = text.split()[:int(local) % cuts[tname]]
+            kept = text.split()[:int(local) % RAGGED[tname]]
             rows[i] = "\t".join([tname, local, " ".join(kept)])
     path.write_text("\n".join([header, *rows]), encoding="utf-8")
 
@@ -150,16 +124,13 @@ def write_cut(work: Path, name: str):
 def run_tree(tree: Path, work: Path, hash_seed: str):
     work.mkdir()
     run(tree, work, "synth", GRAPH, hash_seed)
-    run(tree, work, "synth_long", GRAPH_LONG, hash_seed)
-    for name in CUTS:
-        write_cut(work, name)
+    write_ragged(work)
     for name, config in CONFIGS.items():
         config = {"graph_dir": "graph", **config}
         cfg = work / f"{name}.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
-        launch = ("-c", LAUNCH_MAX_LEN) if "max_len" in config else ("-m", "textgraph.cli")
         run(tree, work, f"{name}.train", ["train", "--config", cfg.name,
-                                          "--out", name], hash_seed, launch)
+                                          "--out", name], hash_seed)
         last = last_checkpoint(name)
         for rep in ("gnn", "cls"):
             run(tree, work, f"{name}.eval_{rep}",

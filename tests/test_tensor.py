@@ -470,13 +470,14 @@ def _composed_attention(scale, mask):
         tg.add(tg.mul(tg.matmul(q, k_t), tg.Tensor(scale)), tg.Tensor(mask)), axis=-1)
 
 
-@pytest.mark.parametrize("width", [1, 5, tg._COLUMN_MAX_WIDTH, tg._COLUMN_MAX_WIDTH + 1, 41])
+@pytest.mark.parametrize("width", [1, 5, 13, 32, 41])
 @pytest.mark.parametrize("rows", ["all", 1])
 def test_attention_weights_is_bitwise_its_composed_ops(width, rows):
     """attention_weights gives softmax(add(mul(matmul))) byte for byte, its
     output and every operand's gradient, with masked keys and -0.0 in the
-    upstream gradient, on both sides of the row-max width rule and for a
-    1-row query; it leaves q, k_t, the mask and g unchanged."""
+    upstream gradient, at the benchmark graphs' 13 keys, the CLI's 32 and
+    past them, and for a 1-row query; it leaves q, k_t, the mask and g
+    unchanged."""
     draw = np.random.default_rng(width)
     b, h, dh = 3, 2, 4
     rows = width if rows == "all" else rows
@@ -500,6 +501,24 @@ def test_attention_weights_is_bitwise_its_composed_ops(width, rows):
         assert _same_bytes(out, ref_out), wants
         for grad, ref in zip(grads, ref_grads):
             assert _same_bytes(grad, ref), wants
+
+
+@pytest.mark.parametrize("q_shape,k_shape", [
+    ((2, 3, 4), (1, 4, 5)),  # leading axes that numpy would broadcast
+    ((3, 4), (2, 4, 5)),  # unequal ndim
+    ((2, 3, 4), (2, 5, 5)),  # inner axes disagree
+    ((4,), (4,)),  # 1-D
+])
+def test_attention_weights_refuses_what_matmul_refuses(q_shape, k_shape):
+    """attention_weights checks q and k_t as matmul does, so a shape the
+    composed form refuses is not broadcast into gradients of the wrong
+    shape."""
+    q, k_t = tg.Tensor(np.ones(q_shape)), tg.Tensor(np.ones(k_shape))
+    mask = np.zeros(k_shape[-1:])
+    with pytest.raises(ShapeError):
+        tg.matmul(q, k_t)
+    with pytest.raises(ShapeError):
+        tg.attention_weights(q, k_t, 0.5, mask)
 
 
 def test_attention_weights_row_max_of_signed_zeros():
