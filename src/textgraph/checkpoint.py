@@ -93,6 +93,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise LoadError(f"{bin_path}: array '{name}' holds a non-finite value")
         arrays[name] = chunk.astype(np.float64).reshape(shape)
         offset += n
-    if flat.size != offset:
-        raise LoadError(f"{bin_path}: size {flat.size} values, manifest expects {offset}")
+    size = bin_path.stat().st_size  # fromfile drops a partial trailing value
+    if size != 8 * offset:
+        raise LoadError(f"{bin_path}: size {size} bytes, manifest expects "
+                        f"{8 * offset} ({offset} float64 values)")
     return arrays, meta

@@ -16,10 +16,10 @@ pools, batches and evals all read it.
 
 On-disk format is a directory of TSV files: nodes.tsv, edges.tsv, and the
 optional node_labels.tsv / edge_labels.tsv.  TSV_COLUMNS gives each file's
-columns, which are also its header row, and _COLUMN_PARSERS the parser of
-each id, class and split column.  The loader parses each file a column at a
-time; when a check fails, the line parser reads the files again by these
-tables, so each load error names its file and line.
+columns, which are also its header row.  The loader parses each file a
+column at a time, and each of its rules marks every row it faults; the
+first fault, in the order a reader going line by line would meet it, is a
+load error naming its file and line.
 Each edges.tsv line is one edge, a repeated line included, and a graph may
 have no edges.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +115,34 @@ class EdgeLabelSet:
     def rows_for_split(self, split: int):
         m = self.splits == split
         return self.src[m], self.dst[m], self.class_ids[m]
+
+
+def _repeats(*keys: np.ndarray) -> np.ndarray:
+    """The mask of the rows that equal an earlier row in every key."""
+    order = np.lexsort(keys)  # stable: equal rows stay in row order
+    same = np.ones(max(order.size - 1, 0), dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        same &= ordered[1:] == ordered[:-1]
+    repeated = np.zeros(order.size, dtype=bool)
+    repeated[order[1:][same]] = True
+    return repeated
+
+
+def _label_faults(ns: int, nd: int, edges, src: np.ndarray, dst: np.ndarray):
+    """The (missing, repeated) masks of one relation's label rows (src,
+    dst): rows that name none of the relation's edges = (src ids, dst ids),
+    and rows whose pair an earlier row has.  The relation runs from a type
+    of ns nodes to a type of nd nodes."""
+    # one int64 code per (src, dst) pair, distinct while ns * nd < 2**63
+    # (unless both types hold over 3e9 nodes); -1 for ids out of range
+    codes = src.astype(np.int64) * nd + dst
+    codes[(src < 0) | (src >= ns) | (dst < 0) | (dst >= nd)] = -1
+    known = np.sort(edges[0] * nd + edges[1])
+    at = np.searchsorted(known, codes)
+    found = at < known.size
+    found[found] = known[at[found]] == codes[found]
+    return ~found, _repeats(codes)
 
 
 class HeteroGraph:
@@ -210,22 +238,12 @@ class HeteroGraph:
                                 f"{labels.dst[i]}): {why}")
 
         ns, nd = (self.node_counts[t] for t in self.relation_types[ri].tolist())
-        src, dst = self.edges[ri]
-        # one int64 code per (src, dst) pair, distinct while ns * nd < 2**63
-        # (unless both types hold over 3e9 nodes); -1 for ids out of range
-        codes = labels.src.astype(np.int64) * nd + labels.dst
-        codes[(labels.src < 0) | (labels.src >= ns)
-              | (labels.dst < 0) | (labels.dst >= nd)] = -1
-        edges = np.sort(src * nd + dst)
-        at = np.searchsorted(edges, codes)
-        found = at < edges.size
-        found[found] = edges[at[found]] == codes[found]
-        if not found.all():
-            fail(found.argmin(), "not an edge of the relation")
-        order = np.argsort(codes, kind="stable")
-        repeats = order[1:][np.diff(codes[order]) == 0]
-        if repeats.size:
-            fail(repeats.min(), "repeated")
+        missing, repeated = _label_faults(ns, nd, self.edges[ri], labels.src,
+                                          labels.dst)
+        if missing.any():
+            fail(missing.argmax(), "not an edge of the relation")
+        if repeated.any():
+            fail(repeated.argmax(), "repeated")
         bad = np.flatnonzero((labels.splits < 0) | (labels.splits > TEST))
         if bad.size:
             fail(bad[0], f"split {labels.splits[bad[0]]} is not 0, 1 or 2")
@@ -331,10 +349,9 @@ class HeteroGraph:
 # ----------------------------------------------------------------- file IO
 
 
-# The on-disk format: each file's columns, which are also its header line,
-# and (_COLUMN_PARSERS) the parser of every column that holds no name or
-# text.  save_graph writes the headers; load_graph checks them and parses
-# every line's fields.
+# The on-disk format: each file's columns, which are also its header line.
+# save_graph writes the headers; load_graph checks them and parses each id,
+# class_id and split column by its rule.
 TSV_COLUMNS = {
     "nodes.tsv": ("node_type", "local_id", "text"),
     "edges.tsv": ("src_type", "src_id", "relation", "dst_type", "dst_id"),
@@ -343,38 +360,16 @@ TSV_COLUMNS = {
                         "class_id", "split"),
 }
 
-
-def _int(value: str) -> int:
-    """An optional "-" and ASCII digits, nothing else: int() alone would
-    also take spaces, a "+", "_" between digits and non-ASCII digits."""
-    if value.isascii() and value.isdigit():
-        return int(value)
-    digits = value[1:] if value[:1] == "-" else ""
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(value)
-    return int(value)
+_INT_COLUMNS = ("local_id", "src_id", "dst_id", "class_id")
+_SPLIT_INDEX = {name: i for i, name in enumerate(SPLIT_NAMES)}
 
 
-def _class_id(value: str) -> int:
-    cls = _int(value)
-    if not 0 <= cls < 2 ** 63:  # stored as int64
-        raise ValueError(value)
-    return cls
-
-
-# a parser raises ValueError on a field it rejects; _field_error says why
-_COLUMN_PARSERS = {"local_id": _int, "src_id": _int, "dst_id": _int,
-                   "class_id": _class_id, "split": SPLIT_NAMES.index}
-
-
-def _field_error(column: str, value: str) -> str:
-    if column == "split":
-        return f"split must be one of {SPLIT_NAMES}, got {value!r}"
-    try:
-        number = _int(value)
-    except ValueError:
-        return f"{column} is not an integer: {value!r}"
-    return f"{column} must be >= 0 and < 2**63, got {number}"
+def _int(value: str) -> int | None:
+    """value as an int when it is an optional "-" and ASCII digits, nothing
+    else (int() alone would also take spaces, a "+", "_" between digits and
+    non-ASCII digits); None otherwise."""
+    digits = value[1:] if value[:1] == "-" else value
+    return int(value) if digits.isascii() and digits.isdigit() else None
 
 
 def read_text(path) -> str:
@@ -386,262 +381,206 @@ def read_text(path) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
+        head = data[:e.start].replace(b"\r\n", b"\n")
+        line = head.count(b"\n") + head.count(b"\r") + 1
         raise LoadError(f"{path}:{line}: not UTF-8 text ({e.reason})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _read_tsv(path: Path, add_row) -> None:
-    """Check the header line, then call add_row(*fields) on every non-empty
-    line, each field parsed by its column's _COLUMN_PARSERS entry (the rest
-    stay strings).  A wrong field count, a field its parser rejects and a
-    LoadError from add_row raise LoadError naming the file and line."""
-    columns = TSV_COLUMNS[path.name]
-    parsers = [(i, _COLUMN_PARSERS[c]) for i, c in enumerate(columns)
-               if c in _COLUMN_PARSERS]
-    header = "\t".join(columns)
-    first, *lines = read_text(path).split("\n")
-    if first != header:
-        raise LoadError(f"{path}:1: expected the header {header!r}")
-    try:
-        for lineno, line in enumerate(lines, start=2):
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != len(columns):
-                raise LoadError(f"expected {len(columns)} tab-separated "
-                                f"fields, got {len(fields)}")
-            for i, parse in parsers:
-                try:
-                    fields[i] = parse(fields[i])
-                except ValueError:
-                    raise LoadError(_field_error(columns[i], fields[i])) from None
-            add_row(*fields)
-    except LoadError as e:
-        raise LoadError(f"{path}:{lineno}: {e}") from None
+class _Faults:
+    """The first fault of one graph file, as a reader going line by line
+    would meet it.  The rows are the file's non-empty lines after the
+    header.  Rules are noted in the order such a reader checks a line: the
+    field count, each parsed field in column order, then the line's
+    references.  The earliest row wins, and on one row the rule noted first.
+    A value that a rule could not read is a fault on its own row, so a
+    stand-in for it adds faults only on that row or on later rows."""
 
+    def __init__(self, path: Path):
+        self.path = path
+        self.row = None
+        self.why = None
 
-def _load_graph_by_line(d: Path) -> HeteroGraph:
-    """load_graph's result, each file parsed a line at a time: the one source
-    of every LoadError message that names a rule."""
-    texts_of: dict[str, dict[int, str]] = {}  # types in order of first use
+    def note(self, bad: np.ndarray, why) -> None:
+        """The rows where bad is set break a rule; why(fields) names the
+        fault from the fields of such a row."""
+        if bad.any():
+            row = int(bad.argmax())
+            if self.row is None or row < self.row:
+                self.row, self.why = row, why
 
-    def add_node(tname, local, text):
-        bucket = texts_of.setdefault(tname, {})
-        if local in bucket:
-            raise LoadError(f"duplicate node {tname}/{local}")
-        bucket[local] = text
-
-    _read_tsv(d / "nodes.tsv", add_node)
-    for tname, bucket in texts_of.items():
-        if sorted(bucket) != list(range(len(bucket))):
-            raise LoadError(f"{d / 'nodes.tsv'}: type '{tname}' ids must be "
-                            f"dense 0..{len(bucket) - 1}")
-    texts = [[bucket[i] for i in range(len(bucket))] for bucket in texts_of.values()]
-    node_counts = [len(rows) for rows in texts]
-    type_index = {t: i for i, t in enumerate(texts_of)}
-
-    def node(tname, local, column) -> int:
-        """The type index of node tname/local, which must exist."""
-        ti = type_index.get(tname)
-        if ti is None:
-            raise LoadError(f"unknown node type '{tname}'")
-        if not 0 <= local < node_counts[ti]:
-            raise LoadError(f"{column} {local} out of range for type '{tname}'")
-        return ti
-
-    edges_of: dict[tuple, tuple[list, list]] = {}  # relations in order of first use
-
-    def add_edge(st, s, rname, dt, t):
-        node(st, s, "src_id")
-        node(dt, t, "dst_id")
-        pairs = edges_of.get((st, rname, dt))
-        if pairs is None:
-            pairs = edges_of[st, rname, dt] = ([], [])
-        pairs[0].append(s)
-        pairs[1].append(t)
-
-    _read_tsv(d / "edges.tsv", add_edge)
-    rel_index = {key: ri for ri, key in enumerate(edges_of)}
-
-    node_class_ids = [np.full(c, -1, dtype=np.int64) for c in node_counts]
-    node_splits = [np.full(c, -1, dtype=np.int64) for c in node_counts]
-
-    def add_node_label(tname, local, cls, split):
-        ti = node(tname, local, "local_id")
-        if node_class_ids[ti][local] != -1:
-            raise LoadError(f"duplicate label for {tname}/{local}")
-        node_class_ids[ti][local] = cls
-        node_splits[ti][local] = split
-
-    # per labeled relation, in order of first label: its edges as a set, and
-    # (src, dst) -> (class, split) in file order
-    labeled: dict[int, tuple[set, dict]] = {}
-
-    def add_edge_label(st, s, rname, dt, t, cls, split):
-        ri = rel_index.get((st, rname, dt))
-        if ri is None:
-            raise LoadError(f"unknown relation {(st, rname, dt)}")
-        if ri not in labeled:
-            labeled[ri] = (set(zip(*edges_of[st, rname, dt])), {})
-        pairs, rows = labeled[ri]
-        if (s, t) not in pairs:
-            raise LoadError(f"labeled edge ({s}, {t}) not in edges.tsv")
-        if (s, t) in rows:
-            raise LoadError(f"duplicate edge label ({s}, {t})")
-        rows[s, t] = (cls, split)
-
-    for name, add_row in (("node_labels.tsv", add_node_label),
-                          ("edge_labels.tsv", add_edge_label)):
-        if (d / name).exists():
-            _read_tsv(d / name, add_row)
-    edge_labels = {}
-    for ri, (_, rows) in labeled.items():
-        columns = (*zip(*rows), *zip(*rows.values()))  # src, dst, class, split
-        edge_labels[ri] = EdgeLabelSet(ri, *(np.array(c, dtype=np.int64)
-                                             for c in columns))
-    edges = [(np.array(s, dtype=np.int64), np.array(t, dtype=np.int64))
-             for s, t in edges_of.values()]
-    return HeteroGraph(list(texts_of), node_counts, texts,
-                       [Relation(*key) for key in edges_of], edges,
-                       node_class_ids, node_splits, edge_labels)
-
-
-class _Fault(Exception):
-    """A graph file breaks a loader rule; _load_graph_by_line says which."""
-
-
-_SPLIT_INDEX = {name: i for i, name in enumerate(SPLIT_NAMES)}
+    def check(self) -> None:
+        """Raise the first fault as a LoadError naming its file and line."""
+        if self.why is None:
+            return
+        lines = enumerate(read_text(self.path).split("\n")[1:], start=2)
+        lineno, line = next(islice(((n, line) for n, line in lines if line),
+                                   self.row, None))
+        fields = line.split("\t")
+        raise LoadError(f"{self.path}:{lineno}: {self.why(fields)}")
 
 
 def _int_column(values: list[str]) -> np.ndarray:
-    """values as int64; each must be ASCII digits below 2**63, else a fault.
-    The line parser also takes a "-" sign, which no valid id or class has
-    besides "-0"."""
+    """values as int64, -1 for a value that is no _int.  An integer outside
+    [0, 2**63) reads as a stand-in below -1 that only an equal integer
+    shares: it is out of every id range, and equal ids stay equal."""
     digits = "".join(values)
-    if values and ("" in values or not (digits.isascii() and digits.isdigit())):
-        raise _Fault
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise _Fault from None
+    if digits.isascii() and digits.isdigit() and "" not in values:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    stand_in = {None: -1}
+    return np.array([x if x is not None and 0 <= x < 2 ** 63
+                      else stand_in.setdefault(x, -1 - len(stand_in))
+                      for x in map(_int, values)], dtype=np.int64)
 
 
-def _index_column(index: dict, keys) -> np.ndarray:
-    """index[key] of every key as int64; an unknown key is a fault."""
-    try:
-        return np.fromiter(map(index.__getitem__, keys), np.int64)
-    except KeyError:
-        raise _Fault from None
+def _indices(index: dict, keys, n: int) -> np.ndarray:
+    """index[key] of each of the n keys as int64, -1 for an unknown key."""
+    return np.fromiter(map(index.get, keys, repeat(-1)), np.int64, n)
 
 
-def _column(name: str, values: list[str]):
-    """One column's fields: an id or class column as int64, split as its
-    index, text as is, and a name column with one str per distinct name, so
-    that it costs a pointer per row once the file's fields are freed."""
+def _column(faults: _Faults, i: int, name: str, values: list[str]):
+    """Column i's fields, its faults noted: an id or class column as
+    _int_column's int64, split as its index, text as is, and a name column
+    with one str per distinct name, so that it costs a pointer per row once
+    the file's fields are freed."""
+    if name in _INT_COLUMNS:
+        ints = _int_column(values)
+        faults.note(ints == -1, lambda f: f"{name} is not an integer: {f[i]!r}")
+        if name == "class_id":  # stored as int64
+            faults.note(ints < 0, lambda f: f"class_id must be >= 0 and < "
+                                            f"2**63, got {_int(f[i])}")
+        return ints
     if name == "split":
-        return _index_column(_SPLIT_INDEX, values)
-    if name in _COLUMN_PARSERS:
-        return _int_column(values)
+        splits = _indices(_SPLIT_INDEX, values, len(values))
+        faults.note(splits < 0, lambda f: f"split must be one of "
+                                          f"{SPLIT_NAMES}, got {f[i]!r}")
+        return splits
     if name == "text":
         return values
     first = {}
     return list(map(first.setdefault, values, values))
 
 
-def _tsv_columns(path: Path) -> list:
-    """The _column of each of path's columns over its non-empty lines after
-    the header.  A wrong header, field count or field is a fault."""
+def _tsv_columns(path: Path) -> tuple[_Faults, list]:
+    """path's faults so far, and the _column of each of its columns over
+    its rows up to the first row with a wrong field count.  A wrong header
+    raises LoadError."""
     columns = TSV_COLUMNS[path.name]
-    header, *lines = read_text(path).split("\n")
+    header = "\t".join(columns)
+    first, *lines = read_text(path).split("\n")
+    if first != header:
+        raise LoadError(f"{path}:1: expected the header {header!r}")
     rows = list(filter(None, lines))
-    if (header != "\t".join(columns)
-            or set(map(str.count, rows, repeat("\t"))) - {len(columns) - 1}):
-        raise _Fault
+    faults = _Faults(path)
+    # a set of tab counts costs less than an array, where every count is right
+    if set(map(str.count, rows, repeat("\t"))) - {len(columns) - 1}:
+        faults.note(np.fromiter(map(str.count, rows, repeat("\t")), np.int64,
+                                len(rows)) != len(columns) - 1, lambda f: (
+            f"expected {len(columns)} tab-separated fields, got {len(f)}"))
+        rows = rows[:faults.row]
     fields = "\t".join(rows).split("\t") if rows else []
-    return [_column(name, fields[i::len(columns)])
-            for i, name in enumerate(columns)]
+    return faults, [_column(faults, i, name, fields[i::len(columns)])
+                    for i, name in enumerate(columns)]
 
 
-def _node_ids(offsets, counts, types, locals_) -> np.ndarray:
-    """Global ids of nodes (types, locals_); a local id out of its type's
-    range is a fault."""
-    if (locals_ >= counts[types]).any():
-        raise _Fault
-    return offsets[types] + locals_
-
-
-def _require_distinct(ids: np.ndarray) -> None:
-    if np.unique(ids).size != ids.size:
-        raise _Fault
-
-
-def _load_graph_by_column(d: Path) -> HeteroGraph:
-    """load_graph's result, each file parsed a column at a time by the line
-    parser's rules.  Any fault raises _Fault."""
-    types, ids, texts = _tsv_columns(d / "nodes.tsv")
-    type_index = {t: i for i, t in enumerate(dict.fromkeys(types))}
-    node_types = _index_column(type_index, types)
-    counts = np.bincount(node_types, minlength=len(type_index))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    nodes = _node_ids(offsets, counts, node_types, ids)
-    _require_distinct(nodes)  # distinct and in range: dense per type
-    order = np.empty(nodes.size, dtype=np.int64)
-    order[nodes] = np.arange(nodes.size)
-    texts = list(map(texts.__getitem__, order.tolist()))  # in global-id order
-
-    src_type, src, rel_name, dst_type, dst = _tsv_columns(d / "edges.tsv")
-    rel_index = {key: ri for ri, key in
-                 enumerate(dict.fromkeys(zip(src_type, rel_name, dst_type)))}
-    rels = _index_column(rel_index, zip(src_type, rel_name, dst_type))
-
-    class_ids = np.full(nodes.size, -1, dtype=np.int64)
-    splits = np.full(nodes.size, -1, dtype=np.int64)
-    if (d / "node_labels.tsv").exists():
-        ltypes, lids, lclasses, lsplits = _tsv_columns(d / "node_labels.tsv")
-        labeled = _node_ids(offsets, counts, _index_column(type_index, ltypes),
-                            lids)
-        _require_distinct(labeled)
-        class_ids[labeled] = lclasses
-        splits[labeled] = lsplits
-
-    edge_labels = {}
-    if (d / "edge_labels.tsv").exists():
-        (lsrc_type, lsrc, lrel_name, ldst_type, ldst, lclasses,
-         lsplits) = _tsv_columns(d / "edge_labels.tsv")
-        lrels = _index_column(rel_index, zip(lsrc_type, lrel_name, ldst_type))
-        for ri in dict.fromkeys(lrels.tolist()):  # in order of first label
-            of_ri = lrels == ri
-            edge_labels[ri] = EdgeLabelSet(ri, lsrc[of_ri], ldst[of_ri],
-                                           lclasses[of_ri], lsplits[of_ri])
-
-    spans = list(zip(offsets.tolist(), offsets[1:].tolist()))
-    try:  # HeteroGraph checks the edges and their labels
-        return HeteroGraph(list(type_index), counts.tolist(),
-                           [texts[a:b] for a, b in spans],
-                           [Relation(*key) for key in rel_index],
-                           [(src[rels == ri], dst[rels == ri])
-                            for ri in range(len(rel_index))],
-                           [class_ids[a:b] for a, b in spans],
-                           [splits[a:b] for a, b in spans], edge_labels)
-    except ContractError:
-        raise _Fault from None
+def _note_nodes(faults: _Faults, bounds: np.ndarray, types: np.ndarray,
+                ids: np.ndarray, at: int, column: str) -> None:
+    """Note each node (types, ids) of an unknown type (-1), then each id out
+    of its type's range [0, bounds[type]); the type name is field at and
+    the id, column, is field at + 1."""
+    faults.note(types < 0, lambda f: f"unknown node type '{f[at]}'")
+    faults.note((ids < 0) | (ids >= bounds[types]), lambda f: (
+        f"{column} {_int(f[at + 1])} out of range for type '{f[at]}'"))
 
 
 def load_graph(directory) -> HeteroGraph:
     """Load a graph directory written by save_graph (label files optional).
 
-    Each file is parsed a column at a time; on any fault the line parser
-    reads the files again, and its LoadError names the file, line and rule.
+    Each file is parsed a column at a time, and each rule marks all the
+    rows it faults.  The files are read in the order nodes.tsv, edges.tsv,
+    node_labels.tsv, edge_labels.tsv; the first fault in a file, in the
+    order a reader going line by line would meet it (_Faults), raises
+    LoadError naming the file, line and rule.
     """
     d = Path(directory)
     for name in ("nodes.tsv", "edges.tsv"):
         if not (d / name).exists():
             raise LoadError(f"{d / name}: not found")
-    try:
-        return _load_graph_by_column(d)
-    except _Fault:
-        return _load_graph_by_line(d)
+    faults, (types, ids, texts) = _tsv_columns(d / "nodes.tsv")
+    type_index = {t: i for i, t in enumerate(dict.fromkeys(types))}
+    node_types = _indices(type_index, types, len(types))
+    faults.note(_repeats(node_types, ids),
+                lambda f: f"duplicate node {f[0]}/{_int(f[1])}")
+    faults.check()
+    counts = np.bincount(node_types, minlength=len(type_index))
+    sparse = (ids < 0) | (ids >= counts[node_types])  # none: ids are dense
+    if sparse.any():
+        t = int(node_types[sparse].min())
+        raise LoadError(f"{d / 'nodes.tsv'}: type '{list(type_index)[t]}' ids "
+                        f"must be dense 0..{counts[t] - 1}")
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    bounds = np.append(counts, 0)  # an unknown type (-1) holds no id
+    order = np.empty(ids.size, dtype=np.int64)
+    order[offsets[node_types] + ids] = np.arange(ids.size)
+    texts = list(map(texts.__getitem__, order.tolist()))  # in global-id order
+
+    faults, (src_type, src, rel_name, dst_type, dst) = _tsv_columns(d / "edges.tsv")
+    rel_index = {key: ri for ri, key in
+                 enumerate(dict.fromkeys(zip(src_type, rel_name, dst_type)))}
+    rels = _indices(rel_index, zip(src_type, rel_name, dst_type), src.size)
+    # each relation's (src type, dst type) indices, -1 for an unknown type
+    ends = np.array([[type_index.get(key[0], -1), type_index.get(key[2], -1)]
+                     for key in rel_index], dtype=np.int64).reshape(-1, 2)
+    _note_nodes(faults, bounds, ends[rels, 0], src, 0, "src_id")
+    _note_nodes(faults, bounds, ends[rels, 1], dst, 3, "dst_id")
+    faults.check()
+    edges = [(src[rels == ri], dst[rels == ri]) for ri in range(len(rel_index))]
+
+    class_ids = np.full(ids.size, -1, dtype=np.int64)
+    splits = np.full(ids.size, -1, dtype=np.int64)
+    if (d / "node_labels.tsv").exists():
+        faults, (ltypes, lids, lclasses, lsplits) = _tsv_columns(
+            d / "node_labels.tsv")
+        lnode_types = _indices(type_index, ltypes, lids.size)
+        _note_nodes(faults, bounds, lnode_types, lids, 0, "local_id")
+        labeled = offsets[lnode_types] + lids
+        faults.note(_repeats(labeled),
+                    lambda f: f"duplicate label for {f[0]}/{_int(f[1])}")
+        faults.check()
+        class_ids[labeled] = lclasses
+        splits[labeled] = lsplits
+
+    edge_labels = {}
+    if (d / "edge_labels.tsv").exists():
+        (faults, (lsrc_type, lsrc, lrel_name, ldst_type, ldst, lclasses,
+                  lsplits)) = _tsv_columns(d / "edge_labels.tsv")
+        lrels = _indices(rel_index, zip(lsrc_type, lrel_name, ldst_type),
+                         lsrc.size)
+        faults.note(lrels < 0,
+                    lambda f: f"unknown relation {(f[0], f[2], f[3])}")
+        missing = np.zeros(lsrc.size, dtype=bool)
+        repeated = np.zeros(lsrc.size, dtype=bool)
+        for ri in dict.fromkeys(lrels[lrels >= 0].tolist()):  # first label first
+            of_ri = lrels == ri
+            labels = edge_labels[ri] = EdgeLabelSet(
+                ri, lsrc[of_ri], ldst[of_ri], lclasses[of_ri], lsplits[of_ri])
+            missing[of_ri], repeated[of_ri] = _label_faults(
+                *counts[ends[ri]], edges[ri], labels.src, labels.dst)
+        faults.note(missing, lambda f: (
+            f"labeled edge ({_int(f[1])}, {_int(f[4])}) not in edges.tsv"))
+        faults.note(repeated, lambda f: (
+            f"duplicate edge label ({_int(f[1])}, {_int(f[4])})"))
+        faults.check()
+
+    spans = list(zip(offsets.tolist(), offsets[1:].tolist()))
+    return HeteroGraph(list(type_index), counts.tolist(),
+                       [texts[a:b] for a, b in spans],
+                       [Relation(*key) for key in rel_index], edges,
+                       [class_ids[a:b] for a, b in spans],
+                       [splits[a:b] for a, b in spans], edge_labels)
 
 
 def _write_tsv(path: Path, lines) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as tg
 from .errors import ContractError, LoadError
-from .graph import _as_rng
+from .graph import _as_rng, read_text
 from .tensor import Tensor
 
 SPECIAL_TOKENS = ("[CLS]", "[SEP]", "[PAD]", "[MASK]", "[UNK]")
@@ -56,12 +56,11 @@ class Vocab:
         p = Path(path)
         if not p.exists():
             raise LoadError(f"{p}: not found")
-        try:
-            text = p.read_text(encoding="utf-8")
-        except UnicodeDecodeError as e:
-            raise LoadError(f"{p}: not UTF-8 text ({e.reason})") from None
+        lines = read_text(p).split("\n")
+        if lines[-1] == "":  # the newline after the last line
+            lines.pop()
         tokens = []
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(lines, 1):
             tok = line.strip()
             if not tok:
                 raise LoadError(f"{p}:{lineno}: blank vocabulary line")

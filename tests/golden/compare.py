@@ -12,9 +12,10 @@ refresh cached keys are stored on a full cache, a frozen-encoder node plan,
 WarmStartGNN alone, as the node-deep benchmark workload runs it, and the
 link plan on a copy of the graph with texts of 0 to 6 tokens), each
 followed by `eval` of its last checkpoint with the gnn and cls
-representations and by `dump-embeddings`.  Then it writes copies of the graph with one fault each
-(FAULTS) and runs `eval` of the link plan's last checkpoint on each, so the
-load errors are compared too; each of those commands must exit 2.  Every
+representations and by `dump-embeddings`.  Then it writes eight copies of
+the graph with one fault each (FAULTS) and runs `eval` of the link plan's
+last checkpoint on each, so the load errors are compared too; each of those
+commands must exit 2.  Every
 command is a fresh `python -m textgraph.cli` process with one BLAS thread,
 since the thread count changes a training run's float sums; the two trees
 run under different PYTHONHASHSEED values, so comparing a checkout with
@@ -87,6 +88,10 @@ FAULTS = {
     "unknown_type": ("node_labels.tsv", 2, "node_type", "nosuchtype"),
     "duplicate_node": ("nodes.tsv", 3, "local_id", "0"),
     "unknown_labeled_edge": ("edge_labels.tsv", 2, "dst_id", "1000000"),
+    "tab_in_field": ("nodes.tsv", 2, "text", "a\tb"),
+    "sparse_ids": ("nodes.tsv", 2, "local_id", "100000"),
+    "huge_class_id": ("edge_labels.tsv", 2, "class_id", "99999999999999999999"),
+    "unknown_split": ("node_labels.tsv", 2, "split", "dev"),
 }
 
 

@@ -648,6 +648,22 @@ def test_non_finite_checkpoint_is_a_load_error(tmp_path, trained, capsys, bad):
         assert "ckpt.bin" in err and "'lm/tok_emb'" in err and "non-finite" in err
 
 
+@pytest.mark.parametrize("extra", range(1, 8))
+def test_partial_trailing_value_in_bin_is_a_load_error(tmp_path, trained,
+                                                       capsys, extra):
+    """np.fromfile drops the 1 to 7 bytes of a partial last value, so the
+    count of values alone still matches the manifest."""
+    ckpt = os.path.join(trained["out"], "stage1_WarmStartGNN")
+    stem = str(tmp_path / "ckpt")
+    for ext in (".bin", ".json", ".vocab.txt"):
+        shutil.copyfile(ckpt + ext, stem + ext)
+    with open(stem + ".bin", "ab") as f:
+        f.write(b"\x01" * extra)
+    assert cli.main(["eval", stem, trained["graph_dir"], "--task", "link"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stem}.bin: size ") and "bytes" in err, err
+
+
 def test_non_default_architecture_evaluates_from_the_models(tmp_path, capsys):
     """eval and dump-embeddings read the GNN's depth and width from the
     checkpoint alone."""

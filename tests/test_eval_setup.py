@@ -7,6 +7,7 @@ undecodable byte exit 2 naming the file.
 """
 
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -236,13 +237,182 @@ HAND_GRAPHS = {
 }
 
 
+# The line-at-a-time reader that load_graph's column parser replaced, kept
+# as the reference: on every input, load_graph gives the graph it gives, or
+# the LoadError message it raises.
+
+
+def _reference_int(value: str) -> int:
+    if value.isascii() and value.isdigit():
+        return int(value)
+    digits = value[1:] if value[:1] == "-" else ""
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _reference_class_id(value: str) -> int:
+    cls = _reference_int(value)
+    if not 0 <= cls < 2 ** 63:
+        raise ValueError(value)
+    return cls
+
+
+# a parser raises ValueError on a field it rejects; _reference_field_error
+# says why
+_REFERENCE_PARSERS = {"local_id": _reference_int, "src_id": _reference_int,
+                      "dst_id": _reference_int, "class_id": _reference_class_id,
+                      "split": gr.SPLIT_NAMES.index}
+
+
+def _reference_field_error(column: str, value: str) -> str:
+    if column == "split":
+        return f"split must be one of {gr.SPLIT_NAMES}, got {value!r}"
+    try:
+        number = _reference_int(value)
+    except ValueError:
+        return f"{column} is not an integer: {value!r}"
+    return f"{column} must be >= 0 and < 2**63, got {number}"
+
+
+def _reference_read_tsv(path: Path, add_row) -> None:
+    """Check the header line, then call add_row(*fields) on every non-empty
+    line, each field parsed by its column's _REFERENCE_PARSERS entry.  A
+    wrong field count, a field its parser rejects and a LoadError from
+    add_row raise LoadError naming the file and line."""
+    columns = gr.TSV_COLUMNS[path.name]
+    parsers = [(i, _REFERENCE_PARSERS[c]) for i, c in enumerate(columns)
+               if c in _REFERENCE_PARSERS]
+    header = "\t".join(columns)
+    first, *lines = gr.read_text(path).split("\n")
+    if first != header:
+        raise LoadError(f"{path}:1: expected the header {header!r}")
+    try:
+        for lineno, line in enumerate(lines, start=2):
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != len(columns):
+                raise LoadError(f"expected {len(columns)} tab-separated "
+                                f"fields, got {len(fields)}")
+            for i, parse in parsers:
+                try:
+                    fields[i] = parse(fields[i])
+                except ValueError:
+                    raise LoadError(_reference_field_error(columns[i], fields[i])
+                                    ) from None
+            add_row(*fields)
+    except LoadError as e:
+        raise LoadError(f"{path}:{lineno}: {e}") from None
+
+
+def reference_load_graph(d: Path) -> gr.HeteroGraph:
+    """load_graph's result, each file read a line at a time."""
+    for name in ("nodes.tsv", "edges.tsv"):
+        if not (d / name).exists():
+            raise LoadError(f"{d / name}: not found")
+    texts_of: dict[str, dict[int, str]] = {}  # types in order of first use
+
+    def add_node(tname, local, text):
+        bucket = texts_of.setdefault(tname, {})
+        if local in bucket:
+            raise LoadError(f"duplicate node {tname}/{local}")
+        bucket[local] = text
+
+    _reference_read_tsv(d / "nodes.tsv", add_node)
+    for tname, bucket in texts_of.items():
+        if sorted(bucket) != list(range(len(bucket))):
+            raise LoadError(f"{d / 'nodes.tsv'}: type '{tname}' ids must be "
+                            f"dense 0..{len(bucket) - 1}")
+    texts = [[bucket[i] for i in range(len(bucket))] for bucket in texts_of.values()]
+    node_counts = [len(rows) for rows in texts]
+    type_index = {t: i for i, t in enumerate(texts_of)}
+
+    def node(tname, local, column) -> int:
+        """The type index of node tname/local, which must exist."""
+        ti = type_index.get(tname)
+        if ti is None:
+            raise LoadError(f"unknown node type '{tname}'")
+        if not 0 <= local < node_counts[ti]:
+            raise LoadError(f"{column} {local} out of range for type '{tname}'")
+        return ti
+
+    edges_of: dict[tuple, tuple[list, list]] = {}  # relations in order of first use
+
+    def add_edge(st, s, rname, dt, t):
+        node(st, s, "src_id")
+        node(dt, t, "dst_id")
+        pairs = edges_of.get((st, rname, dt))
+        if pairs is None:
+            pairs = edges_of[st, rname, dt] = ([], [])
+        pairs[0].append(s)
+        pairs[1].append(t)
+
+    _reference_read_tsv(d / "edges.tsv", add_edge)
+    rel_index = {key: ri for ri, key in enumerate(edges_of)}
+
+    node_class_ids = [np.full(c, -1, dtype=np.int64) for c in node_counts]
+    node_splits = [np.full(c, -1, dtype=np.int64) for c in node_counts]
+
+    def add_node_label(tname, local, cls, split):
+        ti = node(tname, local, "local_id")
+        if node_class_ids[ti][local] != -1:
+            raise LoadError(f"duplicate label for {tname}/{local}")
+        node_class_ids[ti][local] = cls
+        node_splits[ti][local] = split
+
+    # per labeled relation, in order of first label: its edges as a set, and
+    # (src, dst) -> (class, split) in file order
+    labeled: dict[int, tuple[set, dict]] = {}
+
+    def add_edge_label(st, s, rname, dt, t, cls, split):
+        ri = rel_index.get((st, rname, dt))
+        if ri is None:
+            raise LoadError(f"unknown relation {(st, rname, dt)}")
+        if ri not in labeled:
+            labeled[ri] = (set(zip(*edges_of[st, rname, dt])), {})
+        pairs, rows = labeled[ri]
+        if (s, t) not in pairs:
+            raise LoadError(f"labeled edge ({s}, {t}) not in edges.tsv")
+        if (s, t) in rows:
+            raise LoadError(f"duplicate edge label ({s}, {t})")
+        rows[s, t] = (cls, split)
+
+    for name, add_row in (("node_labels.tsv", add_node_label),
+                          ("edge_labels.tsv", add_edge_label)):
+        if (d / name).exists():
+            _reference_read_tsv(d / name, add_row)
+    edge_labels = {}
+    for ri, (_, rows) in labeled.items():
+        columns = (*zip(*rows), *zip(*rows.values()))  # src, dst, class, split
+        edge_labels[ri] = gr.EdgeLabelSet(ri, *(np.array(c, dtype=np.int64)
+                                                for c in columns))
+    edges = [(np.array(s, dtype=np.int64), np.array(t, dtype=np.int64))
+             for s, t in edges_of.values()]
+    return gr.HeteroGraph(list(texts_of), node_counts, texts,
+                          [gr.Relation(*key) for key in edges_of], edges,
+                          node_class_ids, node_splits, edge_labels)
+
+
+def _assert_loads_as_the_reference(d) -> bool:
+    """load_graph(d) gives the reference's graph, or raises its LoadError
+    message; True if the graph loads."""
+    try:
+        expected = reference_load_graph(d)
+    except LoadError as e:
+        with pytest.raises(LoadError) as got:
+            gr.load_graph(d)
+        assert str(got.value) == str(e)
+        return False
+    _assert_same_graph(gr.load_graph(d), expected)
+    return True
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("name", sorted(HAND_GRAPHS))
 def test_column_loader_matches_the_line_parser(tmp_path, name, newline):
     d = _write_files(tmp_path / name, HAND_GRAPHS[name], newline)
-    by_column = gr._load_graph_by_column(d)  # raises _Fault on a fault
-    _assert_same_graph(by_column, gr._load_graph_by_line(d))
-    _assert_same_graph(gr.load_graph(d), by_column)
+    _assert_same_graph(gr.load_graph(d), reference_load_graph(d))
 
 
 @pytest.mark.parametrize("nodes_per_type", [4, 30, 200])
@@ -251,9 +421,7 @@ def test_column_loader_matches_the_line_parser_on_synthetic_graphs(
     graph = gr.generate_synthetic(gr.SyntheticSpec(nodes_per_type=nodes_per_type,
                                                    seed=nodes_per_type))
     gr.save_graph(graph, tmp_path)
-    by_line = gr._load_graph_by_line(tmp_path)
-    _assert_same_graph(gr._load_graph_by_column(tmp_path), by_line)
-    _assert_same_graph(gr.load_graph(tmp_path), by_line)
+    _assert_same_graph(gr.load_graph(tmp_path), reference_load_graph(tmp_path))
 
 
 @pytest.mark.parametrize("name, line, reason", [
@@ -269,23 +437,107 @@ def test_a_fault_is_named_by_the_line_parser(tmp_path, name, line, reason):
     files[name] = files[name].rstrip("\n") + "\n" + line + "\n"
     d = _write_files(tmp_path / "g", files)
     lineno = files[name].count("\n")
-    with pytest.raises(gr._Fault):
-        gr._load_graph_by_column(d)
     with pytest.raises(LoadError, match=rf"{name}:{lineno}: {reason}"):
         gr.load_graph(d)
+    _assert_loads_as_the_reference(d)
 
 
 def test_a_value_only_the_line_parser_takes_still_loads(tmp_path):
-    """"-0" is an integer to the line parser; the column path leaves it
-    to that parser."""
+    """"-0" is the integer 0 to the reference reader and to load_graph."""
     files = dict(HAND_GRAPHS["labels"])
     files["nodes.tsv"] = files["nodes.tsv"].replace("q\t0\ta", "q\t-0\ta")
     d = _write_files(tmp_path / "g", files)
-    with pytest.raises(gr._Fault):
-        gr._load_graph_by_column(d)
+    _assert_same_graph(gr.load_graph(d), reference_load_graph(d))
     _assert_same_graph(gr.load_graph(d),
                        gr.load_graph(_write_files(tmp_path / "h",
                                                   HAND_GRAPHS["labels"])))
+
+
+def test_the_earliest_line_is_named_whichever_rule_it_breaks(tmp_path):
+    """Line 2 breaks a rule checked late on a line (the labeled edge is no
+    edge), line 3 one checked first (its field count): line 2 is named."""
+    files = dict(HAND_GRAPHS["labels"])
+    files["edge_labels.tsv"] = (_header("edge_labels.tsv")
+                                + "q\t1\tr\tp\t1\t0\ttrain\nq\t0\tr\tp\n")
+    d = _write_files(tmp_path / "g", files)
+    with pytest.raises(LoadError, match=r"edge_labels.tsv:2: labeled edge "
+                                        r"\(1, 1\) not in edges.tsv"):
+        gr.load_graph(d)
+    _assert_loads_as_the_reference(d)
+
+
+@pytest.mark.parametrize("second, reason", [
+    ("99999999999999999999", "duplicate node q/99999999999999999999"),
+    ("9223372036854775808", r"type 'q' ids must be dense 0\.\.3"),
+])
+def test_ids_past_int64_repeat_only_when_equal(tmp_path, second, reason):
+    """Two ids outside int64 are one id only when they are one integer."""
+    files = dict(HAND_GRAPHS["labels"])
+    files["nodes.tsv"] += "q\t99999999999999999999\tx\nq\t" + second + "\ty\n"
+    d = _write_files(tmp_path / "g", files)
+    with pytest.raises(LoadError, match=reason):
+        gr.load_graph(d)
+    _assert_loads_as_the_reference(d)
+
+
+# values a fuzzed field takes: ids in and out of range, integers the reader
+# reads alike or refuses, and names of types, relations and splits
+LOADER_FUZZ_VALUES = (
+    "", "0", "1", "2", "3", "-0", "003", "-1", "x", "1.5", " 1", "+1", "1_0",
+    "99999999999999999999", "-99999999999999999999", "9223372036854775807",
+    "9223372036854775808", "-9223372036854775809", "q", "p", "r", "s",
+    "query", "product", "purchase", "train", "valid", "test", "dev", "a\tb")
+
+
+def _fuzzed_graph_files(rng, base: dict) -> dict:
+    """base's files after one to three edits: a field replaced by a
+    LOADER_FUZZ_VALUES entry, a line repeated elsewhere, a line deleted, a
+    field added or dropped, or a label file dropped."""
+    files = {name: text.split("\n") for name, text in base.items()}
+    for _ in range(rng.integers(1, 4)):
+        name = sorted(files)[rng.integers(len(files))]
+        lines = files[name]
+        kind = rng.integers(6)
+        if kind == 5:
+            if name.endswith("labels.tsv"):
+                del files[name]
+            continue
+        i = int(rng.integers(len(lines)))
+        fields = lines[i].split("\t")
+        at = int(rng.integers(len(fields) + 1))
+        if kind == 0:
+            fields[min(at, len(fields) - 1)] = LOADER_FUZZ_VALUES[
+                rng.integers(len(LOADER_FUZZ_VALUES))]
+            lines[i] = "\t".join(fields)
+        elif kind == 1:
+            lines.insert(int(rng.integers(1, len(lines) + 1)), lines[i])
+        elif kind == 2 and i:
+            del lines[i]
+        elif kind == 3:
+            fields.insert(at, LOADER_FUZZ_VALUES[rng.integers(len(LOADER_FUZZ_VALUES))])
+            lines[i] = "\t".join(fields)
+        elif kind == 4 and len(fields) > 1:
+            del fields[min(at, len(fields) - 1)]
+            lines[i] = "\t".join(fields)
+    return {name: "\n".join(lines) for name, lines in files.items()}
+
+
+def test_loader_fuzz_matches_the_reference(tmp_path):
+    """Seeded multi-edit damage to small graph directories: load_graph and
+    the reference give the same graph or the same message every time."""
+    gr.save_graph(gr.generate_synthetic(gr.SyntheticSpec(nodes_per_type=6,
+                                                         seed=1)), tmp_path / "s")
+    bases = [HAND_GRAPHS["labels"],
+             {name: (tmp_path / "s" / name).read_text() for name in gr.TSV_COLUMNS}]
+    rng = np.random.default_rng(0)
+    d = tmp_path / "d"
+    loads = []
+    for trial in range(500):
+        if d.exists():
+            shutil.rmtree(d)
+        _write_files(d, _fuzzed_graph_files(rng, bases[trial % 2]))
+        loads.append(_assert_loads_as_the_reference(d))
+    assert 50 < sum(loads) < 450, sum(loads)  # both outcomes are exercised
 
 
 # ----------------------------------------------------------- bundle loading

@@ -43,6 +43,21 @@ def test_vocab_load_rejects_blank_and_duplicates(tmp_path):
         tx.Vocab.load(p)
 
 
+def test_vocab_load_reads_lines_as_graph_files_do(tmp_path):
+    """An undecodable byte names its line; a line break other than \\n,
+    \\r\\n or \\r is inside a line, so its token is refused."""
+    p = tmp_path / "v.txt"
+    p.write_bytes(b"a\r\nb\rc\n\xffd\n")
+    with pytest.raises(LoadError, match=r"v\.txt:4: not UTF-8 text"):
+        tx.Vocab.load(p)
+    p.write_bytes(b"a\r\nb\rc")
+    assert tx.Vocab.load(p).tokens == ["a", "b", "c"]
+    for sep in ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]:
+        p.write_text(f"a\nb{sep}c\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=r"v\.txt: bad vocabulary token"):
+            tx.Vocab.load(p)
+
+
 def test_tokenize_cls_padding_truncation():
     v = small_vocab()
     ids = tx.tokenize_batch(v, ["TOK0 tok1 missing"], max_len=6)[0]
